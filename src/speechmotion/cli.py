@@ -58,6 +58,20 @@ BUILTIN_PROFILES = {
 }
 
 
+def _load_json_object(path: Path) -> dict:
+    """Parse a JSON document whose top level must be an object."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(
+                f"{path}:{exc.lineno}:{exc.colno}: malformed JSON: {exc.msg}"
+            ) from exc
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 class Config:
     """Validated session configuration plus resolved stage parameters."""
 
@@ -73,6 +87,13 @@ class Config:
             if key in self.profile:
                 self.params[key] = self.profile[key]
         self.params.update(doc.get("params", {}))
+        # coupling and the report read exactly the pc_1..pc_12 columns
+        k = self.params["pca_components"]
+        if not isinstance(k, int) or k != len(speech_features.PC_COLUMNS):
+            raise ValidationError(
+                f"params.pca_components must be {len(speech_features.PC_COLUMNS)}, "
+                f"got {k!r}"
+            )
         self.sessions = doc.get("sessions", [])
         for s in self.sessions:
             if "id" not in s:
@@ -84,8 +105,7 @@ class Config:
         p = Path(path)
         if not p.exists():
             raise MissingUpstreamOutputError(f"config file not found: {p}")
-        with open(p, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = _load_json_object(p)
         return cls(doc, p.parent.resolve(), Path(out_dir) if out_dir else None)
 
     def path(self, session: dict, key: str) -> Path:
@@ -122,10 +142,6 @@ class Config:
             raise ValidationError(f"{path}: {exc}") from exc
 
 
-def _spectral_track(clip):
-    return speech_features.temporal_derivatives(speech_features.mfcc(clip))
-
-
 def _load_clip(config: Config, session: dict):
     clip = ingest.load_wav(config.path(session, "audio"))
     clip = ingest.select_channel(clip, config.channel_for(session))
@@ -135,38 +151,43 @@ def _load_clip(config: Config, session: dict):
     return clip
 
 
-def _features_one(config: Config, session: dict, pca_model=None) -> Path:
-    clip = _load_clip(config, session)
-    grid = speech_features.feature_grid(clip)
-    prosody = speech_features.prosody_features(
-        clip, grid, fmin=config.params["f0_min_hz"], fmax=config.params["f0_max_hz"]
-    )
-    spectral = speech_features.temporal_derivatives(speech_features.mfcc(clip, grid))
-    if pca_model is None:
-        pca_model = speech_features.fit_pca(spectral, k=config.params["pca_components"])
-    reduced = speech_features.apply_pca(pca_model, spectral)
-    track = speech_features.assemble_speech_features(reduced, prosody)
+def _write_features(config: Config, session: dict, track, pca_model) -> None:
     out = config.session_dir(session)
     write_feature_csv(track, out / "features.csv")
     pca_model.to_json(out / "pca_model.json")
-    return out / "features.csv"
 
 
 def cmd_features(config: Config, jobs: int = 1) -> None:
     sessions = [s for s in config.sessions if "audio" in s]
+    if not sessions:
+        return
+    f0_range = {"fmin": config.params["f0_min_hz"], "fmax": config.params["f0_max_hz"]}
+    k = config.params["pca_components"]
     if config.params["pca_scope"] == "corpus":
-        spectral_tracks = [_spectral_track(_load_clip(config, s)) for s in sessions]
-        model = speech_features.fit_pca_pooled(
-            spectral_tracks, k=config.params["pca_components"]
-        )
-        for s in sessions:
-            _features_one(config, s, pca_model=model)
-    elif jobs > 1 and len(sessions) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(lambda s: _features_one(config, s), sessions))
+        # each clip is decoded once; only its pre-PCA columns wait for the pooled fit
+        tracks = [
+            speech_features.pre_pca_tracks(_load_clip(config, s), **f0_range)
+            for s in sessions
+        ]
+        model = speech_features.fit_pca_pooled([spectral for _, spectral in tracks], k=k)
+        for s, (prosody, spectral) in zip(sessions, tracks):
+            _write_features(
+                config, s, *speech_features.project_speech_features(prosody, spectral, model)
+            )
     else:
-        for s in sessions:
-            _features_one(config, s)
+        def features_one(session: dict) -> None:
+            # no local holds the clip, so it is freed before the CSV is written
+            track, model = speech_features.extract_speech_features(
+                _load_clip(config, session), n_components=k, **f0_range
+            )
+            _write_features(config, session, track, model)
+
+        if jobs > 1 and len(sessions) > 1:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+                list(pool.map(features_one, sessions))
+        else:
+            for s in sessions:
+                features_one(s)
     for s in sessions:
         print(f"features: wrote {config.session_dir(s) / 'features.csv'}")
 
@@ -356,8 +377,7 @@ def cmd_synth(spec_path: str, out_dir: str, seed_override: int | None = None) ->
     p = Path(spec_path)
     if not p.exists():
         raise MissingUpstreamOutputError(f"spec file not found: {p}")
-    with open(p, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _load_json_object(p)
     if seed_override is not None:
         doc["seed"] = seed_override
     emit_tone = bool(doc.pop("emit_tone_wav", False))

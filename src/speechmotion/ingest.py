@@ -60,10 +60,14 @@ class AudioClip:
         samples = np.array(self.samples, dtype=np.float64, order="C")
         if samples.ndim not in (1, 2):
             raise ValueError("samples must be 1-D mono or 2-D (n, channels)")
-        if not np.isfinite(samples).all():
-            raise ValueError("samples must be finite")
-        if samples.size and np.abs(samples).max() > 1.0:
-            raise ValueError("samples must lie in [-1, 1] after normalization")
+        if samples.size:
+            # min and max are NaN if any sample is, and reach any infinity,
+            # so both checks need no full-size temporary
+            lo, hi = samples.min(), samples.max()
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError("samples must be finite")
+            if lo < -1.0 or hi > 1.0:
+                raise ValueError("samples must lie in [-1, 1] after normalization")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
@@ -99,28 +103,37 @@ def _read_chunks(data: bytes, path: str) -> dict[bytes, bytes]:
 
 
 def _decode_pcm(body: bytes, fmt_code: int, bits: int, path: str) -> np.ndarray:
+    # each branch makes one float64 copy and scales it in place
     if fmt_code == 3:
         if bits != 32:
             raise UnsupportedFormatError(f"{path}: float WAV must be 32-bit")
         x = np.frombuffer(body, dtype="<f4").astype(np.float64)
-        return np.clip(x, -1.0, 1.0)
+        return np.clip(x, -1.0, 1.0, out=x)
     if fmt_code != 1:
         raise UnsupportedFormatError(
             f"{path}: unsupported WAV format code {fmt_code} (PCM required)"
         )
     if bits == 8:
         x = np.frombuffer(body, dtype=np.uint8).astype(np.float64)
-        return (x - 128.0) / 128.0
+        x -= 128.0
+        x /= 128.0
+        return x
     if bits == 16:
-        return np.frombuffer(body, dtype="<i2").astype(np.float64) / 32768.0
+        x = np.frombuffer(body, dtype="<i2").astype(np.float64)
+        x /= 32768.0
+        return x
     if bits == 24:
         raw = np.frombuffer(body, dtype=np.uint8)
         raw = raw[: (len(raw) // 3) * 3].reshape(-1, 3).astype(np.int64)
         val = raw[:, 0] | (raw[:, 1] << 8) | (raw[:, 2] << 16)
         val = (val ^ 0x800000) - 0x800000
-        return val.astype(np.float64) / 8388608.0
+        x = val.astype(np.float64)
+        x /= 8388608.0
+        return x
     if bits == 32:
-        return np.frombuffer(body, dtype="<i4").astype(np.float64) / 2147483648.0
+        x = np.frombuffer(body, dtype="<i4").astype(np.float64)
+        x /= 2147483648.0
+        return x
     raise UnsupportedFormatError(f"{path}: unsupported bit depth {bits}")
 
 

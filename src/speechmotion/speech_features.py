@@ -7,6 +7,15 @@ autocorrelation with parabolic peak interpolation (voicing threshold 0.45 on
 the normalized peak); unvoiced frames carry f0 = 0. Mel cepstra use 26
 triangular filters from 0 Hz to Nyquist with a 1e-10 log floor, orthonormal
 DCT-II, and coefficient 0 dropped. All of these are configurable.
+
+`f0_contour`, `rms_energy` and `mfcc` work through the frames in blocks of
+CHUNK_FRAMES rows and keep only their per-frame outputs, so their working
+memory is set by the window length, not by the clip: each block's FFT and
+autocorrelation (of which pitch keeps only the searched lags) are freed
+before the next. What still grows with the clip is the decoded samples and
+the output tracks (8 bytes per frame and column). Blocking leaves every
+value bit-for-bit as a single whole-clip pass computes it (see
+_frame_blocks for the one condition this needs).
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +41,8 @@ from .ingest import AudioClip
 
 FRAME_RATE_HZ = 120.0
 WINDOW_S = 0.025
+# Analysis frames are processed in blocks of this many rows (see _frame_blocks).
+CHUNK_FRAMES = 1024
 
 MFCC_COLUMNS = tuple(f"mfcc_{i}" for i in range(1, 13))
 PC_COLUMNS = tuple(f"pc_{i}" for i in range(1, 13))
@@ -61,7 +73,21 @@ def feature_grid(
     return FrameGrid(rate_hz=rate_hz, start_s=clip.start_s, n_frames=n)
 
 
-def _frame_matrix(clip: AudioClip, grid: FrameGrid, window_s: float) -> np.ndarray:
+def _frame_blocks(
+    clip: AudioClip, grid: FrameGrid, window_s: float
+) -> tuple[int, Iterator[tuple[int, np.ndarray]]]:
+    """Window length in samples, and the grid's analysis windows in blocks.
+
+    The iterator yields (first frame index, block): each block is a fresh
+    (CHUNK_FRAMES, win) copy of the samples, made when the iterator reaches
+    it, so an extractor that keeps only its per-frame outputs holds one block
+    at a time however long the clip is. Every block has the same row count:
+    the last one ends at the last frame and overlaps its predecessor, because
+    BLAS rounds a small matrix product differently (OpenBLAS switches
+    kernels, below 47 rows on an AVX-512 Xeon) and a short tail block would
+    change the last bits of its MFCC rows. A grid shorter than CHUNK_FRAMES
+    is one block, and an empty grid one (0, win) block.
+    """
     if clip.samples.ndim != 1:
         raise ValueError("feature extraction requires a mono clip")
     sr = clip.sample_rate_hz
@@ -75,7 +101,20 @@ def _frame_matrix(clip: AudioClip, grid: FrameGrid, window_s: float) -> np.ndarr
         )
     starts = np.round((rel_start + np.arange(grid.n_frames) / grid.rate_hz) * sr)
     starts = np.clip(starts.astype(np.int64), 0, clip.n_samples - win)
-    return clip.samples[starts[:, None] + np.arange(win)[None, :]]
+    windows = np.lib.stride_tricks.sliding_window_view(clip.samples, win)
+    chunk = CHUNK_FRAMES
+    firsts = (
+        max(0, min(lo, grid.n_frames - chunk))
+        for lo in range(0, max(grid.n_frames, 1), chunk)
+    )
+    return win, ((lo, windows[starts[lo:lo + chunk]]) for lo in firsts)
+
+
+def _next_pow2(n: int) -> int:
+    nfft = 1
+    while nfft < n:
+        nfft *= 2
+    return nfft
 
 
 def f0_contour(
@@ -89,43 +128,43 @@ def f0_contour(
     """Fundamental frequency per frame in Hz; 0 marks unvoiced frames."""
     if grid is None:
         grid = feature_grid(clip, window_s=window_s)
-    frames = _frame_matrix(clip, grid, window_s)
+    win, blocks = _frame_blocks(clip, grid, window_s)
     sr = clip.sample_rate_hz
-    win = frames.shape[1]
-
-    frames = frames - frames.mean(axis=1, keepdims=True)
-    frames = frames * np.hanning(win)
-
-    nfft = 1
-    while nfft < 2 * win:
-        nfft *= 2
-    spectra = np.fft.rfft(frames, nfft)
-    acf = np.fft.irfft(spectra.real**2 + spectra.imag**2, nfft)[:, :win]
-
     lag_min = max(2, int(math.floor(sr / fmax)))
     lag_max = min(int(math.ceil(sr / fmin)), win - 2)
     if lag_min >= lag_max:
         raise ValueError(f"pitch range [{fmin}, {fmax}] Hz unusable at {sr} Hz")
+    taper = np.hanning(win)
+    nfft = _next_pow2(2 * win)
 
-    r0 = acf[:, 0]
-    quiet = r0 <= 1e-12
-    safe_r0 = np.where(quiet, 1.0, r0)
-    rho = acf / safe_r0[:, None]
+    f0 = np.empty(grid.n_frames)
+    for lo, frames in blocks:
+        frames -= frames.mean(axis=1, keepdims=True)
+        frames *= taper
+        spectra = np.fft.rfft(frames, nfft)
+        acf = np.fft.irfft(spectra.real**2 + spectra.imag**2, nfft)
 
-    best = np.argmax(rho[:, lag_min:lag_max + 1], axis=1) + lag_min
-    rows = np.arange(len(best))
-    r_m1 = rho[rows, best - 1]
-    r_0 = rho[rows, best]
-    r_p1 = rho[rows, best + 1]
-    denom = r_m1 - 2.0 * r_0 + r_p1
-    usable = np.abs(denom) > 1e-12
-    shift = np.where(usable, 0.5 * (r_m1 - r_p1) / np.where(usable, denom, 1.0), 0.0)
-    shift = np.clip(shift, -0.5, 0.5)
-    lag = best + shift
+        r0 = acf[:, 0]
+        quiet = r0 <= 1e-12
+        safe_r0 = np.where(quiet, 1.0, r0)
+        # normalized autocorrelation at lags lag_min-1 .. lag_max+1 only: the
+        # peak search and its parabolic neighbours need no other lag
+        rho = acf[:, lag_min - 1:lag_max + 2] / safe_r0[:, None]
 
-    f0 = np.clip(sr / lag, fmin, fmax)
-    voiced = (r_0 >= voicing_threshold) & ~quiet
-    return FeatureTrack(grid, ("f0_hz",), np.where(voiced, f0, 0.0))
+        best = np.argmax(rho[:, 1:-1], axis=1) + 1
+        rows = np.arange(len(best))
+        r_m1 = rho[rows, best - 1]
+        r_0 = rho[rows, best]
+        r_p1 = rho[rows, best + 1]
+        denom = r_m1 - 2.0 * r_0 + r_p1
+        usable = np.abs(denom) > 1e-12
+        shift = np.where(usable, 0.5 * (r_m1 - r_p1) / np.where(usable, denom, 1.0), 0.0)
+        shift = np.clip(shift, -0.5, 0.5)
+        lag = (best + (lag_min - 1)) + shift
+
+        voiced = (r_0 >= voicing_threshold) & ~quiet
+        f0[lo:lo + len(frames)] = np.where(voiced, np.clip(sr / lag, fmin, fmax), 0.0)
+    return FeatureTrack(grid, ("f0_hz",), f0)
 
 
 def rms_energy(
@@ -134,8 +173,11 @@ def rms_energy(
     """Root-mean-square amplitude of each analysis window."""
     if grid is None:
         grid = feature_grid(clip, window_s=window_s)
-    frames = _frame_matrix(clip, grid, window_s)
-    return FeatureTrack(grid, ("energy_rms",), np.sqrt(np.mean(frames**2, axis=1)))
+    _, blocks = _frame_blocks(clip, grid, window_s)
+    rms = np.empty(grid.n_frames)
+    for lo, frames in blocks:
+        rms[lo:lo + len(frames)] = np.sqrt(np.mean(frames**2, axis=1))
+    return FeatureTrack(grid, ("energy_rms",), rms)
 
 
 def _mel(f: np.ndarray) -> np.ndarray:
@@ -177,19 +219,18 @@ def mfcc(
     """Mel-frequency cepstral coefficients 1..n_keep (coefficient 0 dropped)."""
     if grid is None:
         grid = feature_grid(clip, window_s=window_s)
-    frames = _frame_matrix(clip, grid, window_s)
-    sr = clip.sample_rate_hz
-    win = frames.shape[1]
-
-    nfft = 1
-    while nfft < win:
-        nfft *= 2
-    power = np.abs(np.fft.rfft(frames * np.hanning(win), nfft)) ** 2
-    energies = power @ _mel_filterbank(sr, nfft, n_filters).T
-    log_e = np.log(np.maximum(energies, log_floor))
-    coeffs = log_e @ _dct_matrix(n_filters).T
+    win, blocks = _frame_blocks(clip, grid, window_s)
+    nfft = _next_pow2(win)
+    taper = np.hanning(win)
+    filters = _mel_filterbank(clip.sample_rate_hz, nfft, n_filters).T
+    dct = _dct_matrix(n_filters).T
+    coeffs = np.empty((grid.n_frames, n_keep))
+    for lo, frames in blocks:
+        power = np.abs(np.fft.rfft(frames * taper, nfft)) ** 2
+        log_e = np.log(np.maximum(power @ filters, log_floor))
+        coeffs[lo:lo + len(frames)] = (log_e @ dct)[:, 1:n_keep + 1]
     names = tuple(f"mfcc_{i}" for i in range(1, n_keep + 1))
-    return FeatureTrack(grid, names, coeffs[:, 1:n_keep + 1])
+    return FeatureTrack(grid, names, coeffs)
 
 
 def _ls_slope(x: np.ndarray) -> np.ndarray:
@@ -374,6 +415,33 @@ def assemble_speech_features(pca12: FeatureTrack, prosody: FeatureTrack) -> Feat
     return concat_columns(pca12, prosody)
 
 
+def pre_pca_tracks(clip: AudioClip, **f0_kwargs) -> tuple[FeatureTrack, FeatureTrack]:
+    """A clip's six-column prosody track and 36-column spectral track.
+
+    The spectral track (MFCCs and their derivatives) is what PCA is fitted on
+    and projects; :func:`project_speech_features` finishes the front end.
+    """
+    grid = feature_grid(clip)
+    prosody = prosody_features(clip, grid, **f0_kwargs)
+    return prosody, temporal_derivatives(mfcc(clip, grid))
+
+
+def project_speech_features(
+    prosody: FeatureTrack,
+    spectral: FeatureTrack,
+    pca_model: PcaModel | None = None,
+    n_components: int = 12,
+) -> tuple[FeatureTrack, PcaModel]:
+    """PCA of the spectral track, assembled with the prosody columns.
+
+    Without `pca_model`, one is fitted on this spectral track.
+    """
+    if pca_model is None:
+        pca_model = fit_pca(spectral, k=n_components)
+    reduced = apply_pca(pca_model, spectral)
+    return assemble_speech_features(reduced, prosody), pca_model
+
+
 def extract_speech_features(
     clip: AudioClip,
     pca_model: PcaModel | None = None,
@@ -385,10 +453,5 @@ def extract_speech_features(
     Pass `pca_model` to project with a model fitted elsewhere (corpus scope);
     otherwise one is fitted on this clip's spectral frames.
     """
-    grid = feature_grid(clip)
-    prosody = prosody_features(clip, grid, **f0_kwargs)
-    spectral = temporal_derivatives(mfcc(clip, grid))
-    if pca_model is None:
-        pca_model = fit_pca(spectral, k=n_components)
-    reduced = apply_pca(pca_model, spectral)
-    return assemble_speech_features(reduced, prosody), pca_model
+    prosody, spectral = pre_pca_tracks(clip, **f0_kwargs)
+    return project_speech_features(prosody, spectral, pca_model, n_components)

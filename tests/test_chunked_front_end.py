@@ -1,0 +1,80 @@
+"""The speech front end works through its analysis frames in fixed blocks.
+
+Blocking must change neither the values (every row keeps its arithmetic)
+nor let memory grow with the clip beyond the per-frame outputs.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from speechmotion import speech_features as sf
+from speechmotion.ingest import AudioClip
+
+
+def fm_clip(duration_s: float, sr: int, seed: int = 0) -> AudioClip:
+    """150 +/- 30 Hz FM tone in noise after half a second of silence."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(int(duration_s * sr)) / sr
+    phase = 2 * np.pi * (150 * t + 30 / (2 * np.pi * 0.5) * np.sin(2 * np.pi * 0.5 * t))
+    x = 0.5 * np.sin(phase) + 0.05 * rng.standard_normal(t.size)
+    x[: sr // 2] = 0.0
+    return AudioClip(np.clip(x, -1.0, 1.0), sr)
+
+
+EXTRACTORS = {"f0": sf.f0_contour, "rms": sf.rms_energy, "mfcc": sf.mfcc}
+
+
+@pytest.mark.parametrize(
+    "chunk, names",
+    [
+        (255, ("f0", "rms", "mfcc")),
+        # f0 and RMS hold no matrix product, so even tiny blocks keep their
+        # bits. MFCC blocks must stay large: for small products BLAS takes
+        # another kernel that rounds differently (OpenBLAS 0.3.31 on an
+        # AVX-512 Xeon does so below 47 rows; the size depends on the build
+        # and CPU), which is why every block _frame_blocks yields has
+        # CHUNK_FRAMES rows.
+        (7, ("f0", "rms")),
+    ],
+)
+def test_small_chunks_give_bitwise_equal_tracks(monkeypatch, chunk, names):
+    # 2060 frames: 12 past a multiple of the default chunk and 20 past one of
+    # 255, so a short tail block would show
+    clip = fm_clip(17.1875, 8000)
+    n = sf.feature_grid(clip).n_frames
+    assert n > sf.CHUNK_FRAMES and n % sf.CHUNK_FRAMES and n % chunk
+    default = {k: EXTRACTORS[k](clip).values for k in names}
+    monkeypatch.setattr(sf, "CHUNK_FRAMES", chunk)
+    small = {k: EXTRACTORS[k](clip).values for k in names}
+    monkeypatch.setattr(sf, "CHUNK_FRAMES", n)  # one block: the unblocked computation
+    whole = {k: EXTRACTORS[k](clip).values for k in names}
+    for k in names:
+        assert np.array_equal(default[k], whole[k]), k
+        assert np.array_equal(small[k], whole[k]), k
+
+
+def traced_peak_bytes(fn, clip) -> int:
+    tracemalloc.start()
+    try:
+        fn(clip)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_front_end_peak_memory_does_not_grow_with_clip_length():
+    short, long = fm_clip(30.0, 16000), fm_clip(120.0, 16000)
+
+    def peak(clip):
+        return traced_peak_bytes(sf.f0_contour, clip) + traced_peak_bytes(sf.mfcc, clip)
+
+    extra_rows = sf.feature_grid(long).n_frames - sf.feature_grid(short).n_frames
+    # per extra frame: the 1 + 12 output columns, held twice (the array and
+    # FeatureTrack's copy), and up to four int64/float64 frame-start arrays
+    # in each of the two calls
+    per_frame = 2 * (1 + 12) * 8 + 2 * 4 * 8
+    allowance = 1 << 20
+    growth = peak(long) - peak(short)
+    assert growth <= extra_rows * per_frame + allowance, (growth, extra_rows)

@@ -2,7 +2,10 @@ import hashlib
 import json
 from pathlib import Path
 
-from speechmotion import cli
+import numpy as np
+import pytest
+
+from speechmotion import cli, ingest, speech_features
 from speechmotion.frames import read_feature_csv
 from speechmotion.speech_features import SPEECH_FEATURE_COLUMNS
 
@@ -103,6 +106,60 @@ class TestDeterminism:
         assert hash_tree(out2) == hash_tree(cli_workspace["out"])
 
 
+def absolute_sessions(workspace) -> list[dict]:
+    return [
+        {
+            key: (str(workspace["base"] / value) if key not in ("id", "speaker") else value)
+            for key, value in s.items()
+        }
+        for s in workspace["doc"]["sessions"]
+    ]
+
+
+class TestCorpusPca:
+    def test_each_clip_analysed_once_and_projected_with_pooled_model(
+        self, cli_workspace, tmp_path, monkeypatch
+    ):
+        doc = {
+            "params": {"trim_head_s": 0.0, "pca_scope": "corpus"},
+            "sessions": absolute_sessions(cli_workspace),
+        }
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(doc))
+        calls = []
+        mfcc = speech_features.mfcc
+
+        def counting_mfcc(*args, **kwargs):
+            calls.append(1)
+            return mfcc(*args, **kwargs)
+
+        monkeypatch.setattr(speech_features, "mfcc", counting_mfcc)
+        rc = cli.main([f"--config={config}", f"--out-dir={tmp_path / 'o'}", "features"])
+        assert rc == 0
+        assert len(calls) == len(doc["sessions"])
+        monkeypatch.setattr(speech_features, "mfcc", mfcc)
+
+        clips = [
+            ingest.select_channel(ingest.load_wav(s["audio"]), "left")
+            for s in doc["sessions"]
+        ]
+        model = speech_features.fit_pca_pooled(
+            [speech_features.temporal_derivatives(mfcc(c)) for c in clips]
+        )
+        for s, clip in zip(doc["sessions"], clips):
+            expected, _ = speech_features.extract_speech_features(clip, pca_model=model)
+            written = read_feature_csv(tmp_path / "o" / s["id"] / "features.csv")
+            assert written.columns == expected.columns
+            assert np.array_equal(written.values, expected.values)
+
+    def test_no_audio_sessions_is_a_no_op(self, tmp_path):
+        p = tmp_path / "c.json"
+        doc = {"params": {"pca_scope": "corpus"}, "sessions": [{"id": "x"}]}
+        p.write_text(json.dumps(doc))
+        assert cli.main([f"--config={p}", "features"]) == 0
+        assert not (tmp_path / "out" / "x").exists()
+
+
 class TestErrors:
     def test_missing_input_file_names_path(self, tmp_path, capsys):
         config = {
@@ -146,18 +203,55 @@ class TestErrors:
         # tone clips are 2 s; the default 4 s head trim cannot apply
         doc = json.loads(Path(cli_workspace["config"]).read_text())
         doc["params"]["trim_head_s"] = 4.0
-        doc["sessions"] = [
-            {
-                key: (str(cli_workspace["base"] / value) if key not in ("id", "speaker") else value)
-                for key, value in s.items()
-            }
-            for s in doc["sessions"]
-        ]
+        doc["sessions"] = absolute_sessions(cli_workspace)
         p = tmp_path / "c.json"
         p.write_text(json.dumps(doc))
         rc = cli.main([f"--config={p}", "--out-dir", str(tmp_path / "o"), "features"])
         assert rc == 3
         assert "trim" in capsys.readouterr().err
+
+
+    def test_pca_components_other_than_twelve_rejected_before_audio(
+        self, cli_workspace, tmp_path, capsys, monkeypatch
+    ):
+        doc = {
+            "params": {"trim_head_s": 0.0, "pca_components": 8},
+            "sessions": absolute_sessions(cli_workspace),
+        }
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+
+        def no_audio(path):
+            raise AssertionError(f"audio read before config validation: {path}")
+
+        monkeypatch.setattr(ingest, "load_wav", no_audio)
+        rc = cli.main([f"--config={p}", f"--out-dir={tmp_path / 'o'}", "features"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "pca_components" in err and "8" in err
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [('{"sessions": [', ":1:15: malformed JSON"), ('{\n  "a": 1,\n}', ":3:1: malformed JSON")],
+    )
+    @pytest.mark.parametrize("command", ["config", "synth"])
+    def test_malformed_json_names_line_and_column(self, tmp_path, capsys, text, where, command):
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        argv = [f"--config={p}", "align"] if command == "config" else [
+            f"--out-dir={tmp_path / 'o'}", "synth", str(p)
+        ]
+        rc = cli.main(argv)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{p}{where}" in err
+        assert "Traceback" not in err
+
+    def test_json_that_is_not_an_object(self, tmp_path, capsys):
+        p = tmp_path / "c.json"
+        p.write_text("[]")
+        assert cli.main([f"--config={p}", "align"]) == 2
+        assert "expected a JSON object" in capsys.readouterr().err
 
 
 def test_exit_code_taxonomy():
