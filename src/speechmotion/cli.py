@@ -1,8 +1,9 @@
 """Batch command-line front end.
 
 Subcommands mirror the pipeline stages: `features` (audio -> 18-column
-speech features), `align` (all modalities -> one session table), `activeness`
-(markers -> region activeness + condition summaries), `map` (AMMSE fits and
+speech features), `align` (all modalities -> one session table, plus the
+native-rate region activeness), `activeness` (session table -> condition
+summaries), `map` (AMMSE fits and
 the coupling report), `stats` (repeated-measures ANOVA), `synth` (generate a
 verification session) and `report` (heatmap grids, SVGs and reference
 comparison tables). Every command is deterministic for identical inputs.
@@ -224,6 +225,7 @@ def _align_one(config: Config, session: dict) -> Path:
         target_rate_hz=config.params["target_rate_hz"],
     )
     out = config.session_dir(session)
+    write_feature_csv(activeness, out / "activeness.csv")
     provenance = {
         "speech_rate_hz": speech.grid.rate_hz,
         "emotion_rate_hz": emotion.grid.rate_hz,
@@ -252,7 +254,7 @@ def cmd_align(config: Config, jobs: int = 1) -> None:
         for s in config.sessions:
             _align_one(config, s)
     for s in config.sessions:
-        print(f"align: wrote {config.session_dir(s) / 'aligned.csv'}")
+        print(f"align: wrote {config.session_dir(s) / 'aligned.csv'} and activeness.csv")
 
 
 def _read_table(config: Config, session: dict) -> timeline.SessionTable:
@@ -269,15 +271,13 @@ def _read_table(config: Config, session: dict) -> timeline.SessionTable:
 
 def cmd_activeness(config: Config, jobs: int = 1) -> None:
     for session in config.sessions:
-        activeness = _native_activeness(config, session)
-        out = config.session_dir(session)
-        write_feature_csv(activeness, out / "activeness.csv")
         table = _read_table(config, session)
         cells = motion.condition_summaries(
             table.block("activeness"), table, min_frames=config.params["min_cell_frames"]
         )
+        out = config.session_dir(session)
         motion.write_summary_csv(cells, out / "summaries.csv")
-        print(f"activeness: wrote {out / 'activeness.csv'} and summaries.csv")
+        print(f"activeness: wrote {out / 'summaries.csv'}")
 
 
 def cmd_map(config: Config, jobs: int = 1) -> None:

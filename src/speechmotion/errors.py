@@ -64,6 +64,10 @@ class NonMonotoneTimeError(ValidationError):
     pass
 
 
+class OffGridTimeError(ValidationError):
+    """A `time_s` value is more than half a frame from its declared-rate grid point."""
+
+
 class InvertedIntervalError(ValidationError):
     pass
 

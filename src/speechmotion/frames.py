@@ -9,12 +9,13 @@ propagated gaps) are NaN.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedRowError, NonMonotoneTimeError
+from .errors import MalformedRowError, NonMonotoneTimeError, OffGridTimeError
 
 
 @dataclass(frozen=True)
@@ -122,70 +123,185 @@ def format_value(x: float) -> str:
     return repr(float(x))
 
 
-def _parse_cell(cell: str, path: str, line_no: int) -> float:
-    if cell == "":
-        return math.nan
-    try:
-        return float(cell)
-    except ValueError:
-        raise MalformedRowError(
-            f"{path}:{line_no}: cannot parse {cell!r} as a number"
-        ) from None
+# --- numeric table codec -------------------------------------------------------
+#
+# Dense tables (feature tracks, marker trajectories, aligned sessions) are CSV
+# text: an optional `# rate_hz=<float>` comment, a header that starts with
+# `time_s`, then one row of numbers per frame. A cell holds the shortest
+# round-trip decimal of a float64 (its repr) and an empty cell is a NaN
+# dropout. Rows are parsed by numpy's C parser and formatted a block at a time;
+# nothing here loops over cells in Python except to name a rejected row.
+
+WRITE_BLOCK_ROWS = 4096  # rows formatted per write; bounds the text held at once
 
 
-def parse_rate_comment(line: str, path: str) -> float:
+def write_table(
+    path, header, times: np.ndarray, values: np.ndarray, rate_hz: float | None = None
+) -> None:
+    """Write an optional rate comment, the header and one `time,v1,...` row per frame.
+
+    Each row's bytes equal ``",".join(map(format_value, row))``.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if rate_hz is not None:
+            fh.write(f"# rate_hz={rate_hz!r}\n")
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, len(times), WRITE_BLOCK_ROWS):
+            hi = lo + WRITE_BLOCK_ROWS
+            block = np.column_stack((times[lo:hi], values[lo:hi]))
+            text = "\n".join([",".join(map(repr, row)) for row in block.tolist()]) + "\n"
+            if np.isnan(block).any():
+                # repr spells NaN "nan", and no other float's repr contains it
+                text = text.replace("nan", "")
+            fh.write(text)
+
+
+def read_rate_comment(fh, path: str) -> float:
+    """Parse the leading `# rate_hz=<float>` line of an open table."""
+    line = fh.readline()
     prefix = "# rate_hz="
     if not line.startswith(prefix):
         raise MalformedRowError(f"{path}: expected leading '{prefix}<float>' comment")
     try:
         rate = float(line[len(prefix):].strip())
     except ValueError:
-        raise MalformedRowError(f"{path}: bad rate in {line!r}") from None
-    if rate <= 0:
+        raise MalformedRowError(f"{path}: bad rate in {line.rstrip()!r}") from None
+    if not rate > 0:
         raise MalformedRowError(f"{path}: rate_hz must be positive, got {rate}")
     return rate
 
 
+def read_header(fh, path: str) -> list[str]:
+    """Split the next line of an open table into column names; the first is `time_s`."""
+    header = fh.readline().rstrip("\n").split(",")
+    if header[0] != "time_s":
+        raise MalformedRowError(f"{path}: header must start with time_s")
+    return header
+
+
+def _filled_lines(fh, first_line: int, blank_lines: list[int]):
+    """Data lines of `fh` with each empty cell spelled ``nan``; blank lines are
+    skipped and their numbers appended to `blank_lines`."""
+    for line_no, line in enumerate(fh, start=first_line):
+        if line == "\n":
+            blank_lines.append(line_no)
+            continue
+        if ",," in line or line[0] == "," or line[-1] == "," or line.endswith(",\n"):
+            line = ",".join([cell or "nan" for cell in line.rstrip("\n").split(",")])
+        yield line
+
+
+def _bad_row(fh, start, path: str, first_line: int, n_cells: int) -> MalformedRowError | None:
+    """The error for the first row from `start` on that has the wrong cell
+    count or a cell that is not a number, or None if there is no such row."""
+    fh.seek(start)
+    for line_no, line in enumerate(fh, start=first_line):
+        if line == "\n":
+            continue
+        cells = line.rstrip("\n").split(",")
+        if len(cells) != n_cells:
+            return MalformedRowError(
+                f"{path}:{line_no}: expected {n_cells} cells, got {len(cells)}"
+            )
+        for cell in cells:
+            try:
+                if cell:
+                    float(cell)
+            except ValueError:
+                return MalformedRowError(
+                    f"{path}:{line_no}: cannot parse {cell!r} as a number"
+                )
+    return None
+
+
+def read_rows(fh, path: str, first_line: int, n_cells: int):
+    """Parse the rest of an open table into an ``(n_rows, n_cells)`` float64 array.
+
+    `first_line` is the file line number of the next line. Empty cells become
+    NaN and blank lines are skipped. Returns the array and a function mapping
+    a row index to its file line number. A row with the wrong cell count or a
+    non-numeric cell raises :class:`MalformedRowError` naming ``path:line``.
+    """
+    start = fh.tell()
+    blank_lines: list[int] = []
+    lines = _filled_lines(fh, first_line, blank_lines)
+    first = next(lines, None)
+    if first is None:
+        raise MalformedRowError(f"{path}: no data rows")
+    try:
+        data = np.loadtxt(
+            itertools.chain((first,), lines),
+            delimiter=",", comments=None, dtype=np.float64, ndmin=2,
+        )
+    except ValueError as exc:
+        # numpy's message counts rows from 0 and skips blank lines; rescan
+        # to name the file line of the first rejected row
+        raise _bad_row(fh, start, path, first_line, n_cells) or MalformedRowError(
+            f"{path}: {exc}"
+        ) from None
+    if data.shape[1] != n_cells:
+        # every row has the same wrong cell count, so the first one is named
+        raise _bad_row(fh, start, path, first_line, n_cells)
+
+    def line_of(row: int) -> int:
+        line = first_line + row
+        for blank in blank_lines:
+            if blank > line:
+                break
+            line += 1
+        return line
+
+    return data, line_of
+
+
+def grid_of(times: np.ndarray, rate_hz: float, path: str, line_of) -> FrameGrid:
+    """The grid a `time_s` column lies on, checked row by row.
+
+    Times must be strictly increasing, and each must lie within half a frame
+    of ``times[0] + i / rate_hz``; a file with rows cut out would otherwise
+    shift every later frame. `line_of` maps a row index to its file line.
+    """
+    missing = np.isnan(times)
+    if missing.any():
+        row = int(np.argmax(missing))
+        raise MalformedRowError(f"{path}:{line_of(row)}: empty time_s cell")
+    steps_bad = np.diff(times) <= 0
+    if steps_bad.any():
+        row = int(np.argmax(steps_bad)) + 1
+        raise NonMonotoneTimeError(
+            f"{path}:{line_of(row)}: time_s must be strictly increasing"
+        )
+    grid = FrameGrid(rate_hz=rate_hz, start_s=float(times[0]), n_frames=len(times))
+    off = np.abs(times - grid.timestamps()) >= 0.5 / rate_hz
+    if off.any():
+        row = int(np.argmax(off))
+        raise OffGridTimeError(
+            f"{path}:{line_of(row)}: time_s {float(times[row])!r} is off the "
+            f"{rate_hz!r} Hz grid that starts at {grid.start_s!r} s (expected "
+            f"{grid.timestamp(row)!r} within half a frame)"
+        )
+    return grid
+
+
+def read_rated_table(path) -> tuple[FrameGrid, list[str], np.ndarray]:
+    """Read a rated table: its grid, its header and the values after `time_s`."""
+    path = str(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        rate = read_rate_comment(fh, path)
+        header = read_header(fh, path)
+        data, line_of = read_rows(fh, path, first_line=3, n_cells=len(header))
+    return grid_of(data[:, 0], rate, path, line_of), header, data[:, 1:]
+
+
 def write_feature_csv(track: FeatureTrack, path) -> None:
     """Write `# rate_hz=` comment, `time_s,<col>,...` header, one row per frame."""
-    times = track.grid.timestamps()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# rate_hz={track.grid.rate_hz!r}\n")
-        fh.write(",".join(("time_s",) + track.columns) + "\n")
-        for i in range(track.n_frames):
-            cells = [format_value(times[i])]
-            cells.extend(format_value(v) for v in track.values[i])
-            fh.write(",".join(cells) + "\n")
+    write_table(
+        path, ("time_s",) + track.columns, track.grid.timestamps(), track.values,
+        rate_hz=track.grid.rate_hz,
+    )
 
 
 def read_feature_csv(path) -> FeatureTrack:
     """Load a feature CSV written by :func:`write_feature_csv`."""
-    path = str(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if len(lines) < 2:
-        raise MalformedRowError(f"{path}: expected rate comment and header")
-    rate = parse_rate_comment(lines[0], path)
-    header = lines[1].split(",")
-    if not header or header[0] != "time_s":
-        raise MalformedRowError(f"{path}: header must start with time_s")
-    columns = tuple(header[1:])
-    rows = []
-    times = []
-    for line_no, line in enumerate(lines[2:], start=3):
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise MalformedRowError(
-                f"{path}:{line_no}: expected {len(header)} cells, got {len(cells)}"
-            )
-        times.append(_parse_cell(cells[0], path, line_no))
-        rows.append([_parse_cell(c, path, line_no) for c in cells[1:]])
-    if not rows:
-        raise MalformedRowError(f"{path}: no data rows")
-    t = np.asarray(times)
-    if np.isnan(t).any() or (np.diff(t) <= 0).any():
-        raise NonMonotoneTimeError(f"{path}: time_s must be strictly increasing")
-    grid = FrameGrid(rate_hz=rate, start_s=float(t[0]), n_frames=len(rows))
-    return FeatureTrack(grid, columns, np.asarray(rows))
+    grid, header, values = read_rated_table(path)
+    return FeatureTrack(grid, tuple(header[1:]), values)

@@ -20,7 +20,6 @@ from .errors import (
     InconsistentMarkerSetError,
     InvertedIntervalError,
     MalformedRowError,
-    NonMonotoneTimeError,
     SameSpeakerOverlapError,
     TrimExceedsDurationError,
     UnknownCategoryError,
@@ -29,9 +28,11 @@ from .errors import (
 )
 from .frames import (
     FeatureTrack,
-    FrameGrid,
     format_value,
-    parse_rate_comment,
+    grid_of,
+    read_rate_comment,
+    read_rated_table,
+    write_table,
 )
 from .motion import MarkerTrack
 
@@ -108,6 +109,9 @@ def _decode_pcm(body: bytes, fmt_code: int, bits: int, path: str) -> np.ndarray:
         if bits != 32:
             raise UnsupportedFormatError(f"{path}: float WAV must be 32-bit")
         x = np.frombuffer(body, dtype="<f4").astype(np.float64)
+        # min and max are NaN if any sample is, and reach any infinity
+        if x.size and not (math.isfinite(x.min()) and math.isfinite(x.max())):
+            raise ValueOutOfRangeError(f"{path}: float samples must be finite")
         return np.clip(x, -1.0, 1.0, out=x)
     if fmt_code != 1:
         raise UnsupportedFormatError(
@@ -154,6 +158,8 @@ def load_wav(path) -> AudioClip:
     if len(fmt) < 16:
         raise CorruptHeaderError(f"{path}: fmt chunk too short")
     fmt_code, n_channels, sample_rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt)
+    if sample_rate == 0:
+        raise CorruptHeaderError(f"{path}: sample rate is 0")
     if fmt_code not in (1, 3):
         raise UnsupportedFormatError(
             f"{path}: unsupported WAV format code {fmt_code} (PCM required)"
@@ -309,22 +315,21 @@ def load_emotion_frames(path) -> FeatureTrack:
 
     Expected layout: `# rate_hz=<float>` comment, then
     `time_s,arousal,valence,category,confidence`. Arousal and valence must lie
-    in [-1, 1]; category must be one of the four classes. Timestamps are
+    in [-1, 1]; category must be one of the four classes. Timestamps must lie
+    on the grid of the declared rate (see :func:`frames.grid_of`) and are
     stored as declared by the file (whether they mark window starts or centers
     is up to the producer). Confidence is validated but not carried forward.
     """
     path = str(path)
     with open(path, "r", encoding="utf-8") as fh:
+        rate = read_rate_comment(fh, path)
+        header = fh.readline().rstrip("\n").split(",")
         lines = [ln.rstrip("\n") for ln in fh]
-    if len(lines) < 3:
-        raise MalformedRowError(f"{path}: expected comment, header and data")
-    rate = parse_rate_comment(lines[0], path)
-    header = lines[1].split(",")
     expected = ["time_s", "arousal", "valence", "category", "confidence"]
     if header != expected:
         raise MalformedRowError(f"{path}: header must be {','.join(expected)}")
-    times, rows = [], []
-    for line_no, line in enumerate(lines[2:], start=3):
+    times, rows, line_nos = [], [], []
+    for line_no, line in enumerate(lines, start=3):
         if not line:
             continue
         cells = line.split(",")
@@ -353,12 +358,10 @@ def load_emotion_frames(path) -> FeatureTrack:
             )
         times.append(t)
         rows.append([arousal, valence, CATEGORY_CODES[cells[3]]])
+        line_nos.append(line_no)
     if not rows:
         raise MalformedRowError(f"{path}: no data rows")
-    t = np.asarray(times)
-    if (np.diff(t) <= 0).any():
-        raise NonMonotoneTimeError(f"{path}: time_s must be strictly increasing")
-    grid = FrameGrid(rate_hz=rate, start_s=float(t[0]), n_frames=len(rows))
+    grid = grid_of(np.asarray(times), rate, path, line_nos.__getitem__)
     return FeatureTrack(grid, EMOTION_COLUMNS, np.asarray(rows))
 
 
@@ -380,8 +383,6 @@ def write_emotion_csv(track: FeatureTrack, path, confidence: float = 1.0) -> Non
 
 
 def _marker_names_from_header(header: list[str], path: str) -> list[str]:
-    if not header or header[0] != "time_s":
-        raise MalformedRowError(f"{path}: header must start with time_s")
     coords = header[1:]
     if len(coords) % 3 != 0:
         raise InconsistentMarkerSetError(
@@ -405,60 +406,18 @@ def _marker_names_from_header(header: list[str], path: str) -> list[str]:
 def load_markers(path, max_abs_mm: float = 2000.0) -> MarkerTrack:
     """Load a marker-trajectory CSV; empty cells become NaN dropouts."""
     path = str(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if len(lines) < 3:
-        raise MalformedRowError(f"{path}: expected comment, header and data")
-    rate = parse_rate_comment(lines[0], path)
-    header = lines[1].split(",")
+    grid, header, values = read_rated_table(path)
     names = _marker_names_from_header(header, path)
-    n_cells = len(header)
-    times, rows = [], []
-    for line_no, line in enumerate(lines[2:], start=3):
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != n_cells:
-            raise MalformedRowError(
-                f"{path}:{line_no}: expected {n_cells} cells, got {len(cells)}"
-            )
-        try:
-            times.append(float(cells[0]))
-        except ValueError:
-            raise MalformedRowError(f"{path}:{line_no}: bad time cell") from None
-        row = []
-        for cell in cells[1:]:
-            if cell == "":
-                row.append(math.nan)
-            else:
-                try:
-                    row.append(float(cell))
-                except ValueError:
-                    raise MalformedRowError(
-                        f"{path}:{line_no}: cannot parse {cell!r}"
-                    ) from None
-        rows.append(row)
-    if not rows:
-        raise MalformedRowError(f"{path}: no data rows")
-    t = np.asarray(times)
-    if (np.diff(t) <= 0).any():
-        raise NonMonotoneTimeError(f"{path}: time_s must be strictly increasing")
-    grid = FrameGrid(rate_hz=rate, start_s=float(t[0]), n_frames=len(rows))
-    positions = np.asarray(rows).reshape(len(rows), len(names), 3)
+    positions = values.reshape(grid.n_frames, len(names), 3)
     return MarkerTrack(grid, tuple(names), positions, max_abs_mm=max_abs_mm)
 
 
 def write_marker_csv(markers: MarkerTrack, path) -> None:
     """Write a marker track in the CSV format accepted by :func:`load_markers`."""
-    times = markers.grid.timestamps()
     header = ["time_s"]
     for m in markers.markers:
         header.extend((f"{m}_x", f"{m}_y", f"{m}_z"))
-    flat = markers.positions.reshape(markers.n_frames, -1)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# rate_hz={markers.grid.rate_hz!r}\n")
-        fh.write(",".join(header) + "\n")
-        for i in range(markers.n_frames):
-            cells = [format_value(times[i])]
-            cells.extend(format_value(v) for v in flat[i])
-            fh.write(",".join(cells) + "\n")
+    write_table(
+        path, header, markers.grid.timestamps(),
+        markers.positions.reshape(markers.n_frames, -1), rate_hz=markers.grid.rate_hz,
+    )

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
-from scipy.special import betainc
 
 from .errors import (
     IncompleteSubjectWarning,
@@ -153,6 +152,8 @@ def f_distribution_sf(f: float, df1: int, df2: int) -> float:
         raise ValidationError(f"F statistic must be >= 0, got {f}")
     if math.isinf(f):
         return 0.0
+    from scipy.special import betainc  # imported here: only p-values need scipy
+
     return float(betainc(df2 / 2.0, df1 / 2.0, df2 / (df2 + df1 * f)))
 
 
@@ -177,6 +178,8 @@ def _effect(name, ss_eff, df_eff, ss_err, df_err, scale, epsilon=None) -> Effect
         else:
             # Greenhouse-Geisser: same F, epsilon-scaled (non-integer) dfs
             d1, d2 = epsilon * df_eff, epsilon * df_err
+            from scipy.special import betainc
+
             p = float(betainc(d2 / 2.0, d1 / 2.0, d2 / (d2 + d1 * f_value)))
         eta = ss_eff / (ss_eff + ss_err)
     return EffectStats(

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     EmptyTrackError,
+    MalformedRowError,
     NoTemporalOverlapError,
     RateMismatchError,
     UnknownSpeakerWarning,
@@ -25,9 +26,11 @@ from .errors import (
 from .frames import (
     FeatureTrack,
     FrameGrid,
-    format_value,
     grid_over_span,
     read_feature_csv,
+    read_header,
+    read_rows,
+    write_table,
 )
 
 if TYPE_CHECKING:
@@ -220,19 +223,11 @@ def align_session(
 
 def write_session_csv(table: SessionTable, csv_path, meta_path, provenance: dict | None = None) -> None:
     """Persist a session as one CSV plus a JSON sidecar with grid metadata."""
-    times = table.grid.timestamps()
     header = ["time_s"]
-    arrays = []
     for name, track in table.blocks.items():
         header.extend(f"{name}.{col}" for col in track.columns)
-        arrays.append(track.values)
-    stacked = np.hstack(arrays)
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(table.grid.n_frames):
-            cells = [format_value(times[i])]
-            cells.extend(format_value(v) for v in stacked[i])
-            fh.write(",".join(cells) + "\n")
+    stacked = np.hstack([track.values for track in table.blocks.values()])
+    write_table(csv_path, header, table.grid.timestamps(), stacked)
     meta = {
         "rate_hz": table.grid.rate_hz,
         "start_s": table.grid.start_s,
@@ -246,26 +241,33 @@ def write_session_csv(table: SessionTable, csv_path, meta_path, provenance: dict
 
 
 def read_session_csv(csv_path, meta_path) -> SessionTable:
+    """Load a session written by :func:`write_session_csv`.
+
+    The sidecar gives the grid and the block columns; a CSV whose header or
+    row count does not match it raises :class:`MalformedRowError`.
+    """
     with open(meta_path, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
     grid = FrameGrid(
         rate_hz=meta["rate_hz"], start_s=meta["start_s"], n_frames=meta["n_frames"]
     )
-    with open(csv_path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    data = np.array(
-        [[float(c) if c else np.nan for c in ln.split(",")] for ln in lines[1:]]
-    )
-    if data.shape != (grid.n_frames, len(header)):
-        raise ValueError(f"{csv_path}: table shape does not match sidecar")
+    columns = {name: tuple(info["columns"]) for name, info in meta["blocks"].items()}
+    expected = ["time_s"] + [f"{name}.{c}" for name, cols in columns.items() for c in cols]
+    path = str(csv_path)
+    with open(path, "r", encoding="utf-8") as fh:
+        if read_header(fh, path) != expected:
+            raise MalformedRowError(
+                f"{path}: header does not match the block columns in {meta_path}"
+            )
+        data, _ = read_rows(fh, path, first_line=2, n_cells=len(expected))
+    if data.shape[0] != grid.n_frames:
+        raise MalformedRowError(
+            f"{path}: {data.shape[0]} data rows, but {meta_path} gives "
+            f"n_frames={grid.n_frames}"
+        )
     blocks: dict[str, FeatureTrack] = {}
     col = 1
-    for name, info in meta["blocks"].items():
-        cols = tuple(info["columns"])
-        expected = [f"{name}.{c}" for c in cols]
-        if header[col:col + len(cols)] != expected:
-            raise ValueError(f"{csv_path}: columns for block {name!r} out of order")
+    for name, cols in columns.items():
         blocks[name] = FeatureTrack(grid, cols, data[:, col:col + len(cols)])
         col += len(cols)
     return SessionTable(grid, blocks)

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -307,3 +311,119 @@ class TestSynthCommand:
     def test_missing_spec(self, capsys):
         rc = cli.main(["synth", "/no/such/spec.json"])
         assert rc == 3
+
+
+def _cut_rows(src: Path, dst: Path, after_row: int) -> int:
+    """Copy a rated table with one second of data rows removed after `after_row`;
+    return the file line of the first row past the cut."""
+    lines = src.read_text().splitlines(keepends=True)
+    rate = float(lines[0].split("=", 1)[1])
+    first = 2 + after_row  # lines[0] is the comment, lines[1] the header
+    dst.write_text("".join(lines[:first] + lines[first + round(rate):]))
+    return first + 1
+
+
+class TestTableErrors:
+    @pytest.mark.parametrize("key", ["speech_features", "markers", "emotion"])
+    def test_rows_cut_from_a_rated_table_are_rejected(
+        self, cli_workspace, tmp_path, capsys, key
+    ):
+        sessions = absolute_sessions(cli_workspace)[:1]
+        cut = tmp_path / f"cut_{key}.csv"
+        line = _cut_rows(Path(sessions[0][key]), cut, after_row=240)
+        sessions[0][key] = str(cut)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"sessions": sessions}))
+        rc = cli.main([f"--config={p}", f"--out-dir={tmp_path / 'o'}", "align"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{cut}:{line}: time_s" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("damage", ["last_rows_dropped", "columns_swapped"])
+    def test_aligned_table_that_disagrees_with_its_sidecar(
+        self, cli_workspace, tmp_path, capsys, damage
+    ):
+        out = tmp_path / "o"
+        for sid in ("s101", "s202"):
+            (out / sid).mkdir(parents=True)
+            for name in ("aligned.csv", "aligned.meta.json"):
+                source = cli_workspace["out"] / sid / name
+                (out / sid / name).write_bytes(source.read_bytes())
+        csv_path = out / "s101" / "aligned.csv"
+        lines = csv_path.read_text().splitlines(keepends=True)
+        if damage == "last_rows_dropped":
+            lines = lines[:-5]
+        else:
+            header = lines[0].rstrip("\n").split(",")
+            header[1], header[2] = header[2], header[1]
+            lines[0] = ",".join(header) + "\n"
+        csv_path.write_text("".join(lines))
+        rc = cli.main([f"--config={cli_workspace['config']}", f"--out-dir={out}", "map"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{csv_path}:" in err
+        assert "Traceback" not in err
+
+    def test_markers_parsed_once_per_session(self, cli_workspace, tmp_path, monkeypatch):
+        calls = []
+        load_markers = ingest.load_markers
+
+        def counting_load_markers(*args, **kwargs):
+            calls.append(args[0])
+            return load_markers(*args, **kwargs)
+
+        monkeypatch.setattr(ingest, "load_markers", counting_load_markers)
+        out = tmp_path / "o"
+        for command in ("align", "activeness"):
+            rc = cli.main([f"--config={cli_workspace['config']}", f"--out-dir={out}", command])
+            assert rc == 0
+        assert len(calls) == 2
+        for s in ("s101", "s202"):
+            written = (out / s / "activeness.csv").read_bytes()
+            assert written == (cli_workspace["out"] / s / "activeness.csv").read_bytes()
+
+
+def _wav_bytes(fmt_code: int, sample_rate: int, bits: int, body: bytes) -> bytes:
+    """A mono RIFF/WAVE file with the given fmt fields and data chunk."""
+    byte_rate = sample_rate * bits // 8
+    fmt = struct.pack("<HHIIHH", fmt_code, 1, sample_rate, byte_rate, bits // 8, bits)
+    chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    chunks += b"data" + struct.pack("<I", len(body)) + body
+    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+
+
+@pytest.mark.parametrize(
+    "wav, message",
+    [
+        (
+            _wav_bytes(3, 16000, 32, np.array([0.1, np.nan, -0.2] * 2000, dtype="<f4").tobytes()),
+            "finite",
+        ),
+        (_wav_bytes(1, 0, 16, np.zeros(6000, dtype="<i2").tobytes()), "sample rate is 0"),
+    ],
+    ids=["float_nan_sample", "rate_zero"],
+)
+def test_bad_wav_is_a_validation_error(tmp_path, capsys, wav, message):
+    audio = tmp_path / "a.wav"
+    audio.write_bytes(wav)
+    p = tmp_path / "c.json"
+    doc = {"params": {"trim_head_s": 0.0}, "sessions": [{"id": "x", "audio": str(audio)}]}
+    p.write_text(json.dumps(doc))
+    rc = cli.main([f"--config={p}", "features"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"{audio}: " in err and message in err
+    assert "Traceback" not in err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    import speechmotion
+
+    env = {**os.environ, "PYTHONPATH": str(Path(speechmotion.__file__).parents[1])}
+    code = "import sys, speechmotion.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,17 +1,27 @@
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from speechmotion.errors import MalformedRowError, NonMonotoneTimeError
+from speechmotion.errors import MalformedRowError, NonMonotoneTimeError, OffGridTimeError
 from speechmotion.frames import (
+    WRITE_BLOCK_ROWS,
     FeatureTrack,
     FrameGrid,
     concat_columns,
     format_value,
     grid_over_span,
     read_feature_csv,
+    read_header,
+    read_rows,
     write_feature_csv,
+    write_table,
 )
 
 
@@ -98,3 +108,140 @@ class TestCsv:
         assert format_value(float("nan")) == ""
         assert format_value(0.1) == "0.1"
         assert float(format_value(1 / 3)) == 1 / 3
+
+
+def reference_rows(path, first_line: int, n_cells: int) -> np.ndarray:
+    """Per-cell parser the codec's reader must agree with: empty cells are NaN,
+    blank lines are skipped, errors name ``path:line``."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for _ in range(first_line - 1):
+            fh.readline()
+        for line_no, line in enumerate(fh, start=first_line):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            cells = line.split(",")
+            if len(cells) != n_cells:
+                raise MalformedRowError(f"{path}:{line_no}: expected {n_cells} cells")
+            try:
+                rows.append([float(c) if c else math.nan for c in cells])
+            except ValueError:
+                raise MalformedRowError(f"{path}:{line_no}: not a number") from None
+    if not rows:
+        raise MalformedRowError(f"{path}: no data rows")
+    return np.array(rows)
+
+
+def codec_rows(path, n_cells: int) -> np.ndarray:
+    with open(path, "r", encoding="utf-8") as fh:
+        read_header(fh, str(path))
+        data, _ = read_rows(fh, str(path), first_line=2, n_cells=n_cells)
+    return data
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except MalformedRowError as exc:
+        return type(exc), str(exc).split(": ")[0]
+
+
+PARITY_BODIES = {
+    "dropout_first_column": b",2.5,3\n4,5,6\n,,1e-300\n",
+    "dropout_middle_column": b"1,,3\n4,5,6\n",
+    "dropout_last_column": b"1,2,\n4,5,6\n7,8,",
+    "dropouts_everywhere": b",,\n-0.0,,5e-324\n",
+    "blank_lines": b"\n1,2,3\n\n\n4,5,6\n\n",
+    "crlf": b"1,2,3\r\n4,,6\r\n\r\n7,8,9\r\n",
+    "non_numeric_cell": b"1,2,3\n\n4,x,6\n",
+    "short_row": b"1,2,3\n4,5\n",
+    "long_row": b"1,2,3\n4,5,6,7\n",
+    "hash_mid_file": b"1,2,3\n# note\n4,5,6\n",
+    "every_row_short": b"1,2\n3,4\n",
+    "no_rows": b"\n\n",
+}
+
+
+class TestTableCodec:
+    @pytest.mark.parametrize("body", PARITY_BODIES.values(), ids=PARITY_BODIES.keys())
+    def test_reader_matches_per_cell_reference(self, tmp_path, body):
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"time_s,a,b\n" + body)
+        expected = _outcome(reference_rows, p, 2, 3)
+        got = _outcome(codec_rows, p, 3)
+        if isinstance(expected, tuple):
+            assert got == expected
+        else:
+            assert isinstance(got, np.ndarray)
+            assert np.array_equal(got, expected, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(0, 12), st.integers(1, 6)),
+            elements=st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                st.sampled_from(
+                    [0.0, -0.0, math.nan, 5e-324, -5e-324, 1e300, -1e300, 1e-300,
+                     -1e-300, 1.0, -7.0, 2.0**53, 1e16]
+                ),
+            ),
+        )
+    )
+    def test_writer_bytes_match_per_cell_format_value(self, table):
+        header = ["time_s"] + [f"c{j}" for j in range(table.shape[1] - 1)]
+        reference = "# rate_hz=120.0\n" + ",".join(header) + "\n" + "".join(
+            ",".join(format_value(v) for v in row) + "\n" for row in table
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "t.csv"
+            write_table(p, header, table[:, 0], table[:, 1:], rate_hz=120.0)
+            assert p.read_bytes() == reference.encode("utf-8")
+
+    def test_writer_spans_several_blocks(self, tmp_path):
+        rng = np.random.default_rng(3)
+        n = 2 * WRITE_BLOCK_ROWS + 5
+        values = rng.standard_normal((n, 2))
+        values[rng.uniform(size=values.shape) < 0.1] = np.nan
+        track = FeatureTrack(FrameGrid(120.0, -0.5, n), ("a", "b"), values)
+        write_feature_csv(track, tmp_path / "t.csv")
+        lines = (tmp_path / "t.csv").read_text().splitlines()
+        assert len(lines) == 2 + n
+        times = track.grid.timestamps()
+        for i in (0, WRITE_BLOCK_ROWS - 1, WRITE_BLOCK_ROWS, n - 1):
+            cells = [format_value(v) for v in (times[i], *values[i])]
+            assert lines[2 + i] == ",".join(cells)
+
+
+class TestGridCheck:
+    def _write(self, path, times, rate=10.0):
+        rows = "".join(f"{t!r},1.0\n" for t in times)
+        path.write_text(f"# rate_hz={rate!r}\ntime_s,a\n" + rows)
+
+    def test_rows_cut_out_are_off_grid(self, tmp_path):
+        times = [i / 10.0 for i in range(30)]
+        p = tmp_path / "t.csv"
+        self._write(p, times[:12] + times[22:])
+        with pytest.raises(OffGridTimeError, match=rf"^{re.escape(str(p))}:15: "):
+            read_feature_csv(p)
+
+    def test_blank_lines_count_toward_the_named_line(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("# rate_hz=10.0\ntime_s,a\n0.0,1\n\n0.1,1\n\n0.3,1\n")
+        with pytest.raises(OffGridTimeError, match=rf"^{re.escape(str(p))}:7: "):
+            read_feature_csv(p)
+
+    def test_jitter_below_half_a_frame_is_accepted(self, tmp_path):
+        p = tmp_path / "t.csv"
+        self._write(p, [i / 10.0 + (0.049 if i % 2 else 0.0) for i in range(20)])
+        track = read_feature_csv(p)
+        assert track.grid == FrameGrid(10.0, 0.0, 20)
+
+    def test_empty_time_cell_names_its_line(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("# rate_hz=10.0\ntime_s,a\n0.0,1\n,2\n")
+        with pytest.raises(MalformedRowError, match=rf"^{re.escape(str(p))}:4: "):
+            read_feature_csv(p)
