@@ -38,7 +38,7 @@ from .speech_features import (
     rms_energy,
     temporal_derivatives,
 )
-from .stats import RmDesign, f_distribution_sf, rm_anova_two_way, sem
+from .stats import RmDesign, f_distribution_sf, rm_anova_two_way
 from .synth import SynthSpec, generate_coupled_session, theoretical_r
 from .timeline import (
     SessionTable,
@@ -90,7 +90,6 @@ __all__ = [
     "rm_anova_two_way",
     "rms_energy",
     "select_channel",
-    "sem",
     "temporal_derivatives",
     "theoretical_r",
     "trim_head",

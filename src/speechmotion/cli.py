@@ -87,7 +87,13 @@ class Config:
         for key in ("trim_head_s", "target_rate_hz"):
             if key in self.profile:
                 self.params[key] = self.profile[key]
-        self.params.update(doc.get("params", {}))
+        params = doc.get("params", {})
+        unknown = sorted(set(params) - set(DEFAULT_PARAMS))
+        if unknown:
+            raise ValidationError(
+                f"unknown params key(s) {unknown}; expected keys from {sorted(DEFAULT_PARAMS)}"
+            )
+        self.params.update(params)
         # coupling and the report read exactly the pc_1..pc_12 columns
         k = self.params["pca_components"]
         if not isinstance(k, int) or k != len(speech_features.PC_COLUMNS):
@@ -107,7 +113,10 @@ class Config:
         if not p.exists():
             raise MissingUpstreamOutputError(f"config file not found: {p}")
         doc = _load_json_object(p)
-        return cls(doc, p.parent.resolve(), Path(out_dir) if out_dir else None)
+        try:
+            return cls(doc, p.parent.resolve(), Path(out_dir) if out_dir else None)
+        except ValidationError as exc:
+            raise type(exc)(f"{p}: {exc}") from None
 
     def path(self, session: dict, key: str) -> Path:
         if key not in session:
@@ -152,6 +161,16 @@ def _load_clip(config: Config, session: dict):
     return clip
 
 
+def _for_each_session(fn, sessions: list[dict], jobs: int) -> None:
+    """Call `fn` on every session, on up to `jobs` threads."""
+    if jobs > 1 and len(sessions) > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+            list(pool.map(fn, sessions))
+    else:
+        for s in sessions:
+            fn(s)
+
+
 def _write_features(config: Config, session: dict, track, pca_model) -> None:
     out = config.session_dir(session)
     write_feature_csv(track, out / "features.csv")
@@ -183,12 +202,7 @@ def cmd_features(config: Config, jobs: int = 1) -> None:
             )
             _write_features(config, session, track, model)
 
-        if jobs > 1 and len(sessions) > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-                list(pool.map(features_one, sessions))
-        else:
-            for s in sessions:
-                features_one(s)
+        _for_each_session(features_one, sessions, jobs)
     for s in sessions:
         print(f"features: wrote {config.session_dir(s) / 'features.csv'}")
 
@@ -231,10 +245,7 @@ def _align_one(config: Config, session: dict) -> Path:
         "emotion_rate_hz": emotion.grid.rate_hz,
         "activeness_rate_hz": activeness.grid.rate_hz,
         "speech_rule": "decimate_alternate+linear"
-        if (
-            abs(speech.grid.rate_hz - 120.0) <= 0.12
-            and speech.grid.rate_hz / config.params["target_rate_hz"] >= 1.8
-        )
+        if timeline.decimates(speech.grid.rate_hz, config.params["target_rate_hz"])
         else "linear",
         "emotion_rule": "linear+nearest_category",
         "activeness_rule": "linear",
@@ -247,12 +258,7 @@ def _align_one(config: Config, session: dict) -> Path:
 
 
 def cmd_align(config: Config, jobs: int = 1) -> None:
-    if jobs > 1 and len(config.sessions) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(lambda s: _align_one(config, s), config.sessions))
-    else:
-        for s in config.sessions:
-            _align_one(config, s)
+    _for_each_session(lambda s: _align_one(config, s), config.sessions, jobs)
     for s in config.sessions:
         print(f"align: wrote {config.session_dir(s) / 'aligned.csv'} and activeness.csv")
 
@@ -294,9 +300,7 @@ def cmd_map(config: Config, jobs: int = 1) -> None:
     )
     coupling_mod.write_coupling_csv(cells, config.out_dir / "coupling_report.csv")
     meta = {
-        "protocol": params["protocol"]
-        if params["protocol"] == "in_sample"
-        else f"k_fold({params['n_folds']})",
+        "protocol": coupling_mod.protocol_label(params["protocol"], params["n_folds"]),
         "ridge_eps": params["ridge_eps"],
         "target": "region_mean_activeness",
         "pooled_dyads": False,
@@ -432,11 +436,7 @@ def cmd_report(config: Config, jobs: int = 1) -> None:
 
     anova_path = config.out_dir / "anova.csv"
     anova_results = stats.read_anova_csv(anova_path) if anova_path.exists() else None
-    protocol = (
-        config.params["protocol"]
-        if config.params["protocol"] == "in_sample"
-        else f"k_fold({config.params['n_folds']})"
-    )
+    protocol = coupling_mod.protocol_label(config.params["protocol"], config.params["n_folds"])
     rows = report.reference_comparison_rows(coupling_cells, anova_results, protocol)
     report.write_comparison_csv(rows, out / "reference_comparison.csv")
     print(f"report: wrote grids and comparison tables to {out}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -24,13 +24,13 @@ from .errors import (
     InsufficientFramesError,
     TooFewPairsError,
 )
-from .frames import FeatureTrack, format_value
-from .motion import sem_of
+from .frames import FeatureTrack, number, read_records, write_records
+from .motion import CONDITION_NAMES, sem_of
 from .speech_features import PC_COLUMNS, PROSODY_COLUMNS, temporal_derivatives
 from .timeline import SessionTable
 
 FEATURE_SETS = ("prosody", "mfcc", "arousal", "valence", "all")
-CONDITIONS = ("all", "overlap", "non_overlap")
+CONDITIONS = ("all",) + CONDITION_NAMES
 AFFECT_BINS = ("all", "high", "low")
 
 
@@ -283,6 +283,11 @@ def _selection_mask(
     return mask
 
 
+def protocol_label(protocol: str, n_folds: int) -> str:
+    """How held-out r was obtained, as recorded in reports: `in_sample` or `k_fold(n)`."""
+    return protocol if protocol == "in_sample" else f"k_fold({n_folds})"
+
+
 def evaluate_mapping(
     table: SessionTable,
     feature_set: str,
@@ -322,7 +327,6 @@ def evaluate_mapping(
     if protocol == "in_sample":
         a, b, _ = _fit_arrays(x, y, ridge_eps)
         y_hat = x @ a.T + b
-        label = "in_sample"
     else:
         if len(idx) < n_folds:
             raise InsufficientFramesError(
@@ -335,7 +339,6 @@ def evaluate_mapping(
             a, b, _ = _fit_arrays(x[train], y[train], ridge_eps)
             y_hat[fold] = x[fold] @ a.T + b
         y_hat[np.isnan(x).any(axis=1)] = np.nan
-        label = f"k_fold({n_folds})"
 
     per_target = {}
     for j, name in enumerate(targets):
@@ -345,7 +348,7 @@ def evaluate_mapping(
             per_target[name] = math.nan
     return MappingEvaluation(
         feature_set=feature_set,
-        protocol=label,
+        protocol=protocol_label(protocol, n_folds),
         condition=condition,
         affect_bin=affect_bin,
         bin_dimension=affect_dimension if affect_bin != "all" else None,
@@ -437,40 +440,18 @@ def coupling_report(
 
 
 COUPLING_HEADER = (
-    "region,feature_set,condition,affect_bin,bin_dimension,mean_r,sem_r,n_dyads,n_frames"
+    "region", "feature_set", "condition", "affect_bin", "bin_dimension",
+    "mean_r", "sem_r", "n_dyads", "n_frames",
 )
+_COUPLING_CONVERTERS = (str, str, str, str, str, number, number, int, int)
 
 
 def write_coupling_csv(cells: list[CouplingCell], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(COUPLING_HEADER + "\n")
-        for c in cells:
-            fh.write(
-                f"{c.region},{c.feature_set},{c.condition},{c.affect_bin},"
-                f"{c.bin_dimension},{format_value(c.mean_r)},{format_value(c.sem_r)},"
-                f"{c.n_dyads},{c.n_frames}\n"
-            )
+    write_records(path, COUPLING_HEADER, map(astuple, cells))
 
 
 def read_coupling_csv(path) -> list[CouplingCell]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != COUPLING_HEADER:
-        raise ValueError(f"{path}: not a coupling report CSV")
-    cells = []
-    for line in lines[1:]:
-        region, fs, cond, ab, dim, mean_r, sem_r, n_dyads, n_frames = line.split(",")
-        cells.append(
-            CouplingCell(
-                region=region,
-                feature_set=fs,
-                condition=cond,
-                affect_bin=ab,
-                bin_dimension=dim,
-                mean_r=float(mean_r) if mean_r else math.nan,
-                sem_r=float(sem_r) if sem_r else math.nan,
-                n_dyads=int(n_dyads),
-                n_frames=int(n_frames),
-            )
-        )
-    return cells
+    return [
+        CouplingCell(*row)
+        for row in read_records(path, COUPLING_HEADER, _COUPLING_CONVERTERS)
+    ]

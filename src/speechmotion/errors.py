@@ -158,10 +158,6 @@ class InvalidDegreesOfFreedomError(ValidationError):
     pass
 
 
-class TooFewValuesError(DataError):
-    pass
-
-
 # --- synth ----------------------------------------------------------------------
 
 class ZeroSignalVarianceError(NumericError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedRowError, NonMonotoneTimeError, OffGridTimeError
+from .errors import MalformedRowError, NonMonotoneTimeError, OffGridTimeError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -101,9 +101,6 @@ class FeatureTrack:
         idx = [self.column_index(n) for n in names]
         return FeatureTrack(self.grid, tuple(names), self.values[:, idx])
 
-    def with_values(self, values: np.ndarray) -> "FeatureTrack":
-        return FeatureTrack(self.grid, self.columns, values)
-
 
 def concat_columns(*tracks: FeatureTrack) -> FeatureTrack:
     """Stack tracks column-wise; all tracks must share one grid exactly."""
@@ -135,6 +132,12 @@ def format_value(x: float) -> str:
 WRITE_BLOCK_ROWS = 4096  # rows formatted per write; bounds the text held at once
 
 
+def _write_head(fh, header, rate_hz: float | None) -> None:
+    if rate_hz is not None:
+        fh.write(f"# rate_hz={rate_hz!r}\n")
+    fh.write(",".join(header) + "\n")
+
+
 def write_table(
     path, header, times: np.ndarray, values: np.ndarray, rate_hz: float | None = None
 ) -> None:
@@ -143,9 +146,7 @@ def write_table(
     Each row's bytes equal ``",".join(map(format_value, row))``.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if rate_hz is not None:
-            fh.write(f"# rate_hz={rate_hz!r}\n")
-        fh.write(",".join(header) + "\n")
+        _write_head(fh, header, rate_hz)
         for lo in range(0, len(times), WRITE_BLOCK_ROWS):
             hi = lo + WRITE_BLOCK_ROWS
             block = np.column_stack((times[lo:hi], values[lo:hi]))
@@ -219,8 +220,9 @@ def read_rows(fh, path: str, first_line: int, n_cells: int):
 
     `first_line` is the file line number of the next line. Empty cells become
     NaN and blank lines are skipped. Returns the array and a function mapping
-    a row index to its file line number. A row with the wrong cell count or a
-    non-numeric cell raises :class:`MalformedRowError` naming ``path:line``.
+    a row index to its file line number. A row with the wrong cell count, a
+    non-numeric cell or an infinite cell raises :class:`MalformedRowError`
+    naming ``path:line``.
     """
     start = fh.tell()
     blank_lines: list[int] = []
@@ -251,6 +253,12 @@ def read_rows(fh, path: str, first_line: int, n_cells: int):
             line += 1
         return line
 
+    infinite = np.isinf(data).any(axis=1)
+    if infinite.any():
+        raise MalformedRowError(
+            f"{path}:{line_of(int(np.argmax(infinite)))}: a cell is infinite; "
+            "cells must be finite numbers or empty"
+        )
     return data, line_of
 
 
@@ -283,14 +291,15 @@ def grid_of(times: np.ndarray, rate_hz: float, path: str, line_of) -> FrameGrid:
     return grid
 
 
-def read_rated_table(path) -> tuple[FrameGrid, list[str], np.ndarray]:
-    """Read a rated table: its grid, its header and the values after `time_s`."""
+def read_rated_table(path):
+    """Read a rated table: its grid, its header, the values after `time_s` and
+    the function mapping a row index to its file line."""
     path = str(path)
     with open(path, "r", encoding="utf-8") as fh:
         rate = read_rate_comment(fh, path)
         header = read_header(fh, path)
         data, line_of = read_rows(fh, path, first_line=3, n_cells=len(header))
-    return grid_of(data[:, 0], rate, path, line_of), header, data[:, 1:]
+    return grid_of(data[:, 0], rate, path, line_of), header, data[:, 1:], line_of
 
 
 def write_feature_csv(track: FeatureTrack, path) -> None:
@@ -303,5 +312,87 @@ def write_feature_csv(track: FeatureTrack, path) -> None:
 
 def read_feature_csv(path) -> FeatureTrack:
     """Load a feature CSV written by :func:`write_feature_csv`."""
-    grid, header, values = read_rated_table(path)
+    grid, header, values, _ = read_rated_table(path)
     return FeatureTrack(grid, tuple(header[1:]), values)
+
+
+# --- record table codec --------------------------------------------------------
+#
+# Result tables (condition summaries, coupling and ANOVA reports, heatmap grids,
+# the reference comparison) and the emotion adapter are short tables of mixed
+# cells: an optional `# rate_hz=<float>` comment, a fixed header, then one
+# record per line. Every cell is written by one rule (:func:`_format_cell`) and
+# read back by one converter per column.
+
+
+def _format_cell(value) -> str:
+    """A record cell: None and NaN are empty, a bool is 0/1, a float is its
+    shortest round-trip decimal, and anything else is ``str(value)``."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        return format_value(value)
+    return str(value)
+
+
+def write_records(path, header, rows, rate_hz: float | None = None) -> None:
+    """Write an optional rate comment, the header and one line per row."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        _write_head(fh, header, rate_hz)
+        for row in rows:
+            fh.write(",".join(map(_format_cell, row)) + "\n")
+
+
+def number(cell: str) -> float:
+    """Converter for a float column; an empty cell is NaN."""
+    return float(cell) if cell else math.nan
+
+
+def flag(cell: str) -> bool:
+    """Converter for a 0/1 column."""
+    if cell not in ("0", "1"):
+        raise ValueError(f"not 0 or 1: {cell!r}")
+    return cell == "1"
+
+
+def iter_records(fh, path: str, first_line: int, header, converters):
+    """Check the header of an open record table, then yield ``(line, row)``
+    for each data line, with each cell run through its column's converter.
+
+    `first_line` is the file line number of the header. Blank lines are
+    skipped. A wrong header, a wrong cell count or a cell whose converter
+    raises ``ValueError`` raises :class:`MalformedRowError`; a converter's own
+    :class:`ValidationError` keeps its class. Every message names
+    ``path:line``.
+    """
+    expected = ",".join(header)
+    if fh.readline().rstrip("\n") != expected:
+        raise MalformedRowError(f"{path}:{first_line}: header must be {expected}")
+    for line_no, line in enumerate(fh, start=first_line + 1):
+        if not line.strip():
+            continue
+        cells = line.rstrip("\n").split(",")
+        if len(cells) != len(header):
+            raise MalformedRowError(
+                f"{path}:{line_no}: expected {len(header)} cells, got {len(cells)}"
+            )
+        row = []
+        for name, convert, cell in zip(header, converters, cells):
+            try:
+                row.append(convert(cell))
+            except ValidationError as exc:
+                raise type(exc)(f"{path}:{line_no}: {exc}") from None
+            except ValueError:
+                raise MalformedRowError(
+                    f"{path}:{line_no}: cannot parse {cell!r} as {name}"
+                ) from None
+        yield line_no, row
+
+
+def read_records(path, header, converters) -> list[list]:
+    """The converted rows of a record table that has no rate comment."""
+    path = str(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        return [row for _, row in iter_records(fh, path, 1, header, converters)]

@@ -30,21 +30,20 @@ from .frames import (
     FeatureTrack,
     format_value,
     grid_of,
+    iter_records,
+    number,
     read_rate_comment,
     read_rated_table,
+    write_records,
     write_table,
 )
-from .motion import MarkerTrack
+from .motion import CATEGORY_NAMES, DEFAULT_MAX_ABS_MM, MarkerTrack
 
 CHANNEL_LEFT = "left"
 CHANNEL_RIGHT = "right"
 
-# Category codes are stable across the pipeline: the CSV stores names, the
-# numeric track stores the code.
-CATEGORY_NAMES = ("Neutral", "Happy", "Sad", "Angry")
-CATEGORY_CODES = {name: float(i) for i, name in enumerate(CATEGORY_NAMES)}
-
 EMOTION_COLUMNS = ("arousal", "valence", "category")
+EMOTION_HEADER = ("time_s",) + EMOTION_COLUMNS + ("confidence",)
 
 
 @dataclass(frozen=True)
@@ -310,6 +309,35 @@ def write_transcript_intervals(intervals: SpeechIntervals, path) -> None:
             fh.write(f"{format_value(e.start_s)} {format_value(e.end_s)} {e.speaker}\n")
 
 
+def _bounded(name: str, lo: float, hi: float):
+    """Converter for a float column that must lie in [lo, hi]."""
+
+    def convert(cell: str) -> float:
+        value = float(cell)
+        if not lo <= value <= hi:
+            raise ValueOutOfRangeError(f"{name} {value} outside [{lo:g}, {hi:g}]")
+        return value
+
+    return convert
+
+
+def _category_code(cell: str) -> float:
+    if cell not in CATEGORY_NAMES:
+        raise UnknownCategoryError(
+            f"unknown category {cell!r}; expected one of {CATEGORY_NAMES}"
+        )
+    return float(CATEGORY_NAMES.index(cell))
+
+
+_EMOTION_CONVERTERS = (
+    number,
+    _bounded("arousal", -1.0, 1.0),
+    _bounded("valence", -1.0, 1.0),
+    _category_code,
+    _bounded("confidence", 0.0, 1.0),
+)
+
+
 def load_emotion_frames(path) -> FeatureTrack:
     """Load an externally computed frame-level emotion CSV.
 
@@ -323,63 +351,26 @@ def load_emotion_frames(path) -> FeatureTrack:
     path = str(path)
     with open(path, "r", encoding="utf-8") as fh:
         rate = read_rate_comment(fh, path)
-        header = fh.readline().rstrip("\n").split(",")
-        lines = [ln.rstrip("\n") for ln in fh]
-    expected = ["time_s", "arousal", "valence", "category", "confidence"]
-    if header != expected:
-        raise MalformedRowError(f"{path}: header must be {','.join(expected)}")
-    times, rows, line_nos = [], [], []
-    for line_no, line in enumerate(lines, start=3):
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != 5:
-            raise MalformedRowError(f"{path}:{line_no}: expected 5 cells")
-        try:
-            t = float(cells[0])
-            arousal = float(cells[1])
-            valence = float(cells[2])
-            confidence = float(cells[4])
-        except ValueError:
-            raise MalformedRowError(f"{path}:{line_no}: non-numeric cell") from None
-        for name, value in (("arousal", arousal), ("valence", valence)):
-            if not -1.0 <= value <= 1.0:
-                raise ValueOutOfRangeError(
-                    f"{path}:{line_no}: {name} {value} outside [-1, 1]"
-                )
-        if not 0.0 <= confidence <= 1.0:
-            raise ValueOutOfRangeError(
-                f"{path}:{line_no}: confidence {confidence} outside [0, 1]"
-            )
-        if cells[3] not in CATEGORY_CODES:
-            raise UnknownCategoryError(
-                f"{path}:{line_no}: unknown category {cells[3]!r}; "
-                f"expected one of {CATEGORY_NAMES}"
-            )
-        times.append(t)
-        rows.append([arousal, valence, CATEGORY_CODES[cells[3]]])
-        line_nos.append(line_no)
-    if not rows:
+        records = list(iter_records(fh, path, 2, EMOTION_HEADER, _EMOTION_CONVERTERS))
+    if not records:
         raise MalformedRowError(f"{path}: no data rows")
-    grid = grid_of(np.asarray(times), rate, path, line_nos.__getitem__)
-    return FeatureTrack(grid, EMOTION_COLUMNS, np.asarray(rows))
+    line_nos = [line_no for line_no, _ in records]
+    values = np.array([row for _, row in records])
+    grid = grid_of(values[:, 0], rate, path, line_nos.__getitem__)
+    return FeatureTrack(grid, EMOTION_COLUMNS, values[:, 1:4])
 
 
 def write_emotion_csv(track: FeatureTrack, path, confidence: float = 1.0) -> None:
     """Write an emotion track back to the adapter CSV format."""
     if track.columns != EMOTION_COLUMNS:
         raise ValueError(f"expected columns {EMOTION_COLUMNS}, got {track.columns}")
-    times = track.grid.timestamps()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# rate_hz={track.grid.rate_hz!r}\n")
-        fh.write("time_s,arousal,valence,category,confidence\n")
-        for i in range(track.n_frames):
-            code = int(track.values[i, 2])
-            fh.write(
-                f"{format_value(times[i])},{format_value(track.values[i, 0])},"
-                f"{format_value(track.values[i, 1])},{CATEGORY_NAMES[code]},"
-                f"{format_value(confidence)}\n"
-            )
+    rows = (
+        (t, arousal, valence, CATEGORY_NAMES[int(code)], confidence)
+        for t, (arousal, valence, code) in zip(
+            track.grid.timestamps().tolist(), track.values.tolist()
+        )
+    )
+    write_records(path, EMOTION_HEADER, rows, rate_hz=track.grid.rate_hz)
 
 
 def _marker_names_from_header(header: list[str], path: str) -> list[str]:
@@ -403,11 +394,24 @@ def _marker_names_from_header(header: list[str], path: str) -> list[str]:
     return names
 
 
-def load_markers(path, max_abs_mm: float = 2000.0) -> MarkerTrack:
-    """Load a marker-trajectory CSV; empty cells become NaN dropouts."""
+def load_markers(path, max_abs_mm: float = DEFAULT_MAX_ABS_MM) -> MarkerTrack:
+    """Load a marker-trajectory CSV; empty cells become NaN dropouts.
+
+    A coordinate beyond `max_abs_mm` raises :class:`ValueOutOfRangeError`
+    naming ``path:line``.
+    """
     path = str(path)
-    grid, header, values = read_rated_table(path)
+    grid, header, values, line_of = read_rated_table(path)
     names = _marker_names_from_header(header, path)
+    # fmin/fmax skip NaN dropouts and need no full-size temporary
+    if values.size and max(
+        -np.fmin.reduce(values, axis=None), np.fmax.reduce(values, axis=None)
+    ) > max_abs_mm:
+        row, col = np.argwhere(np.abs(values) > max_abs_mm)[0]
+        raise ValueOutOfRangeError(
+            f"{path}:{line_of(int(row))}: {header[col + 1]} {float(values[row, col])!r} "
+            f"mm exceeds the plausibility bound {max_abs_mm} mm"
+        )
     positions = values.reshape(grid.n_frames, len(names), 3)
     return MarkerTrack(grid, tuple(names), positions, max_abs_mm=max_abs_mm)
 

@@ -9,18 +9,24 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import TooFewFramesError, TooFewValuesError, UnknownMarkerInMapError
-from .frames import FeatureTrack, FrameGrid, format_value
+from .errors import TooFewFramesError, UnknownMarkerInMapError
+from .frames import FeatureTrack, FrameGrid, flag, number, read_records, write_records
 
 if TYPE_CHECKING:
     from .timeline import SessionTable
 
 DEFAULT_MAX_ABS_MM = 2000.0
+
+# Emotion categories in code order: the emotion CSV stores the names, the
+# numeric `category` column stores the index. Speech conditions split the
+# target speaker's speaking frames by whether another speaker talks too.
+CATEGORY_NAMES = ("Neutral", "Happy", "Sad", "Angry")
+CONDITION_NAMES = ("overlap", "non_overlap")
 
 REGION_ORDER = (
     "head",
@@ -93,12 +99,6 @@ class MarkerTrack:
     def n_frames(self) -> int:
         return self.grid.n_frames
 
-    def marker_index(self, name: str) -> int:
-        try:
-            return self.markers.index(name)
-        except ValueError:
-            raise KeyError(f"no marker {name!r}") from None
-
 
 @dataclass(frozen=True)
 class RegionMap:
@@ -129,13 +129,6 @@ class RegionMap:
         ordered = [r for r in REGION_ORDER if r in self.regions]
         extra = [r for r in self.regions if r not in REGION_ORDER]
         return tuple(ordered + extra)
-
-    def all_markers(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for region in self.names():
-            for m in self.regions[region]:
-                seen.setdefault(m)
-        return tuple(seen)
 
     def to_json(self, path) -> None:
         doc = {r: list(self.regions[r]) for r in self.names()}
@@ -224,6 +217,20 @@ def sem_of(values: np.ndarray) -> float:
     return float(np.std(values, ddof=1) / math.sqrt(n))
 
 
+def condition_strata(table: "SessionTable") -> list[tuple[str, str, np.ndarray]]:
+    """``(emotion, condition, mask)`` for each emotion x condition stratum of the
+    target speaker's speaking frames, in CATEGORY_NAMES x CONDITION_NAMES order."""
+    speaking = table.column("labels", "speaking") == 1.0
+    overlap = table.column("labels", "overlap") == 1.0
+    category = table.column("emotion", "category")
+    strata = []
+    for code, emotion in enumerate(CATEGORY_NAMES):
+        emo_mask = speaking & (category == float(code))
+        for condition, mask in zip(CONDITION_NAMES, (emo_mask & overlap, emo_mask & ~overlap)):
+            strata.append((emotion, condition, mask))
+    return strata
+
+
 @dataclass(frozen=True)
 class SummaryCell:
     """Mean activeness of one region within one emotion x condition stratum."""
@@ -249,71 +256,37 @@ def condition_summaries(
     Cells with fewer than `min_frames` frames are flagged low-support; empty
     cells are reported with NaN statistics.
     """
-    from .ingest import CATEGORY_NAMES  # local import to avoid a module cycle
-
     if activeness.grid != table.grid:
         raise ValueError("activeness must be aligned on the session grid")
-    speaking = table.column("labels", "speaking") == 1.0
-    overlap = table.column("labels", "overlap") == 1.0
-    category = table.column("emotion", "category")
-
+    strata = condition_strata(table)
     cells: list[SummaryCell] = []
     for region in activeness.columns:
         series = activeness.column(region)
-        for code, emotion in enumerate(CATEGORY_NAMES):
-            emo_mask = speaking & (category == float(code))
-            for condition, cond_mask in (
-                ("overlap", emo_mask & overlap),
-                ("non_overlap", emo_mask & ~overlap),
-            ):
-                vals = series[cond_mask]
-                vals = vals[np.isfinite(vals)]
-                n = len(vals)
-                mean = float(np.mean(vals)) if n else math.nan
-                cells.append(
-                    SummaryCell(
-                        region=region,
-                        emotion=emotion,
-                        condition=condition,
-                        mean=mean,
-                        sem=sem_of(vals),
-                        n_frames=n,
-                        low_support=n < min_frames,
-                    )
+        for emotion, condition, mask in strata:
+            vals = series[mask]
+            vals = vals[np.isfinite(vals)]
+            n = len(vals)
+            cells.append(
+                SummaryCell(
+                    region=region,
+                    emotion=emotion,
+                    condition=condition,
+                    mean=float(np.mean(vals)) if n else math.nan,
+                    sem=sem_of(vals),
+                    n_frames=n,
+                    low_support=n < min_frames,
                 )
+            )
     return cells
 
 
-SUMMARY_HEADER = "region,emotion,condition,mean,sem,n_frames,low_support"
+SUMMARY_HEADER = ("region", "emotion", "condition", "mean", "sem", "n_frames", "low_support")
+_SUMMARY_CONVERTERS = (str, str, str, number, number, int, flag)
 
 
 def write_summary_csv(cells: list[SummaryCell], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(SUMMARY_HEADER + "\n")
-        for c in cells:
-            fh.write(
-                f"{c.region},{c.emotion},{c.condition},{format_value(c.mean)},"
-                f"{format_value(c.sem)},{c.n_frames},{int(c.low_support)}\n"
-            )
+    write_records(path, SUMMARY_HEADER, map(astuple, cells))
 
 
 def read_summary_csv(path) -> list[SummaryCell]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != SUMMARY_HEADER:
-        raise TooFewValuesError(f"{path}: not a condition-summary CSV")
-    cells = []
-    for line in lines[1:]:
-        region, emotion, condition, mean, sem, n, low = line.split(",")
-        cells.append(
-            SummaryCell(
-                region=region,
-                emotion=emotion,
-                condition=condition,
-                mean=float(mean) if mean else math.nan,
-                sem=float(sem) if sem else math.nan,
-                n_frames=int(n),
-                low_support=bool(int(low)),
-            )
-        )
-    return cells
+    return [SummaryCell(*row) for row in read_records(path, SUMMARY_HEADER, _SUMMARY_CONVERTERS)]

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import CouplingCell
-from .frames import format_value
-from .ingest import CATEGORY_NAMES
-from .motion import SummaryCell
+from .frames import format_value, write_records
+from .motion import CATEGORY_NAMES, SummaryCell
 from .stats import AnovaResult
 
 # Benchmark values for the IEMOCAP-corpus analysis. They are not acceptance
@@ -130,10 +129,11 @@ def coupling_grid(
 
 
 def write_grid_csv(grid: HeatmapGrid, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("region," + ",".join(grid.col_labels) + "\n")
-        for label, row in zip(grid.row_labels, grid.values):
-            fh.write(label + "," + ",".join(format_value(v) for v in row) + "\n")
+    write_records(
+        path,
+        ("region", *grid.col_labels),
+        ((label, *row) for label, row in zip(grid.row_labels, grid.values.tolist())),
+    )
 
 
 _LOW_RGB = (255, 255, 255)
@@ -196,7 +196,8 @@ def render_svg(grid: HeatmapGrid, path, cell_w: int = 64, cell_h: int = 26) -> N
 
 
 COMPARISON_HEADER = (
-    "kind,region,key,measured,reference,reference_sem,reference_p,protocol"
+    "kind", "region", "key", "measured", "reference", "reference_sem", "reference_p",
+    "protocol",
 )
 
 
@@ -204,43 +205,32 @@ def reference_comparison_rows(
     coupling_cells: list[CouplingCell] | None,
     anova_results: dict[str, AnovaResult] | None,
     protocol: str,
-) -> list[str]:
-    """CSV rows comparing measured values to the corpus reference values.
+) -> list[tuple]:
+    """Records comparing measured values to the corpus reference values.
 
-    Every reference entry gets one row; the measured column is empty when the
-    current run produced no matching cell. The protocol column records how
-    the measured values were obtained.
+    Every reference entry gets one record; the measured cell is None when the
+    current run produced no matching cell. The protocol cell records how the
+    measured values were obtained.
     """
-    rows = []
     measured_r: dict[tuple[str, str], float] = {}
     for c in coupling_cells or []:
         if c.condition == "all" and c.affect_bin == "all":
             measured_r[(c.region, c.feature_set)] = c.mean_r
-    for (region, feature_set), (ref_r, ref_sem) in REFERENCE_COUPLING_R.items():
-        measured = measured_r.get((region, feature_set))
-        rows.append(
-            f"coupling,{region},{feature_set},"
-            f"{format_value(measured) if measured is not None else ''},"
-            f"{format_value(ref_r)},"
-            f"{format_value(ref_sem) if ref_sem is not None else ''},,{protocol}"
-        )
+    rows = [
+        ("coupling", region, feature_set, measured_r.get((region, feature_set)),
+         ref_r, ref_sem, None, protocol)
+        for (region, feature_set), (ref_r, ref_sem) in REFERENCE_COUPLING_R.items()
+    ]
     for (region, effect), ref in REFERENCE_ANOVA.items():
-        measured_f = ""
-        if anova_results and region in anova_results:
-            try:
-                measured_f = format_value(anova_results[region].effect(effect).f_value)
-            except KeyError:
-                measured_f = ""
-        ref_p = ref.get("p")
+        try:
+            measured_f = (anova_results or {})[region].effect(effect).f_value
+        except KeyError:
+            measured_f = None
         rows.append(
-            f"anova,{region},{effect}:F,{measured_f},{format_value(ref['F'])},"
-            f",{format_value(ref_p) if ref_p is not None else ''},{protocol}"
+            ("anova", region, f"{effect}:F", measured_f, ref["F"], None, ref.get("p"), protocol)
         )
     return rows
 
 
-def write_comparison_csv(rows: list[str], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(COMPARISON_HEADER + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+def write_comparison_csv(rows: list[tuple], path) -> None:
+    write_records(path, COMPARISON_HEADER, rows)

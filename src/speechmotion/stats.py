@@ -1,4 +1,4 @@
-"""Two-way repeated-measures ANOVA over region activeness, plus SEM helpers.
+"""Two-way repeated-measures ANOVA over region activeness.
 
 Both factors are within-subject: each effect is tested against its own
 subject-interaction error term (classical univariate decomposition, no
@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -18,17 +18,11 @@ from .errors import (
     IncompleteSubjectWarning,
     InvalidDegreesOfFreedomError,
     TooFewSubjectsError,
-    TooFewValuesError,
     UnbalancedDesignError,
     ValidationError,
 )
-from .frames import format_value
-
-if TYPE_CHECKING:
-    from .motion import SummaryCell
-
-EMOTION_LEVELS = ("Neutral", "Happy", "Sad", "Angry")
-CONDITION_LEVELS = ("overlap", "non_overlap")
+from .frames import number, read_records, write_records
+from .motion import CATEGORY_NAMES, CONDITION_NAMES, SummaryCell, condition_strata
 
 
 @dataclass(frozen=True)
@@ -61,8 +55,8 @@ class RmDesign:
     def from_rows(
         cls,
         rows: Iterable[tuple[str, str, str, float]],
-        a_levels: tuple[str, ...] = EMOTION_LEVELS,
-        b_levels: tuple[str, ...] = CONDITION_LEVELS,
+        a_levels: tuple[str, ...] = CATEGORY_NAMES,
+        b_levels: tuple[str, ...] = CONDITION_NAMES,
         factor_a: str = "emotion",
         factor_b: str = "condition",
         drop_incomplete: bool = False,
@@ -152,17 +146,14 @@ def f_distribution_sf(f: float, df1: int, df2: int) -> float:
         raise ValidationError(f"F statistic must be >= 0, got {f}")
     if math.isinf(f):
         return 0.0
+    return _f_tail(f, df1, df2)
+
+
+def _f_tail(f: float, df1: float, df2: float) -> float:
+    """P(F > f) for real degrees of freedom, via the regularized incomplete beta."""
     from scipy.special import betainc  # imported here: only p-values need scipy
 
     return float(betainc(df2 / 2.0, df1 / 2.0, df2 / (df2 + df1 * f)))
-
-
-def sem(values) -> float:
-    """Standard error of the mean: sample standard deviation over sqrt(n)."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size < 2:
-        raise TooFewValuesError(f"SEM needs >= 2 values, got {arr.size}")
-    return float(np.std(arr, ddof=1) / math.sqrt(arr.size))
 
 
 def _effect(name, ss_eff, df_eff, ss_err, df_err, scale, epsilon=None) -> EffectStats:
@@ -173,14 +164,9 @@ def _effect(name, ss_eff, df_eff, ss_err, df_err, scale, epsilon=None) -> Effect
         f_value, p, eta = math.inf, 0.0, 1.0
     else:
         f_value = (ss_eff / df_eff) / (ss_err / df_err)
-        if epsilon is None:
-            p = f_distribution_sf(f_value, df_eff, df_err)
-        else:
-            # Greenhouse-Geisser: same F, epsilon-scaled (non-integer) dfs
-            d1, d2 = epsilon * df_eff, epsilon * df_err
-            from scipy.special import betainc
-
-            p = float(betainc(d2 / 2.0, d1 / 2.0, d2 / (d2 + d1 * f_value)))
+        # Greenhouse-Geisser: same F, epsilon-scaled (non-integer) dfs
+        scale = 1.0 if epsilon is None else epsilon
+        p = _f_tail(f_value, scale * df_eff, scale * df_err)
         eta = ss_eff / (ss_eff + ss_err)
     return EffectStats(
         name=name,
@@ -292,7 +278,7 @@ def rm_anova_two_way(
 
 
 def design_from_summaries(
-    session_cells: dict[str, list["SummaryCell"]],
+    session_cells: dict[str, list[SummaryCell]],
     region: str,
     drop_incomplete: bool = False,
 ) -> RmDesign:
@@ -320,66 +306,43 @@ def segment_design_rows(
     Emulates error terms far larger than the session count; most segments
     will not cover every cell, so combine with drop_incomplete=True.
     """
-    from .ingest import CATEGORY_NAMES
-
-    speaking = table.column("labels", "speaking") == 1.0
-    overlap = table.column("labels", "overlap") == 1.0
-    category = table.column("emotion", "category")
+    strata = condition_strata(table)
     series = table.column("activeness", activeness_region)
     seg = (np.arange(table.grid.n_frames) / (segment_s * table.grid.rate_hz)).astype(int)
 
     rows = []
     for seg_id in np.unique(seg):
-        in_seg = (seg == seg_id) & speaking
-        if not in_seg.any():
-            continue
-        subject = f"{session_id}:seg{seg_id}"
-        for code, emotion in enumerate(CATEGORY_NAMES):
-            emo = in_seg & (category == float(code))
-            for condition, mask in (
-                ("overlap", emo & overlap),
-                ("non_overlap", emo & ~overlap),
-            ):
-                vals = series[mask]
-                vals = vals[np.isfinite(vals)]
-                if len(vals):
-                    rows.append((subject, emotion, condition, float(vals.mean())))
+        in_seg = seg == seg_id
+        for emotion, condition, mask in strata:
+            vals = series[in_seg & mask]
+            vals = vals[np.isfinite(vals)]
+            if len(vals):
+                rows.append((f"{session_id}:seg{seg_id}", emotion, condition, float(vals.mean())))
     return rows
 
 
-ANOVA_HEADER = "region,effect,F,df1,df2,p,partial_eta_sq"
+ANOVA_HEADER = ("region", "effect", "F", "df1", "df2", "p", "partial_eta_sq")
+_ANOVA_CONVERTERS = (str, str, number, int, int, number, number)
 
 
 def write_anova_csv(results: dict[str, AnovaResult], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(ANOVA_HEADER + "\n")
-        for region in results:
-            for e in results[region].effects:
-                fh.write(
-                    f"{region},{e.name},{format_value(e.f_value)},{e.df_effect},"
-                    f"{e.df_error},{format_value(e.p_value)},"
-                    f"{format_value(e.partial_eta_sq)}\n"
-                )
+    write_records(
+        path,
+        ANOVA_HEADER,
+        (
+            (region, e.name, e.f_value, e.df_effect, e.df_error, e.p_value, e.partial_eta_sq)
+            for region, result in results.items()
+            for e in result.effects
+        ),
+    )
 
 
 def read_anova_csv(path) -> dict[str, AnovaResult]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != ANOVA_HEADER:
-        raise ValidationError(f"{path}: not an ANOVA results CSV")
     per_region: dict[str, list[EffectStats]] = {}
-    for line in lines[1:]:
-        region, name, f_value, df1, df2, p, eta = line.split(",")
+    for region, name, f_value, df1, df2, p, eta in read_records(
+        path, ANOVA_HEADER, _ANOVA_CONVERTERS
+    ):
         per_region.setdefault(region, []).append(
-            EffectStats(
-                name=name,
-                f_value=float(f_value),
-                df_effect=int(df1),
-                df_error=int(df2),
-                p_value=float(p),
-                partial_eta_sq=float(eta),
-                ss_effect=math.nan,
-                ss_error=math.nan,
-            )
+            EffectStats(name, f_value, df1, df2, p, eta, ss_effect=math.nan, ss_error=math.nan)
         )
     return {region: AnovaResult(tuple(effects)) for region, effects in per_region.items()}

@@ -24,14 +24,8 @@ import numpy as np
 
 from .errors import InconsistentSpecError, ZeroSignalVarianceError
 from .frames import FeatureTrack, FrameGrid
-from .ingest import (
-    AudioClip,
-    CATEGORY_NAMES,
-    EMOTION_COLUMNS,
-    Interval,
-    SpeechIntervals,
-)
-from .motion import MarkerTrack, RegionMap
+from .ingest import AudioClip, EMOTION_COLUMNS, Interval, SpeechIntervals
+from .motion import CATEGORY_NAMES, MarkerTrack, RegionMap
 from .speech_features import SPEECH_FEATURE_COLUMNS
 
 

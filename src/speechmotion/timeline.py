@@ -99,6 +99,18 @@ def decimate_alternate(track: FeatureTrack, expected_rate_hz: float = NATIVE_RAT
     return FeatureTrack(grid, track.columns, values)
 
 
+def decimates(rate_hz: float, target_rate_hz: float) -> bool:
+    """Whether a stream at `rate_hz` is first halved by :func:`decimate_alternate`.
+
+    The every-other-frame rule applies when halving a ~120 Hz stream toward
+    the session rate; a stream already at the target rate passes through.
+    """
+    return (
+        abs(rate_hz - NATIVE_RATE_HZ) <= 0.001 * NATIVE_RATE_HZ
+        and rate_hz / target_rate_hz >= 1.8
+    )
+
+
 def _interval_mask(timestamps: np.ndarray, intervals) -> np.ndarray:
     mask = np.zeros(len(timestamps), dtype=bool)
     for e in intervals:
@@ -188,12 +200,7 @@ def align_session(
         )
     grid = grid_over_span(target_rate_hz, start, end)
 
-    # the every-other-frame rule applies when halving a ~120 Hz stream toward
-    # the session rate; a stream already at the target rate passes through
-    if (
-        abs(speech.grid.rate_hz - NATIVE_RATE_HZ) <= 0.001 * NATIVE_RATE_HZ
-        and speech.grid.rate_hz / target_rate_hz >= 1.8
-    ):
+    if decimates(speech.grid.rate_hz, target_rate_hz):
         speech = decimate_alternate(speech)
     speech_block = resample_linear(speech, grid)
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -257,6 +258,16 @@ class TestErrors:
         assert cli.main([f"--config={p}", "align"]) == 2
         assert "expected a JSON object" in capsys.readouterr().err
 
+    def test_unknown_params_key_is_rejected(self, cli_workspace, tmp_path, capsys):
+        doc = {"params": {"n_fold": 7}, "sessions": absolute_sessions(cli_workspace)}
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        rc = cli.main([f"--config={p}", f"--out-dir={tmp_path / 'o'}", "map"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{p}: " in err and "'n_fold'" in err
+        assert "Traceback" not in err
+
 
 def test_exit_code_taxonomy():
     from speechmotion.errors import (
@@ -313,6 +324,15 @@ class TestSynthCommand:
         assert rc == 3
 
 
+def _set_cell(path: Path, line: int, column: int, value: str) -> None:
+    """Overwrite one cell of a CSV file; `line` counts from 1."""
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[line - 1].rstrip("\n").split(",")
+    cells[column] = value
+    lines[line - 1] = ",".join(cells) + "\n"
+    path.write_text("".join(lines))
+
+
 def _cut_rows(src: Path, dst: Path, after_row: int) -> int:
     """Copy a rated table with one second of data rows removed after `after_row`;
     return the file line of the first row past the cut."""
@@ -338,6 +358,60 @@ class TestTableErrors:
         err = capsys.readouterr().err
         assert rc == 2
         assert f"{cut}:{line}: time_s" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("speech_features", "inf", "infinite"),
+            ("markers", "-inf", "infinite"),
+            ("markers", "2500.0", "plausibility bound"),
+        ],
+        ids=["feature_inf", "marker_inf", "marker_past_bound"],
+    )
+    def test_bad_cell_in_a_rated_table_names_its_line(
+        self, cli_workspace, tmp_path, capsys, key, value, message
+    ):
+        sessions = absolute_sessions(cli_workspace)[:1]
+        bad = tmp_path / f"bad_{key}.csv"
+        shutil.copy(sessions[0][key], bad)
+        _set_cell(bad, line=50, column=2, value=value)
+        sessions[0][key] = str(bad)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"sessions": sessions}))
+        rc = cli.main([f"--config={p}", f"--out-dir={tmp_path / 'o'}", "align"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{bad}:50: " in err and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "table, command, damage, line",
+        [
+            ("coupling_report.csv", "report", (1, 5, "r_mean"), 1),
+            ("s101/summaries.csv", "stats", (3, None, None), 3),
+            ("anova.csv", "report", (2, 3, "x"), 2),
+            ("s101/summaries.csv", "report", (2, 6, "zz"), 2),
+        ],
+        ids=["coupling_header", "summary_short_row", "anova_bad_df1", "summary_bad_flag"],
+    )
+    def test_malformed_result_table_names_its_line(
+        self, cli_workspace, tmp_path, capsys, table, command, damage, line
+    ):
+        out = tmp_path / "o"
+        shutil.copytree(cli_workspace["out"], out)
+        path = out / table
+        damaged_line, column, value = damage
+        if column is None:  # drop the last cell of the row
+            lines = path.read_text().splitlines(keepends=True)
+            lines[damaged_line - 1] = lines[damaged_line - 1].rsplit(",", 1)[0] + "\n"
+            path.write_text("".join(lines))
+        else:
+            _set_cell(path, damaged_line, column, value)
+        rc = cli.main([f"--config={cli_workspace['config']}", f"--out-dir={out}", command])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{path}:{line}: " in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("damage", ["last_rows_dropped", "columns_swapped"])

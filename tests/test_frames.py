@@ -9,18 +9,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from speechmotion.errors import MalformedRowError, NonMonotoneTimeError, OffGridTimeError
+from speechmotion.errors import (
+    MalformedRowError,
+    NonMonotoneTimeError,
+    OffGridTimeError,
+    ValueOutOfRangeError,
+)
 from speechmotion.frames import (
     WRITE_BLOCK_ROWS,
     FeatureTrack,
     FrameGrid,
     concat_columns,
+    flag,
     format_value,
     grid_over_span,
+    iter_records,
+    number,
     read_feature_csv,
     read_header,
+    read_rate_comment,
+    read_records,
     read_rows,
     write_feature_csv,
+    write_records,
     write_table,
 )
 
@@ -216,6 +227,13 @@ class TestTableCodec:
             assert lines[2 + i] == ",".join(cells)
 
 
+    def test_infinite_cell_names_its_line(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("# rate_hz=10.0\ntime_s,a\n0.0,1\n\n0.1,-inf\n0.2,inf\n")
+        with pytest.raises(MalformedRowError, match=rf"^{re.escape(str(p))}:5: .*infinite"):
+            read_feature_csv(p)
+
+
 class TestGridCheck:
     def _write(self, path, times, rate=10.0):
         rows = "".join(f"{t!r},1.0\n" for t in times)
@@ -245,3 +263,97 @@ class TestGridCheck:
         p.write_text("# rate_hz=10.0\ntime_s,a\n0.0,1\n,2\n")
         with pytest.raises(MalformedRowError, match=rf"^{re.escape(str(p))}:4: "):
             read_feature_csv(p)
+
+
+RECORD_HEADER = ("label", "count", "ok", "x")
+RECORD_CONVERTERS = (str, int, flag, number)
+
+
+def reference_record_cell(value) -> str:
+    """Per-cell rule the record writer must agree with."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return "" if math.isnan(value) else repr(value)
+    return str(value)
+
+
+def _in_range(cell: str) -> float:
+    value = float(cell)
+    if value > 1.0:
+        raise ValueOutOfRangeError(f"x {value} above 1")
+    return value
+
+
+class TestRecordCodec:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.text(alphabet="abcXYZ019_|.:- ", max_size=8),
+                st.integers(-(10**15), 10**15),
+                st.booleans(),
+                st.one_of(
+                    st.none(),
+                    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    st.sampled_from(
+                        [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e300, 0.41]
+                    ),
+                ),
+            ),
+            max_size=8,
+        ),
+        st.sampled_from([None, 120.0, 60.24]),
+    )
+    def test_writer_bytes_match_per_cell_join_and_round_trip(self, rows, rate):
+        reference = (f"# rate_hz={rate!r}\n" if rate is not None else "") + "".join(
+            ",".join(map(reference_record_cell, row)) + "\n" for row in [RECORD_HEADER, *rows]
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "r.csv"
+            write_records(p, RECORD_HEADER, rows, rate_hz=rate)
+            assert p.read_bytes() == reference.encode("utf-8")
+            with open(p, "r", encoding="utf-8") as fh:
+                if rate is not None:
+                    assert read_rate_comment(fh, str(p)) == rate
+                back = list(
+                    iter_records(fh, str(p), 1 if rate is None else 2, RECORD_HEADER,
+                                 RECORD_CONVERTERS)
+                )
+        first = 2 if rate is None else 3
+        assert [line for line, _ in back] == list(range(first, first + len(rows)))
+        for (label, count, ok, x), (_, got) in zip(rows, back):
+            assert got[:3] == [label, count, ok]
+            assert repr(got[3]) == repr(math.nan if x is None else x)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_text("label,count,ok,x\n\na,1,0,\n  \nb,-2,1,0.5\n")
+        rows = read_records(p, RECORD_HEADER, RECORD_CONVERTERS)
+        assert rows[0][:3] == ["a", 1, False] and math.isnan(rows[0][3])
+        assert rows[1] == ["b", -2, True, 0.5]
+
+    @pytest.mark.parametrize(
+        "text, line, error",
+        [
+            ("label,count,x\n", 1, MalformedRowError),
+            ("", 1, MalformedRowError),
+            ("label,count,ok,x\na,1,0,1\n\nb,1,0\n", 4, MalformedRowError),
+            ("label,count,ok,x\na,1,0,1,2\n", 2, MalformedRowError),
+            ("label,count,ok,x\na,1.5,0,1\n", 2, MalformedRowError),
+            ("label,count,ok,x\na,1,zz,1\n", 2, MalformedRowError),
+            ("label,count,ok,x\na,1,0,y\n", 2, MalformedRowError),
+            ("label,count,ok,x\na,1,0,0.5\nb,1,0,2.0\n", 3, ValueOutOfRangeError),
+        ],
+        ids=["header", "empty_file", "short_row", "long_row", "bad_int", "bad_flag",
+             "bad_number", "converter_error_class"],
+    )
+    def test_reader_errors_name_path_and_line(self, tmp_path, text, line, error):
+        p = tmp_path / "r.csv"
+        p.write_text(text)
+        converters = (str, int, flag, _in_range)
+        with pytest.raises(error, match=rf"^{re.escape(str(p))}:{line}: ") as info:
+            read_records(p, RECORD_HEADER, converters)
+        assert type(info.value) is error

@@ -103,13 +103,13 @@ class TestReferenceComparison:
         rows = reference_comparison_rows(None, None, "in_sample")
         assert len(rows) == len(REFERENCE_COUPLING_R) + len(REFERENCE_ANOVA)
         for row in rows:
-            assert row.endswith("in_sample")
+            assert row[-1] == "in_sample"
 
     def test_measured_values_join(self):
         cells = [
             CouplingCell("total_face", "prosody", "all", "all", "", 0.41, 0.01, 5, 9000)
         ]
         rows = reference_comparison_rows(cells, None, "k_fold(5)")
-        hit = [r for r in rows if r.startswith("coupling,total_face,prosody")]
+        hit = [r for r in rows if r[:3] == ("coupling", "total_face", "prosody")]
         assert len(hit) == 1
-        assert ",0.41," in hit[0]
+        assert hit[0][3] == 0.41

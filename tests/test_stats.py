@@ -8,16 +8,14 @@ from speechmotion.errors import (
     IncompleteSubjectWarning,
     InvalidDegreesOfFreedomError,
     TooFewSubjectsError,
-    TooFewValuesError,
     UnbalancedDesignError,
 )
-from speechmotion.motion import SummaryCell
+from speechmotion.motion import SummaryCell, sem_of
 from speechmotion.stats import (
     RmDesign,
     design_from_summaries,
     f_distribution_sf,
     rm_anova_two_way,
-    sem,
 )
 
 # Hand-worked 3-subject 2x2 dataset. Sums of squares were derived manually
@@ -221,20 +219,20 @@ class TestFSurvival:
 
 class TestSem:
     def test_constant(self):
-        assert sem([2.0, 2.0, 2.0]) == 0.0
+        assert sem_of(np.array([2.0, 2.0, 2.0])) == 0.0
 
     def test_two_values(self):
         # sd of (1, 3) is sqrt(2); sem = sqrt(2)/sqrt(2) = 1
-        assert sem([1.0, 3.0]) == pytest.approx(1.0, abs=1e-12)
+        assert sem_of(np.array([1.0, 3.0])) == pytest.approx(1.0, abs=1e-12)
 
     def test_homogeneity(self):
         rng = np.random.default_rng(1)
         vals = rng.standard_normal(25)
-        assert sem(vals * -3.5) == pytest.approx(3.5 * sem(vals), rel=1e-12)
+        assert sem_of(vals * -3.5) == pytest.approx(3.5 * sem_of(vals), rel=1e-12)
 
     def test_too_few(self):
-        with pytest.raises(TooFewValuesError):
-            sem([1.0])
+        # one value has no spread to estimate: the SEM is undefined, not an error
+        assert math.isnan(sem_of(np.array([1.0])))
 
 
 class TestDesignFromSummaries:
