@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import sys
 from pathlib import Path
@@ -24,7 +25,9 @@ import numpy as np
 from . import coupling as coupling_mod
 from . import ingest, motion, report, speech_features, stats, synth, timeline
 from .errors import MissingUpstreamOutputError, PipelineError, ValidationError
-from .frames import FeatureTrack, FrameGrid, read_feature_csv, write_feature_csv
+from .frames import (
+    FeatureTrack, FrameGrid, read_feature_csv, read_json_object, write_feature_csv, write_json,
+)
 
 DEFAULT_PARAMS = {
     "target_rate_hz": 60.24,
@@ -59,18 +62,15 @@ BUILTIN_PROFILES = {
 }
 
 
-def _load_json_object(path: Path) -> dict:
-    """Parse a JSON document whose top level must be an object."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(
-                f"{path}:{exc.lineno}:{exc.colno}: malformed JSON: {exc.msg}"
-            ) from exc
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: expected a JSON object, got {type(doc).__name__}")
-    return doc
+# params checked when a config is loaded, before any input is read: what each
+# value must satisfy, and how the message says so (`type(v) is int` rejects a
+# bool). Coupling and the report read exactly the pc_1..pc_12 columns.
+PARAM_CHECKS = {
+    "pca_components": (lambda v: type(v) is int and v == len(speech_features.PC_COLUMNS), "12"),
+    "n_folds": (lambda v: type(v) is int and v >= 2, "an integer >= 2"),
+    "pca_scope": (lambda v: v in ("session", "corpus"), "'session' or 'corpus'"),
+    "anova_unit": (lambda v: v in ("session", "segment"), "'session' or 'segment'"),
+}
 
 
 class Config:
@@ -94,13 +94,9 @@ class Config:
                 f"unknown params key(s) {unknown}; expected keys from {sorted(DEFAULT_PARAMS)}"
             )
         self.params.update(params)
-        # coupling and the report read exactly the pc_1..pc_12 columns
-        k = self.params["pca_components"]
-        if not isinstance(k, int) or k != len(speech_features.PC_COLUMNS):
-            raise ValidationError(
-                f"params.pca_components must be {len(speech_features.PC_COLUMNS)}, "
-                f"got {k!r}"
-            )
+        for key, (valid, expected) in PARAM_CHECKS.items():
+            if not valid(self.params[key]):
+                raise ValidationError(f"params.{key} must be {expected}, got {self.params[key]!r}")
         self.sessions = doc.get("sessions", [])
         for s in self.sessions:
             if "id" not in s:
@@ -112,7 +108,7 @@ class Config:
         p = Path(path)
         if not p.exists():
             raise MissingUpstreamOutputError(f"config file not found: {p}")
-        doc = _load_json_object(p)
+        doc = read_json_object(p)
         try:
             return cls(doc, p.parent.resolve(), Path(out_dir) if out_dir else None)
         except ValidationError as exc:
@@ -148,33 +144,36 @@ class Config:
             raise MissingUpstreamOutputError(f"region map not found: {path}")
         try:
             return motion.RegionMap.from_json(path)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValidationError(f"{path}: {exc}") from exc
 
 
 def _load_clip(config: Config, session: dict):
-    clip = ingest.load_wav(config.path(session, "audio"))
-    clip = ingest.select_channel(clip, config.channel_for(session))
+    clip = ingest.load_wav(config.path(session, "audio"), channel=config.channel_for(session))
     trim = config.params["trim_head_s"]
     if trim > 0:
         clip = ingest.trim_head(clip, trim)
     return clip
 
 
-def _for_each_session(fn, sessions: list[dict], jobs: int) -> None:
-    """Call `fn` on every session, on up to `jobs` threads."""
-    if jobs > 1 and len(sessions) > 1:
+def _for_each_session(fn, items: list, jobs: int) -> None:
+    """Call `fn` on every session (or group of sessions), on up to `jobs` threads."""
+    if jobs > 1 and len(items) > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(fn, sessions))
+            list(pool.map(fn, items))
     else:
-        for s in sessions:
-            fn(s)
+        for item in items:
+            fn(item)
 
 
-def _write_features(config: Config, session: dict, track, pca_model) -> None:
-    out = config.session_dir(session)
-    write_feature_csv(track, out / "features.csv")
-    pca_model.to_json(out / "pca_model.json")
+def _upstream(config: Config, session: dict, name: str, stage: str) -> Path:
+    """`<out_dir>/<id>/<name>`, which `stage` writes; raise if it is missing."""
+    path = config.out_dir / session["id"] / name
+    if not path.exists():
+        raise MissingUpstreamOutputError(
+            f"{name} missing for session {session['id']!r}; run `{stage}` first (looked at {path})"
+        )
+    return path
 
 
 def cmd_features(config: Config, jobs: int = 1) -> None:
@@ -182,27 +181,22 @@ def cmd_features(config: Config, jobs: int = 1) -> None:
     if not sessions:
         return
     f0_range = {"fmin": config.params["f0_min_hz"], "fmax": config.params["f0_max_hz"]}
-    k = config.params["pca_components"]
-    if config.params["pca_scope"] == "corpus":
-        # each clip is decoded once; only its pre-PCA columns wait for the pooled fit
-        tracks = [
-            speech_features.pre_pca_tracks(_load_clip(config, s), **f0_range)
-            for s in sessions
-        ]
-        model = speech_features.fit_pca_pooled([spectral for _, spectral in tracks], k=k)
-        for s, (prosody, spectral) in zip(sessions, tracks):
-            _write_features(
-                config, s, *speech_features.project_speech_features(prosody, spectral, model)
-            )
-    else:
-        def features_one(session: dict) -> None:
-            # no local holds the clip, so it is freed before the CSV is written
-            track, model = speech_features.extract_speech_features(
-                _load_clip(config, session), n_components=k, **f0_range
-            )
-            _write_features(config, session, track, model)
+    # one PCA model per group: the whole corpus, or each session on its own
+    groups = [sessions] if config.params["pca_scope"] == "corpus" else [[s] for s in sessions]
 
-        _for_each_session(features_one, sessions, jobs)
+    def features_for(group: list[dict]) -> None:
+        # each clip is decoded once, and freed once its pre-PCA columns are made
+        tracks = [speech_features.pre_pca_tracks(_load_clip(config, s), **f0_range) for s in group]
+        model = speech_features.fit_pca_pooled(
+            [spectral for _, spectral in tracks], k=config.params["pca_components"]
+        )
+        for s, (prosody, spectral) in zip(group, tracks):
+            track = speech_features.project_speech_features(prosody, spectral, model)
+            out = config.session_dir(s)
+            write_feature_csv(track, out / "features.csv")
+            model.to_json(out / "pca_model.json")
+
+    _for_each_session(features_for, groups, jobs)
     for s in sessions:
         print(f"features: wrote {config.session_dir(s) / 'features.csv'}")
 
@@ -210,13 +204,7 @@ def cmd_features(config: Config, jobs: int = 1) -> None:
 def _speech_track_for(config: Config, session: dict):
     if "speech_features" in session:
         return read_feature_csv(config.path(session, "speech_features"))
-    candidate = config.out_dir / session["id"] / "features.csv"
-    if not candidate.exists():
-        raise MissingUpstreamOutputError(
-            f"no speech features for session {session['id']!r}: run `features` "
-            f"first or set 'speech_features' (looked at {candidate})"
-        )
-    return read_feature_csv(candidate)
+    return read_feature_csv(_upstream(config, session, "features.csv", "features"))
 
 
 def _native_activeness(config: Config, session: dict):
@@ -264,15 +252,10 @@ def cmd_align(config: Config, jobs: int = 1) -> None:
 
 
 def _read_table(config: Config, session: dict) -> timeline.SessionTable:
-    out = config.out_dir / session["id"]
-    csv_path = out / "aligned.csv"
-    meta_path = out / "aligned.meta.json"
-    if not csv_path.exists() or not meta_path.exists():
-        raise MissingUpstreamOutputError(
-            f"aligned table missing for session {session['id']!r}; run `align` "
-            f"first (looked at {csv_path})"
-        )
-    return timeline.read_session_csv(csv_path, meta_path)
+    return timeline.read_session_csv(
+        _upstream(config, session, "aligned.csv", "align"),
+        _upstream(config, session, "aligned.meta.json", "align"),
+    )
 
 
 def cmd_activeness(config: Config, jobs: int = 1) -> None:
@@ -299,7 +282,7 @@ def cmd_map(config: Config, jobs: int = 1) -> None:
         affect_derivatives=params["affect_derivatives"],
     )
     coupling_mod.write_coupling_csv(cells, config.out_dir / "coupling_report.csv")
-    meta = {
+    write_json(config.out_dir / "coupling_report.meta.json", {
         "protocol": coupling_mod.protocol_label(params["protocol"], params["n_folds"]),
         "ridge_eps": params["ridge_eps"],
         "target": "region_mean_activeness",
@@ -307,10 +290,7 @@ def cmd_map(config: Config, jobs: int = 1) -> None:
         "bin_policy": params["bin_policy"],
         "affect_derivatives": params["affect_derivatives"],
         "n_sessions": len(tables),
-    }
-    with open(config.out_dir / "coupling_report.meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    })
     for sid, table in tables.items():
         out = config.out_dir / sid
         idx = np.flatnonzero(table.column("labels", "speaking") == 1.0)
@@ -331,7 +311,10 @@ def _mask_track(track, idx):
 
 def cmd_stats(config: Config, jobs: int = 1) -> None:
     params = config.params
-    results: dict[str, stats.AnovaResult] = {}
+    drop = params["drop_incomplete_subjects"]
+    # the unit only decides where each region's design comes from; it is
+    # built inside the loop below, so its errors name the region too
+    designs = {}
     if params["anova_unit"] == "segment":
         rows_by_region: dict[str, list] = {}
         for session in config.sessions:
@@ -343,36 +326,24 @@ def cmd_stats(config: Config, jobs: int = 1) -> None:
                     )
                 )
         for region, rows in rows_by_region.items():
-            try:
-                design = stats.RmDesign.from_rows(
-                    rows, drop_incomplete=params["drop_incomplete_subjects"]
-                )
-                results[region] = stats.rm_anova_two_way(
-                    design, sphericity_correction=params["sphericity_correction"]
-                )
-            except PipelineError as exc:
-                raise type(exc)(f"region {region!r}: {exc}") from exc
+            designs[region] = functools.partial(stats.RmDesign.from_rows, rows, drop)
     else:
-        session_cells = {}
-        for session in config.sessions:
-            path = config.out_dir / session["id"] / "summaries.csv"
-            if not path.exists():
-                raise MissingUpstreamOutputError(
-                    f"summaries missing for session {session['id']!r}; run "
-                    f"`activeness` first (looked at {path})"
-                )
-            session_cells[session["id"]] = motion.read_summary_csv(path)
-        regions = [c.region for c in next(iter(session_cells.values()))]
-        for region in dict.fromkeys(regions):
-            try:
-                design = stats.design_from_summaries(
-                    session_cells, region, drop_incomplete=params["drop_incomplete_subjects"]
-                )
-                results[region] = stats.rm_anova_two_way(
-                    design, sphericity_correction=params["sphericity_correction"]
-                )
-            except PipelineError as exc:
-                raise type(exc)(f"region {region!r}: {exc}") from exc
+        session_cells = {
+            s["id"]: motion.read_summary_csv(_upstream(config, s, "summaries.csv", "activeness"))
+            for s in config.sessions
+        }
+        for c in next(iter(session_cells.values()), []):
+            designs[c.region] = functools.partial(
+                stats.design_from_summaries, session_cells, c.region, drop
+            )
+    results: dict[str, stats.AnovaResult] = {}
+    for region, design in designs.items():
+        try:
+            results[region] = stats.rm_anova_two_way(
+                design(), sphericity_correction=params["sphericity_correction"]
+            )
+        except PipelineError as exc:
+            raise type(exc)(f"region {region!r}: {exc}") from exc
     stats.write_anova_csv(results, config.out_dir / "anova.csv")
     print(f"stats: wrote {config.out_dir / 'anova.csv'}")
 
@@ -381,7 +352,7 @@ def cmd_synth(spec_path: str, out_dir: str, seed_override: int | None = None) ->
     p = Path(spec_path)
     if not p.exists():
         raise MissingUpstreamOutputError(f"spec file not found: {p}")
-    doc = _load_json_object(p)
+    doc = read_json_object(p)
     if seed_override is not None:
         doc["seed"] = seed_override
     emit_tone = bool(doc.pop("emit_tone_wav", False))

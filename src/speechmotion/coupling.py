@@ -9,7 +9,6 @@ speech condition and affective bin.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import astuple, dataclass
@@ -23,8 +22,9 @@ from .errors import (
     GridMismatchError,
     InsufficientFramesError,
     TooFewPairsError,
+    ValidationError,
 )
-from .frames import FeatureTrack, number, read_records, write_records
+from .frames import FeatureTrack, number, read_json_object, read_records, write_json, write_records
 from .motion import CONDITION_NAMES, sem_of
 from .speech_features import PC_COLUMNS, PROSODY_COLUMNS, temporal_derivatives
 from .timeline import SessionTable
@@ -61,7 +61,7 @@ class AffineMap:
         object.__setattr__(self, "target_names", tuple(self.target_names))
 
     def to_json(self, path) -> None:
-        doc = {
+        write_json(path, {
             "a": self.a.tolist(),
             "b": self.b.tolist(),
             "feature_names": list(self.feature_names),
@@ -69,15 +69,11 @@ class AffineMap:
             "n_frames": self.n_frames,
             "ridge_eps": self.ridge_eps,
             "fold_id": self.fold_id,
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        })
 
     @classmethod
     def from_json(cls, path) -> "AffineMap":
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = read_json_object(path)
         return cls(
             a=np.asarray(doc["a"]),
             b=np.asarray(doc["b"]),
@@ -274,8 +270,6 @@ def _selection_mask(
     if affect_bin != "all":
         if affect_bin not in ("high", "low"):
             raise ValueError(f"unknown affect bin {affect_bin!r}")
-        if dimension is None:
-            raise ValueError("affect binning requires a dimension")
         high, low = bin_affect(
             table.block("emotion"), dimension, policy=bin_policy, speaking=speaking
         )
@@ -296,7 +290,6 @@ def evaluate_mapping(
     n_folds: int = 5,
     condition: str = "all",
     affect_bin: str = "all",
-    affect_dimension: str | None = None,
     bin_policy: str = "median_split",
     ridge_eps: float = 1e-8,
     affect_derivatives: bool = True,
@@ -307,11 +300,16 @@ def evaluate_mapping(
     affect bin before fitting. Under k_fold, folds are contiguous temporal
     blocks and r is computed over the concatenated held-out predictions;
     under in_sample, the map is fitted and scored on the same frames.
-    `region=None` scores every activeness column of the joint fit.
+    `region=None` scores every activeness column of the joint fit. Affect
+    bins split the feature set's own dimension, or arousal for the speech
+    feature sets.
     """
     if protocol not in ("k_fold", "in_sample"):
         raise ValueError(f"unknown protocol {protocol!r}")
-    if affect_bin != "all" and affect_dimension is None:
+    if protocol == "k_fold" and n_folds < 2:
+        raise ValidationError(f"k_fold needs n_folds >= 2, got {n_folds!r}")
+    affect_dimension = None
+    if affect_bin != "all":
         affect_dimension = feature_set if feature_set in ("arousal", "valence") else "arousal"
 
     x_track = feature_set_track(table, feature_set, affect_derivatives)
@@ -351,7 +349,7 @@ def evaluate_mapping(
         protocol=protocol_label(protocol, n_folds),
         condition=condition,
         affect_bin=affect_bin,
-        bin_dimension=affect_dimension if affect_bin != "all" else None,
+        bin_dimension=affect_dimension,
         per_target=per_target,
         n_frames=len(idx),
     )
@@ -375,8 +373,6 @@ class CouplingCell:
 def coupling_report(
     tables: dict[str, SessionTable],
     feature_sets: tuple[str, ...] = ("prosody", "mfcc", "arousal", "valence"),
-    conditions: tuple[str, ...] = CONDITIONS,
-    include_affect_bins: bool = True,
     protocol: str = "k_fold",
     n_folds: int = 5,
     ridge_eps: float = 1e-8,
@@ -385,16 +381,17 @@ def coupling_report(
 ) -> list[CouplingCell]:
     """Mean/SEM of per-dyad r for every region and analysis cell.
 
-    Affect bins are evaluated only for the arousal/valence feature sets, on
-    their own dimension. Sessions whose frames cannot support a cell are
-    skipped; the row records how many dyads contributed.
+    Every condition in CONDITIONS is evaluated. Affect bins are evaluated only
+    for the arousal/valence feature sets, on their own dimension. Sessions
+    whose frames cannot support a cell are skipped; the row records how many
+    dyads contributed.
     """
     cells: list[CouplingCell] = []
     for feature_set in feature_sets:
         bins: tuple[str, ...] = ("all",)
-        if include_affect_bins and feature_set in ("arousal", "valence"):
+        if feature_set in ("arousal", "valence"):
             bins = AFFECT_BINS
-        for condition in conditions:
+        for condition in CONDITIONS:
             for affect_bin in bins:
                 per_region: dict[str, list[float]] = {}
                 frame_total = 0

@@ -1,15 +1,17 @@
-"""Uniform frame grids and named feature tracks.
+"""Uniform frame grids and named feature tracks, and the file codecs.
 
 Every per-frame quantity in the pipeline (prosody, spectral coefficients,
 emotion descriptors, marker displacements, region activeness, binary labels)
 travels as a :class:`FeatureTrack`: a read-only ``n_frames x n_columns``
 float matrix bound to a :class:`FrameGrid`. Missing values (marker dropouts,
-propagated gaps) are NaN.
+propagated gaps) are NaN. Every table and JSON document the pipeline reads or
+writes goes through one of the three codecs below.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 
@@ -396,3 +398,29 @@ def read_records(path, header, converters) -> list[list]:
     path = str(path)
     with open(path, "r", encoding="utf-8") as fh:
         return [row for _, row in iter_records(fh, path, 1, header, converters)]
+
+
+# --- JSON document codec: configs, specs, region maps, models, sidecars --------
+
+
+def write_json(path, doc) -> None:
+    """Write `doc` as JSON with a two-space indent and a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
+
+
+def read_json_object(path) -> dict:
+    """Parse a JSON document whose top level must be an object; malformed JSON
+    raises :class:`ValidationError` naming ``path:line:column``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(
+                f"{path}:{exc.lineno}:{exc.colno}: malformed JSON: {exc.msg}"
+            ) from None
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc

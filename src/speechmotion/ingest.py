@@ -57,7 +57,9 @@ class AudioClip:
     def __post_init__(self) -> None:
         if self.sample_rate_hz <= 0:
             raise ValueError("sample_rate_hz must be positive")
-        samples = np.array(self.samples, dtype=np.float64, order="C")
+        # a read-only float64 C-ordered array is adopted as it is; any other is copied
+        adopt = isinstance(self.samples, np.ndarray) and not self.samples.flags.writeable
+        samples = (np.asarray if adopt else np.array)(self.samples, dtype=np.float64, order="C")
         if samples.ndim not in (1, 2):
             raise ValueError("samples must be 1-D mono or 2-D (n, channels)")
         if samples.size:
@@ -84,17 +86,18 @@ class AudioClip:
         return self.n_samples / self.sample_rate_hz
 
 
-def _read_chunks(data: bytes, path: str) -> dict[bytes, bytes]:
+def _read_chunks(data: bytes, path: str) -> dict[bytes, memoryview]:
     if len(data) < 12:
         raise CorruptHeaderError(f"{path}: file too short for a RIFF header")
     if data[0:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise CorruptHeaderError(f"{path}: not a RIFF/WAVE file")
-    chunks: dict[bytes, bytes] = {}
+    chunks: dict[bytes, memoryview] = {}
+    view = memoryview(data)  # chunk bodies are views, not copies, of the file bytes
     offset = 12
     while offset + 8 <= len(data):
         cid = data[offset:offset + 4]
         (size,) = struct.unpack_from("<I", data, offset + 4)
-        body = data[offset + 8:offset + 8 + size]
+        body = view[offset + 8:offset + 8 + size]
         if len(body) < size:
             raise CorruptHeaderError(f"{path}: truncated {cid!r} chunk")
         chunks.setdefault(cid, body)
@@ -102,50 +105,68 @@ def _read_chunks(data: bytes, path: str) -> dict[bytes, bytes]:
     return chunks
 
 
-def _decode_pcm(body: bytes, fmt_code: int, bits: int, path: str) -> np.ndarray:
-    # each branch makes one float64 copy and scales it in place
+# sample dtype per (format code, bits): integer PCM, or 32-bit float
+_PCM_DTYPES = {(1, 8): "u1", (1, 16): "<i2", (1, 24): "3u1", (1, 32): "<i4", (3, 32): "<f4"}
+
+
+def _decode_pcm(
+    body, fmt_code: int, bits: int, n_channels: int, index: int | None, path: str
+) -> np.ndarray:
+    """Float64 samples of channel `index`, or of every channel if it is None;
+    a mono file gives a 1-D array.
+
+    Only the kept samples are converted: one float64 copy, scaled in place.
+    """
+    if (fmt_code, bits) not in _PCM_DTYPES:
+        kind = "float WAV must be 32-bit" if fmt_code == 3 else f"unsupported bit depth {bits}"
+        raise UnsupportedFormatError(f"{path}: {kind}")
+    n_frames = len(body) // (bits // 8 * n_channels)
+    if n_frames == 0:
+        raise EmptyAudioError(f"{path}: no audio frames")
+    raw = np.frombuffer(body, dtype=_PCM_DTYPES[fmt_code, bits], count=n_frames * n_channels)
+    raw = raw.reshape((n_frames, n_channels) + raw.shape[1:])
+    if index is not None or n_channels == 1:
+        raw = raw[:, index or 0]
+    if bits == 24:  # Horner over the little-endian bytes, the top one signed; exact
+        x = raw[..., 2].view(np.int8).astype(np.float64)
+        for byte in (1, 0):
+            x *= 256.0
+            x += raw[..., byte]
+    else:
+        x = raw.astype(np.float64)
     if fmt_code == 3:
-        if bits != 32:
-            raise UnsupportedFormatError(f"{path}: float WAV must be 32-bit")
-        x = np.frombuffer(body, dtype="<f4").astype(np.float64)
         # min and max are NaN if any sample is, and reach any infinity
-        if x.size and not (math.isfinite(x.min()) and math.isfinite(x.max())):
+        if not (math.isfinite(x.min()) and math.isfinite(x.max())):
             raise ValueOutOfRangeError(f"{path}: float samples must be finite")
-        return np.clip(x, -1.0, 1.0, out=x)
-    if fmt_code != 1:
-        raise UnsupportedFormatError(
-            f"{path}: unsupported WAV format code {fmt_code} (PCM required)"
-        )
-    if bits == 8:
-        x = np.frombuffer(body, dtype=np.uint8).astype(np.float64)
+        np.clip(x, -1.0, 1.0, out=x)
+    elif bits == 8:
         x -= 128.0
         x /= 128.0
-        return x
-    if bits == 16:
-        x = np.frombuffer(body, dtype="<i2").astype(np.float64)
-        x /= 32768.0
-        return x
-    if bits == 24:
-        raw = np.frombuffer(body, dtype=np.uint8)
-        raw = raw[: (len(raw) // 3) * 3].reshape(-1, 3).astype(np.int64)
-        val = raw[:, 0] | (raw[:, 1] << 8) | (raw[:, 2] << 16)
-        val = (val ^ 0x800000) - 0x800000
-        x = val.astype(np.float64)
-        x /= 8388608.0
-        return x
-    if bits == 32:
-        x = np.frombuffer(body, dtype="<i4").astype(np.float64)
-        x /= 2147483648.0
-        return x
-    raise UnsupportedFormatError(f"{path}: unsupported bit depth {bits}")
+    else:
+        x /= float(1 << (bits - 1))
+    return x
 
 
-def load_wav(path) -> AudioClip:
+def _channel_index(channel: str, n_channels: int) -> int:
+    """Index of the `left` or `right` channel in a clip with `n_channels` channels."""
+    channel = channel.lower()
+    if channel not in (CHANNEL_LEFT, CHANNEL_RIGHT):
+        raise ChannelOutOfRangeError(f"channel must be left or right, got {channel!r}")
+    index = 0 if channel == CHANNEL_LEFT else 1
+    if index >= n_channels:
+        raise ChannelOutOfRangeError(
+            f"clip has {n_channels} channel(s), cannot take the {channel} channel"
+        )
+    return index
+
+
+def load_wav(path, channel: str | None = None) -> AudioClip:
     """Load a little-endian RIFF/WAVE file with integer or 32-bit-float PCM.
 
     Integer samples are scaled by 2^(bits-1) (so 16-bit 32767 maps to
-    32767/32768). Multichannel files keep their channels; use
-    :func:`select_channel` to isolate one.
+    32767/32768). With `channel` (`left` or `right`) only that channel is
+    decoded, into a mono clip equal to :func:`select_channel` of the whole
+    file; without it, multichannel files keep their channels.
     """
     path = str(path)
     with open(path, "rb") as fh:
@@ -167,20 +188,17 @@ def load_wav(path) -> AudioClip:
         raise UnsupportedFormatError(f"{path}: expected 1-2 channels, got {n_channels}")
     if b"data" not in chunks:
         raise CorruptHeaderError(f"{path}: missing data chunk")
-    flat = _decode_pcm(chunks[b"data"], fmt_code, bits, path)
-    n_frames = flat.shape[0] // n_channels
-    if n_frames == 0:
-        raise EmptyAudioError(f"{path}: no audio frames")
-    samples = flat[: n_frames * n_channels]
-    if n_channels > 1:
-        samples = samples.reshape(n_frames, n_channels)
+    try:
+        index = None if channel is None else _channel_index(channel, n_channels)
+    except ChannelOutOfRangeError as exc:
+        raise ChannelOutOfRangeError(f"{path}: {exc}") from None
+    samples = _decode_pcm(chunks[b"data"], fmt_code, bits, n_channels, index, path)
+    samples.setflags(write=False)  # so the clip adopts it without a copy
     return AudioClip(samples=samples, sample_rate_hz=int(sample_rate))
 
 
-def write_wav(path, clip: AudioClip, bits: int = 16) -> None:
-    """Write a clip as integer PCM (16-bit little-endian)."""
-    if bits != 16:
-        raise UnsupportedFormatError("only 16-bit output is supported")
+def write_wav(path, clip: AudioClip) -> None:
+    """Write a clip as 16-bit little-endian integer PCM."""
     samples = clip.samples
     if samples.ndim == 1:
         samples = samples[:, None]
@@ -199,18 +217,9 @@ def write_wav(path, clip: AudioClip, bits: int = 16) -> None:
 
 def select_channel(clip: AudioClip, channel: str) -> AudioClip:
     """Return the requested channel as a mono clip, sample values untouched."""
-    channel = channel.lower()
-    if channel not in (CHANNEL_LEFT, CHANNEL_RIGHT):
-        raise ChannelOutOfRangeError(f"channel must be left or right, got {channel!r}")
-    index = 0 if channel == CHANNEL_LEFT else 1
+    index = _channel_index(channel, clip.n_channels)
     if clip.samples.ndim == 1:
-        if index == 0:
-            return clip
-        raise ChannelOutOfRangeError("mono clip has no right channel")
-    if index >= clip.n_channels:
-        raise ChannelOutOfRangeError(
-            f"clip has {clip.n_channels} channels, cannot take channel {index}"
-        )
+        return clip
     return AudioClip(
         samples=clip.samples[:, index],
         sample_rate_hz=clip.sample_rate_hz,
@@ -243,6 +252,23 @@ class Interval:
     speaker: str
 
 
+def _check_intervals(entries, where=lambda i: "") -> None:
+    """Reject an inverted interval, or one that starts before an earlier
+    interval of its speaker ends; `entries` are sorted by start, and `where(i)`
+    prefixes the message about entry i."""
+    last_end: dict[str, float] = {}
+    for i, e in enumerate(entries):
+        if not e.start_s < e.end_s:
+            raise InvertedIntervalError(
+                f"{where(i)}interval [{e.start_s}, {e.end_s}) for {e.speaker!r} is inverted"
+            )
+        if e.start_s < last_end.get(e.speaker, -math.inf):
+            raise SameSpeakerOverlapError(
+                f"{where(i)}speaker {e.speaker!r} overlaps itself at {e.start_s} s"
+            )
+        last_end[e.speaker] = max(last_end.get(e.speaker, -math.inf), e.end_s)
+
+
 @dataclass(frozen=True)
 class SpeechIntervals:
     """Sorted speaking intervals; same-speaker overlap is rejected as corrupt."""
@@ -252,21 +278,10 @@ class SpeechIntervals:
     def __post_init__(self) -> None:
         entries = tuple(self.entries)
         object.__setattr__(self, "entries", entries)
-        for e in entries:
-            if not e.start_s < e.end_s:
-                raise InvertedIntervalError(
-                    f"interval [{e.start_s}, {e.end_s}) for {e.speaker!r} is inverted"
-                )
         starts = [e.start_s for e in entries]
         if starts != sorted(starts):
             raise ValueError("entries must be sorted by start time")
-        last_end: dict[str, float] = {}
-        for e in entries:
-            if e.speaker in last_end and e.start_s < last_end[e.speaker]:
-                raise SameSpeakerOverlapError(
-                    f"speaker {e.speaker!r} overlaps itself at {e.start_s} s"
-                )
-            last_end[e.speaker] = max(last_end.get(e.speaker, -math.inf), e.end_s)
+        _check_intervals(entries)
 
     def speakers(self) -> tuple[str, ...]:
         seen: dict[str, None] = {}
@@ -279,9 +294,13 @@ class SpeechIntervals:
 
 
 def load_transcript_intervals(path) -> SpeechIntervals:
-    """Parse whitespace-separated `start_s end_s speaker_id` lines."""
+    """Parse whitespace-separated `start_s end_s speaker_id` lines.
+
+    An inverted interval, or one that overlaps an earlier interval of its
+    speaker, raises naming ``path:line`` (for an overlap, the later line).
+    """
     path = str(path)
-    entries = []
+    rows = []  # (interval, line number)
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -298,9 +317,11 @@ def load_transcript_intervals(path) -> SpeechIntervals:
                 raise MalformedRowError(
                     f"{path}:{line_no}: cannot parse interval bounds"
                 ) from None
-            entries.append(Interval(start, end, parts[2]))
-    entries.sort(key=lambda e: (e.start_s, e.end_s, e.speaker))
-    return SpeechIntervals(tuple(entries))
+            rows.append((Interval(start, end, parts[2]), line_no))
+    rows.sort(key=lambda row: (row[0].start_s, row[0].end_s, row[0].speaker))
+    entries = tuple(e for e, _ in rows)
+    _check_intervals(entries, lambda i: f"{path}:{rows[i][1]}: ")
+    return SpeechIntervals(entries)
 
 
 def write_transcript_intervals(intervals: SpeechIntervals, path) -> None:
@@ -360,12 +381,12 @@ def load_emotion_frames(path) -> FeatureTrack:
     return FeatureTrack(grid, EMOTION_COLUMNS, values[:, 1:4])
 
 
-def write_emotion_csv(track: FeatureTrack, path, confidence: float = 1.0) -> None:
-    """Write an emotion track back to the adapter CSV format."""
+def write_emotion_csv(track: FeatureTrack, path) -> None:
+    """Write an emotion track back to the adapter CSV format, with confidence 1."""
     if track.columns != EMOTION_COLUMNS:
         raise ValueError(f"expected columns {EMOTION_COLUMNS}, got {track.columns}")
     rows = (
-        (t, arousal, valence, CATEGORY_NAMES[int(code)], confidence)
+        (t, arousal, valence, CATEGORY_NAMES[int(code)], 1.0)
         for t, (arousal, valence, code) in zip(
             track.grid.timestamps().tolist(), track.values.tolist()
         )
@@ -394,10 +415,10 @@ def _marker_names_from_header(header: list[str], path: str) -> list[str]:
     return names
 
 
-def load_markers(path, max_abs_mm: float = DEFAULT_MAX_ABS_MM) -> MarkerTrack:
+def load_markers(path) -> MarkerTrack:
     """Load a marker-trajectory CSV; empty cells become NaN dropouts.
 
-    A coordinate beyond `max_abs_mm` raises :class:`ValueOutOfRangeError`
+    A coordinate beyond DEFAULT_MAX_ABS_MM raises :class:`ValueOutOfRangeError`
     naming ``path:line``.
     """
     path = str(path)
@@ -406,14 +427,14 @@ def load_markers(path, max_abs_mm: float = DEFAULT_MAX_ABS_MM) -> MarkerTrack:
     # fmin/fmax skip NaN dropouts and need no full-size temporary
     if values.size and max(
         -np.fmin.reduce(values, axis=None), np.fmax.reduce(values, axis=None)
-    ) > max_abs_mm:
-        row, col = np.argwhere(np.abs(values) > max_abs_mm)[0]
+    ) > DEFAULT_MAX_ABS_MM:
+        row, col = np.argwhere(np.abs(values) > DEFAULT_MAX_ABS_MM)[0]
         raise ValueOutOfRangeError(
             f"{path}:{line_of(int(row))}: {header[col + 1]} {float(values[row, col])!r} "
-            f"mm exceeds the plausibility bound {max_abs_mm} mm"
+            f"mm exceeds the plausibility bound {DEFAULT_MAX_ABS_MM} mm"
         )
     positions = values.reshape(grid.n_frames, len(names), 3)
-    return MarkerTrack(grid, tuple(names), positions, max_abs_mm=max_abs_mm)
+    return MarkerTrack(grid, tuple(names), positions)
 
 
 def write_marker_csv(markers: MarkerTrack, path) -> None:

@@ -7,7 +7,6 @@ movement is quantified like any other region.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import astuple, dataclass
 from typing import TYPE_CHECKING
@@ -15,7 +14,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import TooFewFramesError, UnknownMarkerInMapError
-from .frames import FeatureTrack, FrameGrid, flag, number, read_records, write_records
+from .frames import (
+    FeatureTrack, FrameGrid, flag, number, read_json_object, read_records, write_json,
+    write_records,
+)
 
 if TYPE_CHECKING:
     from .timeline import SessionTable
@@ -75,7 +77,6 @@ class MarkerTrack:
     grid: FrameGrid
     markers: tuple[str, ...]
     positions: np.ndarray
-    max_abs_mm: float = DEFAULT_MAX_ABS_MM
 
     def __post_init__(self) -> None:
         markers = tuple(self.markers)
@@ -87,10 +88,10 @@ class MarkerTrack:
         if pos.shape != expected:
             raise ValueError(f"positions shape {pos.shape}, expected {expected}")
         finite = pos[np.isfinite(pos)]
-        if finite.size and np.abs(finite).max() > self.max_abs_mm:
+        if finite.size and np.abs(finite).max() > DEFAULT_MAX_ABS_MM:
             raise ValueError(
                 f"coordinate magnitude {np.abs(finite).max():.1f} mm exceeds "
-                f"plausibility bound {self.max_abs_mm} mm"
+                f"plausibility bound {DEFAULT_MAX_ABS_MM} mm"
             )
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
@@ -131,16 +132,11 @@ class RegionMap:
         return tuple(ordered + extra)
 
     def to_json(self, path) -> None:
-        doc = {r: list(self.regions[r]) for r in self.names()}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=False)
-            fh.write("\n")
+        write_json(path, {r: list(self.regions[r]) for r in self.names()})
 
     @classmethod
     def from_json(cls, path) -> "RegionMap":
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return cls({k: tuple(v) for k, v in doc.items()})
+        return cls({k: tuple(v) for k, v in read_json_object(path).items()})
 
 
 def default_region_map() -> RegionMap:

@@ -63,13 +63,11 @@ class HeatmapGrid:
         object.__setattr__(self, "values", vals)
 
 
-def activeness_grid(
-    session_cells: dict[str, list[SummaryCell]],
-    conditions: tuple[str, ...] = ("non_overlap", "overlap"),
-) -> HeatmapGrid:
+def activeness_grid(session_cells: dict[str, list[SummaryCell]]) -> HeatmapGrid:
     """Regions x (emotion, condition) group-level mean activeness.
 
-    Each cell is the unweighted mean of the per-session cell means, skipping
+    Columns run over the emotions, each split non_overlap then overlap. Each
+    cell is the unweighted mean of the per-session cell means, skipping
     sessions with no frames in the cell.
     """
     regions: list[str] = []
@@ -77,7 +75,7 @@ def activeness_grid(
         for c in cells:
             if c.region not in regions:
                 regions.append(c.region)
-    cols = [f"{emo}|{cond}" for emo in CATEGORY_NAMES for cond in conditions]
+    cols = [f"{emo}|{cond}" for emo in CATEGORY_NAMES for cond in ("non_overlap", "overlap")]
     values = np.full((len(regions), len(cols)), np.nan)
     for i, region in enumerate(regions):
         for j, col in enumerate(cols):
@@ -105,23 +103,22 @@ def activeness_grid(
 def coupling_grid(
     cells: list[CouplingCell],
     feature_sets: tuple[str, ...] = ("prosody", "mfcc", "arousal", "valence"),
-    condition: str = "all",
-    affect_bin: str = "all",
 ) -> HeatmapGrid:
-    """Regions x feature-set matrix of mean Pearson r."""
+    """Regions x feature-set matrix of mean Pearson r over all speaking frames
+    (condition and affect bin `all`)."""
     regions: list[str] = []
     for c in cells:
         if c.region not in regions:
             regions.append(c.region)
     values = np.full((len(regions), len(feature_sets)), np.nan)
     for c in cells:
-        if c.condition == condition and c.affect_bin == affect_bin:
+        if c.condition == "all" and c.affect_bin == "all":
             if c.feature_set in feature_sets:
                 i = regions.index(c.region)
                 j = feature_sets.index(c.feature_set)
                 values[i, j] = c.mean_r
     return HeatmapGrid(
-        title=f"speech-to-motion r ({condition}, bin={affect_bin})",
+        title="speech-to-motion r (all, bin=all)",
         row_labels=tuple(regions),
         col_labels=feature_sets,
         values=values,
@@ -150,12 +147,12 @@ def _cell_color(value: float, vmin: float, vmax: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(*rgb)
 
 
-def render_svg(grid: HeatmapGrid, path, cell_w: int = 64, cell_h: int = 26) -> None:
+def render_svg(grid: HeatmapGrid, path) -> None:
     """Render the grid as a static SVG heatmap with the scale in a comment."""
     finite = grid.values[np.isfinite(grid.values)]
     vmin = float(finite.min()) if finite.size else 0.0
     vmax = float(finite.max()) if finite.size else 1.0
-    left, top = 110, 70
+    left, top, cell_w, cell_h = 110, 70, 64, 26
     width = left + cell_w * len(grid.col_labels) + 20
     height = top + cell_h * len(grid.row_labels) + 20
     parts = [

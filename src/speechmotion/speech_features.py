@@ -20,7 +20,6 @@ _frame_blocks for the one condition this needs).
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from collections.abc import Iterator
@@ -36,7 +35,7 @@ from .errors import (
     RankDeficientWarning,
     TrackTooShortError,
 )
-from .frames import FeatureTrack, FrameGrid, concat_columns
+from .frames import FeatureTrack, FrameGrid, concat_columns, read_json_object, write_json
 from .ingest import AudioClip
 
 FRAME_RATE_HZ = 120.0
@@ -311,19 +310,15 @@ class PcaModel:
         return self.components.shape[0]
 
     def to_json(self, path) -> None:
-        doc = {
+        write_json(path, {
             "mean": self.mean.tolist(),
             "components": self.components.tolist(),
             "explained_variance_ratio": self.explained_variance_ratio.tolist(),
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        })
 
     @classmethod
     def from_json(cls, path) -> "PcaModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = read_json_object(path)
         return cls(
             mean=np.asarray(doc["mean"]),
             components=np.asarray(doc["components"]),
@@ -427,26 +422,14 @@ def pre_pca_tracks(clip: AudioClip, **f0_kwargs) -> tuple[FeatureTrack, FeatureT
 
 
 def project_speech_features(
-    prosody: FeatureTrack,
-    spectral: FeatureTrack,
-    pca_model: PcaModel | None = None,
-    n_components: int = 12,
-) -> tuple[FeatureTrack, PcaModel]:
-    """PCA of the spectral track, assembled with the prosody columns.
-
-    Without `pca_model`, one is fitted on this spectral track.
-    """
-    if pca_model is None:
-        pca_model = fit_pca(spectral, k=n_components)
-    reduced = apply_pca(pca_model, spectral)
-    return assemble_speech_features(reduced, prosody), pca_model
+    prosody: FeatureTrack, spectral: FeatureTrack, pca_model: PcaModel
+) -> FeatureTrack:
+    """The spectral track's PCA projection, assembled with the prosody columns."""
+    return assemble_speech_features(apply_pca(pca_model, spectral), prosody)
 
 
 def extract_speech_features(
-    clip: AudioClip,
-    pca_model: PcaModel | None = None,
-    n_components: int = 12,
-    **f0_kwargs,
+    clip: AudioClip, pca_model: PcaModel | None = None, **f0_kwargs
 ) -> tuple[FeatureTrack, PcaModel]:
     """Full per-clip front end: prosody + MFCC derivatives + PCA + assembly.
 
@@ -454,4 +437,6 @@ def extract_speech_features(
     otherwise one is fitted on this clip's spectral frames.
     """
     prosody, spectral = pre_pca_tracks(clip, **f0_kwargs)
-    return project_speech_features(prosody, spectral, pca_model, n_components)
+    if pca_model is None:
+        pca_model = fit_pca(spectral)
+    return project_speech_features(prosody, spectral, pca_model), pca_model

@@ -55,17 +55,15 @@ class RmDesign:
     def from_rows(
         cls,
         rows: Iterable[tuple[str, str, str, float]],
-        a_levels: tuple[str, ...] = CATEGORY_NAMES,
-        b_levels: tuple[str, ...] = CONDITION_NAMES,
-        factor_a: str = "emotion",
-        factor_b: str = "condition",
         drop_incomplete: bool = False,
     ) -> "RmDesign":
-        """Build from (subject, a, b, value) rows; every cell exactly once.
+        """Build from (subject, emotion, condition, value) rows; every cell
+        exactly once, with the levels of CATEGORY_NAMES x CONDITION_NAMES.
 
         With drop_incomplete, subjects missing any cell are removed with a
         warning (listwise deletion) instead of failing.
         """
+        a_levels, b_levels = CATEGORY_NAMES, CONDITION_NAMES
         values: dict[str, dict[tuple[str, str], float]] = {}
         for subject, a, b, value in rows:
             if a not in a_levels or b not in b_levels:
@@ -104,14 +102,7 @@ class RmDesign:
         cells = np.array(
             [[[values[s][(a, b)] for b in b_levels] for a in a_levels] for s in complete]
         )
-        return cls(
-            subjects=tuple(complete),
-            a_levels=a_levels,
-            b_levels=b_levels,
-            cells=cells,
-            factor_a=factor_a,
-            factor_b=factor_b,
-        )
+        return cls(subjects=tuple(complete), a_levels=a_levels, b_levels=b_levels, cells=cells)
 
 
 @dataclass(frozen=True)

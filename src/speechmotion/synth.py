@@ -16,14 +16,13 @@ bitwise-identical sessions.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InconsistentSpecError, ZeroSignalVarianceError
-from .frames import FeatureTrack, FrameGrid
+from .frames import FeatureTrack, FrameGrid, write_json
 from .ingest import AudioClip, EMOTION_COLUMNS, Interval, SpeechIntervals
 from .motion import CATEGORY_NAMES, MarkerTrack, RegionMap
 from .speech_features import SPEECH_FEATURE_COLUMNS
@@ -363,9 +362,7 @@ def write_session_dir(spec: SynthSpec, out_dir, emit_tone_wav: bool = False) -> 
         },
         "clipped_frames": session.clipped_frames,
     }
-    with open(out / "ground_truth.json", "w", encoding="utf-8") as fh:
-        json.dump(truth, fh, indent=2)
-        fh.write("\n")
+    write_json(out / "ground_truth.json", truth)
 
     config = {
         "id": f"synth-{spec.seed}",
@@ -379,7 +376,5 @@ def write_session_dir(spec: SynthSpec, out_dir, emit_tone_wav: bool = False) -> 
     if emit_tone_wav:
         write_wav(out / "tone.wav", sawtooth_clip(duration_s=min(spec.duration_s, 2.0)))
         config["audio"] = "tone.wav"
-    with open(out / "config.json", "w", encoding="utf-8") as fh:
-        json.dump(config, fh, indent=2)
-        fh.write("\n")
+    write_json(out / "config.json", config)
     return config

@@ -9,7 +9,7 @@ is outside it.
 
 from __future__ import annotations
 
-import json
+import math
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -22,6 +22,7 @@ from .errors import (
     NoTemporalOverlapError,
     RateMismatchError,
     UnknownSpeakerWarning,
+    ValidationError,
 )
 from .frames import (
     FeatureTrack,
@@ -29,7 +30,9 @@ from .frames import (
     grid_over_span,
     read_feature_csv,
     read_header,
+    read_json_object,
     read_rows,
+    write_json,
     write_table,
 )
 
@@ -38,6 +41,7 @@ if TYPE_CHECKING:
 
 SESSION_RATE_HZ = 60.24
 NATIVE_RATE_HZ = 120.0
+MIN_OVERLAP_S = 1.0  # least common time span that align_session accepts
 
 LABEL_COLUMNS = ("speaking", "overlap")
 
@@ -80,7 +84,7 @@ def resample_nearest(track: FeatureTrack, target: FrameGrid) -> FeatureTrack:
     return FeatureTrack(target, track.columns, track.values[idx])
 
 
-def decimate_alternate(track: FeatureTrack, expected_rate_hz: float = NATIVE_RATE_HZ) -> FeatureTrack:
+def decimate_alternate(track: FeatureTrack) -> FeatureTrack:
     """Keep even-indexed frames of a 120 Hz track, halving the rate to 60 Hz.
 
     Kept frames retain their timestamps exactly. Note the result is 60.0 Hz,
@@ -88,9 +92,9 @@ def decimate_alternate(track: FeatureTrack, expected_rate_hz: float = NATIVE_RAT
     that gap.
     """
     rate = track.grid.rate_hz
-    if abs(rate - expected_rate_hz) > 0.001 * expected_rate_hz:
+    if abs(rate - NATIVE_RATE_HZ) > 0.001 * NATIVE_RATE_HZ:
         raise RateMismatchError(
-            f"decimation expects a ~{expected_rate_hz} Hz track, got {rate} Hz"
+            f"decimation expects a ~{NATIVE_RATE_HZ} Hz track, got {rate} Hz"
         )
     values = track.values[::2]
     grid = FrameGrid(
@@ -178,7 +182,6 @@ def align_session(
     intervals: "SpeechIntervals",
     target_speaker: str,
     target_rate_hz: float = SESSION_RATE_HZ,
-    min_overlap_s: float = 1.0,
 ) -> SessionTable:
     """Merge all modalities onto one grid covering their common time span.
 
@@ -186,17 +189,18 @@ def align_session(
     session rate; emotion interpolates arousal/valence and takes the nearest
     frame for the category; activeness interpolates from its native rate;
     labels are rasterized directly on the session grid. The output grid never
-    extends past any input's span.
+    extends past any input's span, and that common span must be at least
+    MIN_OVERLAP_S long.
     """
     spans = [
         (t.grid.start_s, t.grid.end_s) for t in (speech, emotion, activeness)
     ]
     start = max(s for s, _ in spans)
     end = min(e for _, e in spans)
-    if end - start < min_overlap_s:
+    if end - start < MIN_OVERLAP_S:
         raise NoTemporalOverlapError(
             f"inputs share only [{start:.3f}, {end:.3f}] s "
-            f"(< {min_overlap_s} s of common coverage)"
+            f"(< {MIN_OVERLAP_S} s of common coverage)"
         )
     grid = grid_over_span(target_rate_hz, start, end)
 
@@ -235,26 +239,40 @@ def write_session_csv(table: SessionTable, csv_path, meta_path, provenance: dict
         header.extend(f"{name}.{col}" for col in track.columns)
     stacked = np.hstack([track.values for track in table.blocks.values()])
     write_table(csv_path, header, table.grid.timestamps(), stacked)
-    meta = {
+    # insertion order keeps blocks aligned with the CSV
+    write_json(meta_path, {
         "rate_hz": table.grid.rate_hz,
         "start_s": table.grid.start_s,
         "n_frames": table.grid.n_frames,
         "blocks": {name: {"columns": list(t.columns)} for name, t in table.blocks.items()},
         "provenance": provenance or {},
-    }
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2)  # insertion order keeps blocks aligned with CSV
-        fh.write("\n")
+    })
+
+
+_SIDECAR_KEYS = {
+    "rate_hz": (lambda v: type(v) in (int, float) and 0 < v < math.inf, "a positive number"),
+    "start_s": (lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number"),
+    "n_frames": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
+    "blocks": (
+        lambda v: type(v) is dict
+        and all(type(b) is dict and type(b.get("columns")) is list for b in v.values()),
+        'an object of {"columns": [...]} per block',
+    ),
+}
 
 
 def read_session_csv(csv_path, meta_path) -> SessionTable:
     """Load a session written by :func:`write_session_csv`.
 
-    The sidecar gives the grid and the block columns; a CSV whose header or
-    row count does not match it raises :class:`MalformedRowError`.
+    The sidecar gives the grid and the block columns; a sidecar that is not
+    JSON, or lacks one of them, raises :class:`ValidationError`, and a CSV
+    whose header or row count does not match it :class:`MalformedRowError`.
     """
-    with open(meta_path, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta = read_json_object(meta_path)
+    for key, (valid, expected) in _SIDECAR_KEYS.items():
+        if not valid(meta.get(key)):
+            got = f"got {meta[key]!r}" if key in meta else "it is missing"
+            raise ValidationError(f"{meta_path}: {key!r} must be {expected}; {got}")
     grid = FrameGrid(
         rate_hz=meta["rate_hz"], start_s=meta["start_s"], n_frames=meta["n_frames"]
     )

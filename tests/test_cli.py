@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from speechmotion import cli, ingest, speech_features
-from speechmotion.frames import read_feature_csv
+from speechmotion.frames import read_feature_csv, write_feature_csv
 from speechmotion.speech_features import SPEECH_FEATURE_COLUMNS
 
 
@@ -157,6 +157,17 @@ class TestCorpusPca:
             assert written.columns == expected.columns
             assert np.array_equal(written.values, expected.values)
 
+    def test_session_scope_matches_extract_speech_features(self, cli_workspace, tmp_path):
+        # the twin of the corpus test: each session's model is fitted on its own clip
+        for s in absolute_sessions(cli_workspace):
+            clip = ingest.select_channel(ingest.load_wav(s["audio"]), "left")
+            track, model = speech_features.extract_speech_features(clip)
+            write_feature_csv(track, tmp_path / "features.csv")
+            model.to_json(tmp_path / "pca_model.json")
+            for name in ("features.csv", "pca_model.json"):
+                written = cli_workspace["out"] / s["id"] / name
+                assert written.read_bytes() == (tmp_path / name).read_bytes()
+
     def test_no_audio_sessions_is_a_no_op(self, tmp_path):
         p = tmp_path / "c.json"
         doc = {"params": {"pca_scope": "corpus"}, "sessions": [{"id": "x"}]}
@@ -266,6 +277,68 @@ class TestErrors:
         err = capsys.readouterr().err
         assert rc == 2
         assert f"{p}: " in err and "'n_fold'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "key, value, command",
+        [
+            ("n_folds", 1, "map"),
+            ("n_folds", True, "map"),
+            ("n_folds", "3", "map"),
+            ("n_folds", 3.0, "map"),
+            ("anova_unit", "zz", "stats"),
+            ("pca_scope", "zz", "features"),
+        ],
+    )
+    def test_bad_param_value_exits_2_and_writes_nothing(
+        self, cli_workspace, tmp_path, capsys, key, value, command
+    ):
+        out = tmp_path / "o"
+        shutil.copytree(cli_workspace["out"], out)
+        before = hash_tree(out)
+        params = {"trim_head_s": 0.0, key: value}
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"params": params, "sessions": absolute_sessions(cli_workspace)}))
+        rc = cli.main([f"--config={p}", f"--out-dir={out}", command])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{p}: params.{key} must be " in err and f"got {value!r}" in err
+        assert "Traceback" not in err
+        assert hash_tree(out) == before
+
+    def test_malformed_region_map_names_line_and_column(self, cli_workspace, tmp_path, capsys):
+        sessions = absolute_sessions(cli_workspace)[:1]
+        bad = tmp_path / "region_map.json"
+        bad.write_text('{"head": ["a",]}')
+        sessions[0]["region_map"] = str(bad)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"sessions": sessions}))
+        rc = cli.main([f"--config={p}", f"--out-dir={tmp_path / 'o'}", "align"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{bad}:1:15: malformed JSON" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("damage", ["inverted", "overlap"])
+    def test_bad_transcript_interval_names_its_line(self, cli_workspace, tmp_path, capsys, damage):
+        sessions = absolute_sessions(cli_workspace)[:1]
+        lines = Path(sessions[0]["transcript"]).read_text().splitlines(keepends=True)
+        start, end, speaker = lines[4].split()
+        if damage == "inverted":
+            lines[4] = f"{end} {start} {speaker}\n"
+            message = f"{speaker!r} is inverted"
+        else:  # a second interval of the same speaker, starting inside line 5's
+            lines.insert(5, f"{float(start) + 0.01!r} {end} {speaker}\n")
+            message = f"speaker {speaker!r} overlaps itself"
+        bad = tmp_path / "transcript.txt"
+        bad.write_text("".join(lines))
+        sessions[0]["transcript"] = str(bad)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"sessions": sessions}))
+        rc = cli.main([f"--config={p}", f"--out-dir={tmp_path / 'o'}", "align"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{bad}:{5 if damage == 'inverted' else 6}: " in err and message in err
         assert "Traceback" not in err
 
 
@@ -437,6 +510,45 @@ class TestTableErrors:
         err = capsys.readouterr().err
         assert rc == 2
         assert f"{csv_path}:" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "damage, command, message",
+        [
+            ("not_json", "activeness", ":1:2: malformed JSON"),
+            ("rate_hz_deleted", "map", ": 'rate_hz' must be a positive number; it is missing"),
+            ("rate_hz_text", "map", ": 'rate_hz' must be a positive number; got '60.24'"),
+            ("n_frames_float", "activeness", ": 'n_frames' must be an integer >= 0; got 7.0"),
+            ("start_s_null", "activeness", ": 'start_s' must be a finite number; got None"),
+            ("blocks_list", "map", ": 'blocks' must be an object of"),
+        ],
+    )
+    def test_bad_sidecar_names_the_sidecar(
+        self, cli_workspace, tmp_path, capsys, damage, command, message
+    ):
+        out = tmp_path / "o"
+        shutil.copytree(cli_workspace["out"], out)
+        meta_path = out / "s101" / "aligned.meta.json"
+        meta = json.loads(meta_path.read_text())
+        if damage == "not_json":
+            meta_path.write_text("{not json")
+        else:
+            key, value = {
+                "rate_hz_deleted": ("rate_hz", None),
+                "rate_hz_text": ("rate_hz", "60.24"),
+                "n_frames_float": ("n_frames", 7.0),
+                "start_s_null": ("start_s", None),
+                "blocks_list": ("blocks", ["speech"]),
+            }[damage]
+            if damage == "rate_hz_deleted":
+                del meta[key]
+            else:
+                meta[key] = value
+            meta_path.write_text(json.dumps(meta))
+        rc = cli.main([f"--config={cli_workspace['config']}", f"--out-dir={out}", command])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{meta_path}{message}" in err
         assert "Traceback" not in err
 
     def test_markers_parsed_once_per_session(self, cli_workspace, tmp_path, monkeypatch):

@@ -24,6 +24,7 @@ from speechmotion.errors import (
     GridMismatchError,
     InsufficientFramesError,
     TooFewPairsError,
+    ValidationError,
 )
 from speechmotion.frames import FeatureTrack, FrameGrid
 from speechmotion.ingest import Interval, SpeechIntervals
@@ -284,6 +285,16 @@ class TestEvaluateMapping:
         table, _ = build_table(n=40)
         with pytest.raises(InsufficientFramesError):
             evaluate_mapping(table, "all", protocol="k_fold", n_folds=5)
+
+    @pytest.mark.parametrize("n_folds", [1, 0, -3])
+    def test_k_fold_needs_two_folds(self, n_folds):
+        # one fold trains on nothing; coupling_report must not skip that as a short session
+        table, _ = build_table()
+        with pytest.raises(ValidationError, match=rf"n_folds >= 2, got {n_folds}"):
+            evaluate_mapping(table, "all", protocol="k_fold", n_folds=n_folds)
+        with pytest.raises(ValidationError):
+            coupling_report({"s": table}, feature_sets=("all",), n_folds=n_folds)
+        assert evaluate_mapping(table, "all", protocol="in_sample", n_folds=n_folds).n_frames > 0
 
     def test_feature_sets_resolve(self):
         table, _ = build_table()

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import tempfile
@@ -13,6 +14,7 @@ from speechmotion.errors import (
     MalformedRowError,
     NonMonotoneTimeError,
     OffGridTimeError,
+    ValidationError,
     ValueOutOfRangeError,
 )
 from speechmotion.frames import (
@@ -27,10 +29,12 @@ from speechmotion.frames import (
     number,
     read_feature_csv,
     read_header,
+    read_json_object,
     read_rate_comment,
     read_records,
     read_rows,
     write_feature_csv,
+    write_json,
     write_records,
     write_table,
 )
@@ -357,3 +361,52 @@ class TestRecordCodec:
         with pytest.raises(error, match=rf"^{re.escape(str(p))}:{line}: ") as info:
             read_records(p, RECORD_HEADER, converters)
         assert type(info.value) is error
+
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**20), 10**20),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=6),
+)
+
+
+class TestJsonCodec:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.dictionaries(
+            st.text(max_size=6),
+            st.recursive(
+                JSON_SCALARS,
+                lambda inner: st.lists(inner, max_size=4)
+                | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+                max_leaves=12,
+            ),
+            max_size=6,
+        )
+    )
+    def test_writer_bytes_match_dumps_and_round_trip(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "d.json"
+            write_json(p, doc)
+            assert p.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+            assert repr(read_json_object(p)) == repr(doc)
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("{not json", ":1:2: malformed JSON"),
+            ('{\n  "a": [1,\n    2,,\n  ]\n}', ":3:7: malformed JSON"),
+            ("", ":1:1: malformed JSON"),
+            ("[1, 2]", ": expected a JSON object, got list"),
+            (b'{"a": "\xff"}', ": not UTF-8 text: "),
+        ],
+        ids=["bare_key", "double_comma", "empty", "top_level_list", "not_utf8"],
+    )
+    def test_reader_errors_name_path_line_and_column(self, tmp_path, text, where):
+        p = tmp_path / "d.json"
+        p.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+        with pytest.raises(ValidationError) as info:
+            read_json_object(p)
+        assert str(info.value).startswith(f"{p}{where}")

@@ -1,5 +1,7 @@
 import math
+import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +125,74 @@ class TestLoadWav:
         back = load_wav(tmp_path / "rt.wav")
         assert back.sample_rate_hz == 8000
         assert np.allclose(back.samples, x, atol=0)
+
+
+def stereo_pcm(fmt_code: int, bits: int, n: int = 1001) -> bytes:
+    """Interleaved stereo frames of seeded random samples, plus half a frame."""
+    rng = np.random.default_rng(bits + fmt_code)
+    if fmt_code == 3:
+        frames = rng.uniform(-1, 1, (n, 2)).astype("<f4").tobytes()
+    elif bits == 24:
+        ints = rng.integers(-(1 << 23), 1 << 23, 2 * n)
+        frames = b"".join(struct.pack("<i", v)[:3] for v in ints.tolist())
+    else:
+        dtype = np.dtype({8: "u1", 16: "<i2", 32: "<i4"}[bits])
+        info = np.iinfo(dtype)
+        frames = rng.integers(info.min, info.max, (n, 2), endpoint=True).astype(dtype).tobytes()
+    return frames + b"\x01" * (bits // 8)  # a trailing partial frame is dropped
+
+
+def reference_decode(data: bytes, fmt_code: int, bits: int, n_channels: int) -> np.ndarray:
+    """Sample-by-sample decode with the standard library, the reference for load_wav."""
+    width = bits // 8
+    n = len(data) // (width * n_channels) * n_channels
+    cells = [data[i * width:(i + 1) * width] for i in range(n)]
+    if fmt_code == 3:
+        values = [min(max(struct.unpack("<f", c)[0], -1.0), 1.0) for c in cells]
+    elif bits == 8:
+        values = [(c[0] - 128) / 128 for c in cells]
+    else:
+        values = [int.from_bytes(c, "little", signed=True) / 2 ** (bits - 1) for c in cells]
+    return np.array(values).reshape(-1, n_channels)
+
+
+class TestLoadWavChannel:
+    @pytest.mark.parametrize("fmt_code, bits", [(1, 8), (1, 16), (1, 24), (1, 32), (3, 32)])
+    @pytest.mark.parametrize("channel", ["left", "right", "RIGHT"])
+    def test_one_channel_equals_select_channel_bitwise(self, tmp_path, fmt_code, bits, channel):
+        data = stereo_pcm(fmt_code, bits)
+        p = write(tmp_path, "st.wav", wav_bytes(data, fmt_code, 2, bits=bits))
+        whole = load_wav(p)
+        reference = reference_decode(data, fmt_code, bits, 2)
+        assert whole.samples.tobytes() == reference.tobytes()
+        expected = select_channel(whole, channel)
+        one = load_wav(p, channel=channel)
+        assert one.samples.shape == expected.samples.shape == (1001,)
+        assert one.samples.tobytes() == expected.samples.tobytes()
+        assert one.sample_rate_hz == expected.sample_rate_hz
+
+    def test_mono_file(self, tmp_path):
+        p = write(tmp_path, "m.wav", wav_bytes(struct.pack("<3h", 100, -200, 300)))
+        assert np.array_equal(load_wav(p, channel="left").samples, load_wav(p).samples)
+        with pytest.raises(ChannelOutOfRangeError, match=rf"^{re.escape(str(p))}: .*right"):
+            load_wav(p, channel="right")
+        with pytest.raises(ChannelOutOfRangeError, match="left or right"):
+            load_wav(p, channel="center")
+
+    def test_one_channel_peak_memory(self, tmp_path):
+        # the file bytes and the one float64 channel; the parent held 5x that
+        n = 16000 * 20
+        frames = np.random.default_rng(2).integers(-32768, 32768, (n, 2)).astype("<i2")
+        p = write(tmp_path, "long.wav", wav_bytes(frames.tobytes(), channels=2))
+        del frames
+        tracemalloc.start()
+        try:
+            clip = load_wav(p, channel="right")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert clip.n_samples == n
+        assert peak <= 2.5 * n * 8
 
 
 class TestSelectChannel:
@@ -277,6 +347,18 @@ class TestTranscript:
         p = tmp_path / "t.txt"
         p.write_text("0 2 F\n1 3 F\n")
         with pytest.raises(SameSpeakerOverlapError):
+            load_transcript_intervals(p)
+
+    def test_inverted_interval_names_its_line(self, tmp_path):
+        p = tmp_path / "t.txt"
+        p.write_text("0 1 M\n# a comment\n4 3 F\n")
+        with pytest.raises(InvertedIntervalError, match=rf"^{re.escape(str(p))}:3: "):
+            load_transcript_intervals(p)
+
+    def test_same_speaker_overlap_names_the_later_line(self, tmp_path):
+        p = tmp_path / "t.txt"
+        p.write_text("0 2 F\n1.5 2.5 M\n\n1 3 F\n")
+        with pytest.raises(SameSpeakerOverlapError, match=rf"^{re.escape(str(p))}:4: "):
             load_transcript_intervals(p)
 
     def test_same_speaker_touching_ok(self, tmp_path):
