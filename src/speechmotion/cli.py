@@ -26,50 +26,66 @@ from . import coupling as coupling_mod
 from . import ingest, motion, report, speech_features, stats, synth, timeline
 from .errors import MissingUpstreamOutputError, PipelineError, ValidationError
 from .frames import (
-    FeatureTrack, FrameGrid, read_feature_csv, read_json_object, write_feature_csv, write_json,
+    FeatureTrack, FrameGrid, check_fields, read_feature_csv, read_json_object, write_feature_csv,
+    write_json,
 )
 
-DEFAULT_PARAMS = {
-    "target_rate_hz": 60.24,
-    "trim_head_s": 4.0,
-    "pca_components": 12,
-    "pca_scope": "session",
-    "ridge_eps": 1e-8,
-    "protocol": "k_fold",
-    "n_folds": 5,
-    "bin_policy": "median_split",
-    "affect_derivatives": True,
-    "min_cell_frames": 30,
-    "anova_unit": "session",
-    "segment_s": 10.0,
-    "sphericity_correction": False,
-    "drop_incomplete_subjects": True,
-    "feature_sets": ["prosody", "mfcc", "arousal", "valence"],
-    "f0_min_hz": 50.0,
-    "f0_max_hz": 500.0,
+
+def _one_of(values: tuple) -> tuple:
+    return (lambda v: v in values, " or ".join(map(repr, values)))
+
+
+_MAX = sys.float_info.max  # a number is a JSON int or float, not a bool, that a float holds
+POSITIVE = (lambda v: type(v) in (int, float) and 0 < v <= _MAX, "a positive finite number")
+NON_NEGATIVE = (lambda v: type(v) in (int, float) and 0 <= v <= _MAX, "a finite number >= 0")
+FLAG = (lambda v: type(v) is bool, "true or false")
+TEXT = (lambda v: type(v) is str and v != "", "a non-empty string")
+
+# each stage parameter -> (default, rule, wording of a valid value), checked on load
+PARAMS = {
+    "target_rate_hz": (timeline.SESSION_RATE_HZ, *POSITIVE),
+    "trim_head_s": (4.0, *NON_NEGATIVE),
+    "pca_scope": ("session", *_one_of(("session", "corpus"))),
+    "ridge_eps": (1e-8, *NON_NEGATIVE),
+    "protocol": ("k_fold", *_one_of(coupling_mod.PROTOCOLS)),
+    "n_folds": (5, lambda v: type(v) is int and v >= 2, "an integer >= 2"),
+    "bin_policy": ("median_split", *_one_of(coupling_mod.BIN_POLICIES)),
+    "affect_derivatives": (True, *FLAG),
+    "min_cell_frames": (30, lambda v: type(v) is int and v >= 0, "an integer >= 0"),
+    "anova_unit": ("session", *_one_of(("session", "segment"))),
+    "segment_s": (10.0, *POSITIVE),
+    "sphericity_correction": (False, *FLAG),
+    "drop_incomplete_subjects": (True, *FLAG),
+    "feature_sets": (
+        ["prosody", "mfcc", "arousal", "valence"],
+        lambda v: type(v) is list and v != []
+        and all(f in coupling_mod.FEATURE_SETS for f in v) and len(set(v)) == len(v),
+        f"a non-empty list of distinct names from {list(coupling_mod.FEATURE_SETS)}",
+    ),
+    "f0_min_hz": (50.0, *POSITIVE),
+    "f0_max_hz": (500.0, *POSITIVE),
 }
 
-# Conventions for the IEMOCAP-style dyadic corpus: the left-positioned
-# speaker sits on the front-left channel in session 1 and front-right in
-# sessions 2-5; recordings start with ~4 s of non-task behavior.
-BUILTIN_PROFILES = {
-    "iemocap": {
-        "channel_by_session": {"1": "left", "2": "right", "3": "right", "4": "right", "5": "right"},
-        "trim_head_s": 4.0,
-        "target_rate_hz": 60.24,
-        "region_map": "default",
-    }
+# The IEMOCAP convention, the one profile: the left-positioned speaker sits on
+# the front-left channel in session 1 and front-right in sessions 2-5.
+IEMOCAP_CHANNELS = {1: "left", 2: "right", 3: "right", 4: "right", 5: "right"}
+
+CONFIG_FIELDS = {
+    "out_dir": TEXT,
+    "profile": _one_of(("iemocap",)),
+    "params": (lambda v: type(v) is dict, "an object"),
+    "sessions": (
+        lambda v: type(v) is list and all(type(s) is dict for s in v), "a list of objects"
+    ),
 }
-
-
-# params checked when a config is loaded, before any input is read: what each
-# value must satisfy, and how the message says so (`type(v) is int` rejects a
-# bool). Coupling and the report read exactly the pc_1..pc_12 columns.
-PARAM_CHECKS = {
-    "pca_components": (lambda v: type(v) is int and v == len(speech_features.PC_COLUMNS), "12"),
-    "n_folds": (lambda v: type(v) is int and v >= 2, "an integer >= 2"),
-    "pca_scope": (lambda v: v in ("session", "corpus"), "'session' or 'corpus'"),
-    "anova_unit": (lambda v: v in ("session", "segment"), "'session' or 'segment'"),
+SESSION_FIELDS = {
+    **dict.fromkeys(
+        ("id", "audio", "speech_features", "markers", "transcript", "emotion", "region_map",
+         "speaker"),
+        TEXT,
+    ),
+    "channel": _one_of((ingest.CHANNEL_LEFT, ingest.CHANNEL_RIGHT)),
+    "session_index": (lambda v: type(v) is int and v in IEMOCAP_CHANNELS, "an integer 1 to 5"),
 }
 
 
@@ -77,30 +93,21 @@ class Config:
     """Validated session configuration plus resolved stage parameters."""
 
     def __init__(self, doc: dict, base_dir: Path, out_dir: Path | None = None):
+        check_fields(doc, CONFIG_FIELDS, "")
         self.base_dir = base_dir
-        profiles = {**BUILTIN_PROFILES, **doc.get("profiles", {})}
-        profile_name = doc.get("profile")
-        self.profile = profiles.get(profile_name, {}) if profile_name else {}
-        if profile_name and profile_name not in profiles:
-            raise ValidationError(f"unknown profile {profile_name!r}")
-        self.params = {**DEFAULT_PARAMS}
-        for key in ("trim_head_s", "target_rate_hz"):
-            if key in self.profile:
-                self.params[key] = self.profile[key]
-        params = doc.get("params", {})
-        unknown = sorted(set(params) - set(DEFAULT_PARAMS))
-        if unknown:
-            raise ValidationError(
-                f"unknown params key(s) {unknown}; expected keys from {sorted(DEFAULT_PARAMS)}"
-            )
-        self.params.update(params)
-        for key, (valid, expected) in PARAM_CHECKS.items():
-            if not valid(self.params[key]):
-                raise ValidationError(f"params.{key} must be {expected}, got {self.params[key]!r}")
+        self.profile = doc.get("profile")
+        self.params = {**{k: d for k, (d, *_) in PARAMS.items()}, **doc.get("params", {})}
+        check_fields(self.params, PARAMS, "params")
+        if not self.params["f0_min_hz"] < self.params["f0_max_hz"]:
+            raise ValidationError("params.f0_min_hz must be below params.f0_max_hz; got "
+                                  "{f0_min_hz!r} and {f0_max_hz!r}".format(**self.params))
         self.sessions = doc.get("sessions", [])
-        for s in self.sessions:
-            if "id" not in s:
-                raise ValidationError("every session needs an 'id'")
+        for i, session in enumerate(self.sessions):
+            check_fields(session, SESSION_FIELDS, f"sessions[{i}]", required=("id",))
+        ids = [s["id"] for s in self.sessions]
+        repeated = sorted({sid for sid in ids if ids.count(sid) > 1})
+        if repeated:
+            raise ValidationError(f"sessions: ids must be unique; got {repeated} more than once")
         self.out_dir = Path(out_dir) if out_dir else base_dir / doc.get("out_dir", "out")
 
     @classmethod
@@ -116,9 +123,7 @@ class Config:
 
     def path(self, session: dict, key: str) -> Path:
         if key not in session:
-            raise MissingUpstreamOutputError(
-                f"session {session['id']!r} has no {key!r} input"
-            )
+            raise MissingUpstreamOutputError(f"session {session['id']!r} has no {key!r} input")
         p = self.base_dir / session[key]
         if not p.exists():
             raise MissingUpstreamOutputError(f"input file not found: {p}")
@@ -130,13 +135,11 @@ class Config:
         return d
 
     def channel_for(self, session: dict) -> str:
-        if "channel" in session:
-            return session["channel"]
-        by_session = self.profile.get("channel_by_session", {})
-        return by_session.get(str(session.get("session_index", "")), "left")
+        by_index = IEMOCAP_CHANNELS if self.profile else {}
+        return session.get("channel", by_index.get(session.get("session_index"), "left"))
 
     def region_map_for(self, session: dict):
-        ref = session.get("region_map", self.profile.get("region_map", "default"))
+        ref = session.get("region_map", "default")
         if ref == "default":
             return motion.default_region_map()
         path = self.base_dir / ref
@@ -150,10 +153,7 @@ class Config:
 
 def _load_clip(config: Config, session: dict):
     clip = ingest.load_wav(config.path(session, "audio"), channel=config.channel_for(session))
-    trim = config.params["trim_head_s"]
-    if trim > 0:
-        clip = ingest.trim_head(clip, trim)
-    return clip
+    return ingest.trim_head(clip, config.params["trim_head_s"])
 
 
 def _for_each_session(fn, items: list, jobs: int) -> None:
@@ -187,9 +187,7 @@ def cmd_features(config: Config, jobs: int = 1) -> None:
     def features_for(group: list[dict]) -> None:
         # each clip is decoded once, and freed once its pre-PCA columns are made
         tracks = [speech_features.pre_pca_tracks(_load_clip(config, s), **f0_range) for s in group]
-        model = speech_features.fit_pca_pooled(
-            [spectral for _, spectral in tracks], k=config.params["pca_components"]
-        )
+        model = speech_features.fit_pca_pooled([spectral for _, spectral in tracks])
         for s, (prosody, spectral) in zip(group, tracks):
             track = speech_features.project_speech_features(prosody, spectral, model)
             out = config.session_dir(s)
@@ -213,7 +211,7 @@ def _native_activeness(config: Config, session: dict):
     return motion.region_activeness(displacements, config.region_map_for(session))
 
 
-def _align_one(config: Config, session: dict) -> Path:
+def _align_one(config: Config, session: dict) -> None:
     speech = _speech_track_for(config, session)
     emotion = ingest.load_emotion_frames(config.path(session, "emotion"))
     activeness = _native_activeness(config, session)
@@ -239,10 +237,7 @@ def _align_one(config: Config, session: dict) -> Path:
         "activeness_rule": "linear",
         "target_speaker": session.get("speaker", "F"),
     }
-    timeline.write_session_csv(
-        table, out / "aligned.csv", out / "aligned.meta.json", provenance
-    )
-    return out / "aligned.csv"
+    timeline.write_session_csv(table, out / "aligned.csv", out / "aligned.meta.json", provenance)
 
 
 def cmd_align(config: Config, jobs: int = 1) -> None:
@@ -258,7 +253,7 @@ def _read_table(config: Config, session: dict) -> timeline.SessionTable:
     )
 
 
-def cmd_activeness(config: Config, jobs: int = 1) -> None:
+def cmd_activeness(config: Config) -> None:
     for session in config.sessions:
         table = _read_table(config, session)
         cells = motion.condition_summaries(
@@ -269,7 +264,7 @@ def cmd_activeness(config: Config, jobs: int = 1) -> None:
         print(f"activeness: wrote {out / 'summaries.csv'}")
 
 
-def cmd_map(config: Config, jobs: int = 1) -> None:
+def cmd_map(config: Config) -> None:
     tables = {s["id"]: _read_table(config, s) for s in config.sessions}
     params = config.params
     cells = coupling_mod.coupling_report(
@@ -309,7 +304,7 @@ def _mask_track(track, idx):
     return FeatureTrack(grid, track.columns, track.values[idx])
 
 
-def cmd_stats(config: Config, jobs: int = 1) -> None:
+def cmd_stats(config: Config) -> None:
     params = config.params
     drop = params["drop_incomplete_subjects"]
     # the unit only decides where each region's design comes from; it is
@@ -355,27 +350,22 @@ def cmd_synth(spec_path: str, out_dir: str, seed_override: int | None = None) ->
     doc = read_json_object(p)
     if seed_override is not None:
         doc["seed"] = seed_override
-    emit_tone = bool(doc.pop("emit_tone_wav", False))
+    emit_tone = doc.pop("emit_tone_wav", False)
+    if type(emit_tone) is not bool:
+        raise ValidationError(f"{p}: emit_tone_wav must be true or false; got {emit_tone!r}")
     try:
         if "regions" in doc:
-            regions = {
-                name: synth.RegionCoupling(
-                    weights=np.asarray(rc["weights"], dtype=float),
-                    offset=rc["offset"],
-                    noise_sigma=rc.get("noise_sigma", 0.0),
-                )
-                for name, rc in doc.pop("regions").items()
-            }
+            regions = {name: synth.RegionCoupling(**rc) for name, rc in doc.pop("regions").items()}
             spec = synth.SynthSpec(regions=regions, **doc)
         else:
             spec = synth.default_spec(**doc)
-    except (TypeError, KeyError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"{p}: bad synthesis spec: {exc}") from exc
     synth.write_session_dir(spec, out_dir, emit_tone_wav=emit_tone)
     print(f"synth: wrote session to {out_dir}")
 
 
-def cmd_report(config: Config, jobs: int = 1) -> None:
+def cmd_report(config: Config) -> None:
     out = config.out_dir / "report"
     out.mkdir(parents=True, exist_ok=True)
 
@@ -413,6 +403,12 @@ def cmd_report(config: Config, jobs: int = 1) -> None:
     print(f"report: wrote grids and comparison tables to {out}")
 
 
+STAGES = {  # every stage command; `features` and `align` also take the --jobs count
+    "features": cmd_features, "align": cmd_align, "activeness": cmd_activeness,
+    "map": cmd_map, "stats": cmd_stats, "report": cmd_report,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="speechmotion",
@@ -428,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit machine-readable error JSON on stderr",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("features", "align", "activeness", "map", "stats", "report"):
+    for name in STAGES:
         sub.add_parser(name)
     synth_p = sub.add_parser("synth")
     synth_p.add_argument("spec", help="synthesis spec JSON")
@@ -447,15 +443,11 @@ def main(argv: list[str] | None = None) -> int:
             raise ValidationError(f"`{args.command}` requires --config")
         config = Config.load(args.config, out_dir=args.out_dir)
         config.out_dir.mkdir(parents=True, exist_ok=True)
-        handler = {
-            "features": cmd_features,
-            "align": cmd_align,
-            "activeness": cmd_activeness,
-            "map": cmd_map,
-            "stats": cmd_stats,
-            "report": cmd_report,
-        }[args.command]
-        handler(config, jobs=args.jobs)
+        handler = STAGES[args.command]
+        if handler in (cmd_features, cmd_align):
+            handler(config, args.jobs)
+        else:
+            handler(config)
         return 0
     except PipelineError as exc:
         if args.error_json:

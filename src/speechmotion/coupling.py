@@ -32,6 +32,8 @@ from .timeline import SessionTable
 FEATURE_SETS = ("prosody", "mfcc", "arousal", "valence", "all")
 CONDITIONS = ("all",) + CONDITION_NAMES
 AFFECT_BINS = ("all", "high", "low")
+PROTOCOLS = ("k_fold", "in_sample")
+BIN_POLICIES = ("median_split", "zero_threshold")
 
 
 @dataclass(frozen=True)
@@ -185,6 +187,8 @@ def bin_affect(
     go low, so all-equal values leave the high bin empty with a warning);
     zero_threshold sends positive values high.
     """
+    if policy not in BIN_POLICIES:
+        raise ValueError(f"unknown binning policy {policy!r}; expected {BIN_POLICIES}")
     values = emotion.column(dimension)
     if speaking is None:
         speaking = np.ones(len(values), dtype=bool)
@@ -203,11 +207,9 @@ def bin_affect(
                 DegenerateSplitWarning,
                 stacklevel=2,
             )
-    elif policy == "zero_threshold":
+    else:  # zero_threshold
         high = mask & (values > 0.0)
         low = mask & (values <= 0.0)
-    else:
-        raise ValueError(f"unknown binning policy {policy!r}")
     return high, low
 
 
@@ -304,8 +306,8 @@ def evaluate_mapping(
     bins split the feature set's own dimension, or arousal for the speech
     feature sets.
     """
-    if protocol not in ("k_fold", "in_sample"):
-        raise ValueError(f"unknown protocol {protocol!r}")
+    if protocol not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}; expected {PROTOCOLS}")
     if protocol == "k_fold" and n_folds < 2:
         raise ValidationError(f"k_fold needs n_folds >= 2, got {n_folds!r}")
     affect_dimension = None

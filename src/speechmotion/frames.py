@@ -424,3 +424,20 @@ def read_json_object(path) -> dict:
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     return doc
+
+
+def check_fields(doc: dict, fields: dict, name: str, required=()) -> None:
+    """Check a parsed JSON object against `fields`: each allowed key maps to a
+    tuple ending in (rule, wording of a valid value). An unknown key, a missing
+    `required` key or a rejected value raises :class:`ValidationError` naming
+    `name`, the place of `doc` in its document (``""`` for the top level)."""
+    unknown = ", ".join(f"{k!r} (got {v!r})" for k, v in doc.items() if k not in fields)
+    if unknown:
+        where = f"{name}: " if name else ""
+        raise ValidationError(f"{where}unknown key(s) {unknown}; expected one of {sorted(fields)}")
+    for key, (*_, valid, wording) in fields.items():
+        where = f"{name}.{key}" if name else repr(key)
+        if key in doc and not valid(doc[key]):
+            raise ValidationError(f"{where} must be {wording}; got {doc[key]!r}")
+        if key not in doc and key in required:
+            raise ValidationError(f"{where} must be {wording}; it is missing")

@@ -70,31 +70,21 @@ def activeness_grid(session_cells: dict[str, list[SummaryCell]]) -> HeatmapGrid:
     cell is the unweighted mean of the per-session cell means, skipping
     sessions with no frames in the cell.
     """
-    regions: list[str] = []
+    means: dict[tuple[str, str], list[float]] = {}  # (region, column) -> session means
     for cells in session_cells.values():
         for c in cells:
-            if c.region not in regions:
-                regions.append(c.region)
+            cell_means = means.setdefault((c.region, f"{c.emotion}|{c.condition}"), [])
+            if not math.isnan(c.mean):
+                cell_means.append(c.mean)
+    regions = tuple(dict.fromkeys(region for region, _ in means))
     cols = [f"{emo}|{cond}" for emo in CATEGORY_NAMES for cond in ("non_overlap", "overlap")]
     values = np.full((len(regions), len(cols)), np.nan)
-    for i, region in enumerate(regions):
-        for j, col in enumerate(cols):
-            emotion, condition = col.split("|")
-            per_session = []
-            for cells in session_cells.values():
-                for c in cells:
-                    if (
-                        c.region == region
-                        and c.emotion == emotion
-                        and c.condition == condition
-                        and not math.isnan(c.mean)
-                    ):
-                        per_session.append(c.mean)
-            if per_session:
-                values[i, j] = float(np.mean(per_session))
+    for (region, col), per_session in means.items():
+        if per_session and col in cols:
+            values[regions.index(region), cols.index(col)] = float(np.mean(per_session))
     return HeatmapGrid(
         title="region activeness by emotion and speech condition",
-        row_labels=tuple(regions),
+        row_labels=regions,
         col_labels=tuple(cols),
         values=values,
     )
@@ -106,20 +96,14 @@ def coupling_grid(
 ) -> HeatmapGrid:
     """Regions x feature-set matrix of mean Pearson r over all speaking frames
     (condition and affect bin `all`)."""
-    regions: list[str] = []
-    for c in cells:
-        if c.region not in regions:
-            regions.append(c.region)
+    regions = tuple(dict.fromkeys(c.region for c in cells))
     values = np.full((len(regions), len(feature_sets)), np.nan)
     for c in cells:
-        if c.condition == "all" and c.affect_bin == "all":
-            if c.feature_set in feature_sets:
-                i = regions.index(c.region)
-                j = feature_sets.index(c.feature_set)
-                values[i, j] = c.mean_r
+        if c.condition == c.affect_bin == "all" and c.feature_set in feature_sets:
+            values[regions.index(c.region), feature_sets.index(c.feature_set)] = c.mean_r
     return HeatmapGrid(
         title="speech-to-motion r (all, bin=all)",
-        row_labels=tuple(regions),
+        row_labels=regions,
         col_labels=feature_sets,
         values=values,
     )

@@ -34,7 +34,7 @@ class RegionCoupling:
 
     weights: np.ndarray
     offset: float
-    noise_sigma: float
+    noise_sigma: float = 0.0
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=np.float64)

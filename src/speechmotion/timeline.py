@@ -27,6 +27,7 @@ from .errors import (
 from .frames import (
     FeatureTrack,
     FrameGrid,
+    check_fields,
     grid_over_span,
     read_feature_csv,
     read_header,
@@ -258,6 +259,7 @@ _SIDECAR_KEYS = {
         and all(type(b) is dict and type(b.get("columns")) is list for b in v.values()),
         'an object of {"columns": [...]} per block',
     ),
+    "provenance": (lambda v: type(v) is dict, "an object"),
 }
 
 
@@ -265,14 +267,14 @@ def read_session_csv(csv_path, meta_path) -> SessionTable:
     """Load a session written by :func:`write_session_csv`.
 
     The sidecar gives the grid and the block columns; a sidecar that is not
-    JSON, or lacks one of them, raises :class:`ValidationError`, and a CSV
-    whose header or row count does not match it :class:`MalformedRowError`.
+    JSON, lacks one of them or has an unknown key raises :class:`ValidationError`,
+    and a CSV whose header or row count does not match it :class:`MalformedRowError`.
     """
     meta = read_json_object(meta_path)
-    for key, (valid, expected) in _SIDECAR_KEYS.items():
-        if not valid(meta.get(key)):
-            got = f"got {meta[key]!r}" if key in meta else "it is missing"
-            raise ValidationError(f"{meta_path}: {key!r} must be {expected}; {got}")
+    try:
+        check_fields(meta, _SIDECAR_KEYS, "", required=_SIDECAR_KEYS)
+    except ValidationError as exc:
+        raise ValidationError(f"{meta_path}: {exc}") from None
     grid = FrameGrid(
         rate_hz=meta["rate_hz"], start_s=meta["start_s"], n_frames=meta["n_frames"]
     )

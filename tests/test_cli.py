@@ -9,8 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speechmotion import cli, ingest, speech_features
+from speechmotion.errors import ValidationError
 from speechmotion.frames import read_feature_csv, write_feature_csv
 from speechmotion.speech_features import SPEECH_FEATURE_COLUMNS
 
@@ -288,6 +291,30 @@ class TestErrors:
             ("n_folds", 3.0, "map"),
             ("anova_unit", "zz", "stats"),
             ("pca_scope", "zz", "features"),
+            # one bad value per kind of rule
+            ("target_rate_hz", -1, "align"),
+            ("target_rate_hz", "60", "align"),
+            ("target_rate_hz", True, "align"),
+            ("segment_s", float("inf"), "stats"),
+            ("ridge_eps", -1, "map"),
+            ("ridge_eps", "a", "map"),
+            ("trim_head_s", -0.5, "features"),
+            ("min_cell_frames", "a", "activeness"),
+            ("min_cell_frames", -1, "activeness"),
+            ("affect_derivatives", "no", "map"),
+            ("protocol", "bogus", "map"),
+            ("bin_policy", "zz", "map"),
+            ("feature_sets", ["x"], "map"),
+            ("feature_sets", "prosody", "map"),
+            ("feature_sets", ["mfcc", "mfcc"], "map"),
+            ("feature_sets", [], "map"),
+            # above the default f0_max_hz of 500
+            ("f0_min_hz", 600.0, "features"),
+            # the shape of the document itself
+            ("sessions", 5, "align"),
+            ("sessions", [5], "align"),
+            ("params", 7, "align"),
+            ("id", 5, "align"),
         ],
     )
     def test_bad_param_value_exits_2_and_writes_nothing(
@@ -296,13 +323,51 @@ class TestErrors:
         out = tmp_path / "o"
         shutil.copytree(cli_workspace["out"], out)
         before = hash_tree(out)
-        params = {"trim_head_s": 0.0, key: value}
+        doc = {"params": {"trim_head_s": 0.0}, "sessions": absolute_sessions(cli_workspace)}
+        # a params key unless it names a top-level key or the first session's id
+        target = {"sessions": doc, "params": doc, "id": doc["sessions"][0]}.get(key, doc["params"])
+        where = {"sessions": "'sessions'", "params": "'params'", "id": "sessions[0].id"}
+        target[key] = value
         p = tmp_path / "c.json"
-        p.write_text(json.dumps({"params": params, "sessions": absolute_sessions(cli_workspace)}))
+        p.write_text(json.dumps(doc))
         rc = cli.main([f"--config={p}", f"--out-dir={out}", command])
         err = capsys.readouterr().err
         assert rc == 2
-        assert f"{p}: params.{key} must be " in err and f"got {value!r}" in err
+        assert f"{p}: {where.get(key, f'params.{key}')} must be " in err
+        assert f"got {value!r}" in err
+        assert "Traceback" not in err
+        assert hash_tree(out) == before
+
+    @pytest.mark.parametrize(
+        "damage, command, message",
+        [
+            ("top_level_typo", "map", "unknown key(s) 'param' (got {'n_folds': 7})"),
+            ("session_typo", "align", "sessions[0]: unknown key(s) 'speeker' (got 'M')"),
+            ("duplicate_id", "map", "ids must be unique; got ['s101'] more than once"),
+            ("custom_profiles", "align", "unknown key(s) 'profiles' (got {})"),
+        ],
+    )
+    def test_config_that_was_silently_misread_exits_2(
+        self, cli_workspace, tmp_path, capsys, damage, command, message
+    ):
+        out = tmp_path / "o"
+        shutil.copytree(cli_workspace["out"], out)
+        before = hash_tree(out)
+        doc = {"params": {"trim_head_s": 0.0}, "sessions": absolute_sessions(cli_workspace)}
+        if damage == "top_level_typo":
+            doc["param"] = {"n_folds": 7}
+        elif damage == "session_typo":
+            doc["sessions"][0]["speeker"] = "M"
+        elif damage == "duplicate_id":
+            doc["sessions"][1]["id"] = doc["sessions"][0]["id"]
+        else:
+            doc["profiles"] = {}
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        rc = cli.main([f"--config={p}", f"--out-dir={out}", command])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{p}: " in err and message in err
         assert "Traceback" not in err
         assert hash_tree(out) == before
 
@@ -395,6 +460,29 @@ class TestSynthCommand:
     def test_missing_spec(self, capsys):
         rc = cli.main(["synth", "/no/such/spec.json"])
         assert rc == 3
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("noise_sigmaa", 0.5, "'noise_sigmaa'"),
+            ("weights", ["a", "b"], "could not convert"),
+            ("emit_tone_wav", "no", "emit_tone_wav must be true or false; got 'no'"),
+        ],
+    )
+    def test_bad_spec_field_exits_2(self, tmp_path, capsys, field, value, message):
+        region = {"weights": [1.0, 2.0], "offset": 0.0}
+        spec = {"seed": 5, "duration_s": 5.0, "feature_dim": 2, "feature_names": ["x0", "x1"],
+                "regions": {"r": region}}
+        (spec if field == "emit_tone_wav" else region)[field] = value
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(spec))
+        out = tmp_path / "session"
+        rc = cli.main([f"--out-dir={out}", "synth", str(p)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{p}: " in err and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 def _set_cell(path: Path, line: int, column: int, value: str) -> None:
@@ -521,6 +609,7 @@ class TestTableErrors:
             ("n_frames_float", "activeness", ": 'n_frames' must be an integer >= 0; got 7.0"),
             ("start_s_null", "activeness", ": 'start_s' must be a finite number; got None"),
             ("blocks_list", "map", ": 'blocks' must be an object of"),
+            ("extra_key", "map", ": unknown key(s) 'rate' (got 60.24)"),
         ],
     )
     def test_bad_sidecar_names_the_sidecar(
@@ -539,6 +628,7 @@ class TestTableErrors:
                 "n_frames_float": ("n_frames", 7.0),
                 "start_s_null": ("start_s", None),
                 "blocks_list": ("blocks", ["speech"]),
+                "extra_key": ("rate", 60.24),
             }[damage]
             if damage == "rate_hz_deleted":
                 del meta[key]
@@ -613,3 +703,41 @@ def test_cli_import_leaves_scipy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12)
+    | st.sampled_from(["session", "corpus", "segment", "k_fold", "zero_threshold", "prosody"]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestConfigSchema:
+    def test_every_default_passes_its_own_rule(self):
+        for key, (default, valid, _) in cli.PARAMS.items():
+            assert valid(default), key
+        assert cli.Config({}, Path(".")).params == {k: d for k, (d, *_) in cli.PARAMS.items()}
+
+    @settings(max_examples=300, deadline=None)
+    @given(key=st.sampled_from(sorted(cli.PARAMS)), value=JSON_VALUES)
+    def test_a_param_value_is_kept_only_if_its_rule_passes(self, key, value):
+        try:
+            config = cli.Config({"params": {key: value}}, Path("."))
+        except ValidationError:
+            return
+        _, valid, _ = cli.PARAMS[key]
+        assert valid(config.params[key])
+        assert config.params[key] == value
+
+    def test_iemocap_profile_takes_the_channel_from_the_session_index(self):
+        sessions = [{"id": f"s{i}", "session_index": i} for i in range(1, 6)]
+        sessions.append({"id": "explicit", "session_index": 2, "channel": "left"})
+        doc = {"profile": "iemocap", "sessions": sessions}
+        config = cli.Config(doc, Path("."))
+        channels = [config.channel_for(s) for s in config.sessions]
+        assert channels == ["left", "right", "right", "right", "right", "left"]
+        # without the profile, the session index chooses nothing
+        plain = cli.Config({"sessions": sessions}, Path("."))
+        assert {plain.channel_for(s) for s in plain.sessions} == {"left"}
