@@ -151,11 +151,6 @@ class Config:
             raise ValidationError(f"{path}: {exc}") from exc
 
 
-def _load_clip(config: Config, session: dict):
-    clip = ingest.load_wav(config.path(session, "audio"), channel=config.channel_for(session))
-    return ingest.trim_head(clip, config.params["trim_head_s"])
-
-
 def _for_each_session(fn, items: list, jobs: int) -> None:
     """Call `fn` on every session (or group of sessions), on up to `jobs` threads."""
     if jobs > 1 and len(items) > 1:
@@ -181,12 +176,21 @@ def cmd_features(config: Config, jobs: int = 1) -> None:
     if not sessions:
         return
     f0_range = {"fmin": config.params["f0_min_hz"], "fmax": config.params["f0_max_hz"]}
+    trim_s = config.params["trim_head_s"]
     # one PCA model per group: the whole corpus, or each session on its own
     groups = [sessions] if config.params["pca_scope"] == "corpus" else [[s] for s in sessions]
 
+    def pre_pca(session: dict):
+        path = config.path(session, "audio")
+        clip = ingest.load_wav(path, channel=config.channel_for(session))
+        try:
+            return speech_features.pre_pca_tracks(ingest.trim_head(clip, trim_s), **f0_range)
+        except ValidationError as exc:  # e.g. a pitch range the clip's rate cannot resolve
+            raise type(exc)(f"{path}: {exc}") from None
+
     def features_for(group: list[dict]) -> None:
         # each clip is decoded once, and freed once its pre-PCA columns are made
-        tracks = [speech_features.pre_pca_tracks(_load_clip(config, s), **f0_range) for s in group]
+        tracks = [pre_pca(s) for s in group]
         model = speech_features.fit_pca_pooled([spectral for _, spectral in tracks])
         for s, (prosody, spectral) in zip(group, tracks):
             track = speech_features.project_speech_features(prosody, spectral, model)
@@ -246,8 +250,8 @@ def cmd_align(config: Config, jobs: int = 1) -> None:
         print(f"align: wrote {config.session_dir(s) / 'aligned.csv'} and activeness.csv")
 
 
-def _read_table(config: Config, session: dict) -> timeline.SessionTable:
-    return timeline.read_session_csv(
+def _table_paths(config: Config, session: dict) -> tuple[Path, Path]:
+    return (
         _upstream(config, session, "aligned.csv", "align"),
         _upstream(config, session, "aligned.meta.json", "align"),
     )
@@ -255,7 +259,7 @@ def _read_table(config: Config, session: dict) -> timeline.SessionTable:
 
 def cmd_activeness(config: Config) -> None:
     for session in config.sessions:
-        table = _read_table(config, session)
+        table = timeline.read_session_csv(*_table_paths(config, session))
         cells = motion.condition_summaries(
             table.block("activeness"), table, min_frames=config.params["min_cell_frames"]
         )
@@ -265,10 +269,23 @@ def cmd_activeness(config: Config) -> None:
 
 
 def cmd_map(config: Config) -> None:
-    tables = {s["id"]: _read_table(config, s) for s in config.sessions}
     params = config.params
+    # every table must exist before any is read, and nothing is written until all fit
+    paths = [_table_paths(config, s) for s in config.sessions]
+    maps = []  # (path, AffineMap) for every session and feature set
+
+    def read_and_fit(session: dict, csv_path: Path, meta_path: Path) -> timeline.SessionTable:
+        table = timeline.read_session_csv(csv_path, meta_path)
+        idx = np.flatnonzero(table.column("labels", "speaking") == 1.0)
+        y = _mask_track(table.block("activeness"), idx)
+        for fs in params["feature_sets"]:
+            x = coupling_mod.feature_set_track(table, fs, params["affect_derivatives"])
+            fitted = coupling_mod.fit_ammse(_mask_track(x, idx), y, ridge_eps=params["ridge_eps"])
+            maps.append((config.out_dir / session["id"] / f"affine_{fs}.json", fitted))
+        return table
+
     cells = coupling_mod.coupling_report(
-        tables,
+        (read_and_fit(s, *p) for s, p in zip(config.sessions, paths)),
         feature_sets=tuple(params["feature_sets"]),
         protocol=params["protocol"],
         n_folds=params["n_folds"],
@@ -284,18 +301,10 @@ def cmd_map(config: Config) -> None:
         "pooled_dyads": False,
         "bin_policy": params["bin_policy"],
         "affect_derivatives": params["affect_derivatives"],
-        "n_sessions": len(tables),
+        "n_sessions": len(config.sessions),
     })
-    for sid, table in tables.items():
-        out = config.out_dir / sid
-        idx = np.flatnonzero(table.column("labels", "speaking") == 1.0)
-        y = table.block("activeness")
-        for fs in params["feature_sets"]:
-            x = coupling_mod.feature_set_track(table, fs, params["affect_derivatives"])
-            fitted = coupling_mod.fit_ammse(
-                _mask_track(x, idx), _mask_track(y, idx), ridge_eps=params["ridge_eps"]
-            )
-            fitted.to_json(out / f"affine_{fs}.json")
+    for path, fitted in maps:
+        fitted.to_json(path)
     print(f"map: wrote {config.out_dir / 'coupling_report.csv'}")
 
 
@@ -313,7 +322,7 @@ def cmd_stats(config: Config) -> None:
     if params["anova_unit"] == "segment":
         rows_by_region: dict[str, list] = {}
         for session in config.sessions:
-            table = _read_table(config, session)
+            table = timeline.read_session_csv(*_table_paths(config, session))
             for region in table.block("activeness").columns:
                 rows_by_region.setdefault(region, []).extend(
                     stats.segment_design_rows(
@@ -355,11 +364,15 @@ def cmd_synth(spec_path: str, out_dir: str, seed_override: int | None = None) ->
         raise ValidationError(f"{p}: emit_tone_wav must be true or false; got {emit_tone!r}")
     try:
         if "regions" in doc:
-            regions = {name: synth.RegionCoupling(**rc) for name, rc in doc.pop("regions").items()}
-            spec = synth.SynthSpec(regions=regions, **doc)
+            regions = doc.pop("regions")
+            if type(regions) is not dict or not all(type(rc) is dict for rc in regions.values()):
+                raise ValidationError(f"regions must be an object of objects; got {regions!r}")
+            spec = synth.SynthSpec(
+                regions={name: synth.RegionCoupling(**rc) for name, rc in regions.items()}, **doc
+            )
         else:
             spec = synth.default_spec(**doc)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ValidationError) as exc:
         raise ValidationError(f"{p}: bad synthesis spec: {exc}") from exc
     synth.write_session_dir(spec, out_dir, emit_tone_wav=emit_tone)
     print(f"synth: wrote session to {out_dir}")

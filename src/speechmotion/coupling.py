@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterable, Mapping
+from itertools import accumulate
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -75,35 +77,21 @@ class AffineMap:
 
     @classmethod
     def from_json(cls, path) -> "AffineMap":
-        doc = read_json_object(path)
-        return cls(
-            a=np.asarray(doc["a"]),
-            b=np.asarray(doc["b"]),
-            feature_names=tuple(doc["feature_names"]),
-            target_names=tuple(doc["target_names"]),
-            n_frames=doc["n_frames"],
-            ridge_eps=doc["ridge_eps"],
-            fold_id=doc["fold_id"],
-        )
+        return cls(**read_json_object(path))  # __post_init__ makes the arrays and tuples
 
 
-def _fit_arrays(
-    x: np.ndarray, y: np.ndarray, ridge_eps: float
-) -> tuple[np.ndarray, np.ndarray, int]:
-    valid = np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1)
-    xv = x[valid]
-    yv = y[valid]
-    n, d_x = xv.shape
+def _require_frames(n: int, d_x: int) -> None:
     if n <= d_x + 1:
         raise InsufficientFramesError(
             f"{n} complete frames cannot identify {d_x} inputs plus offsets"
         )
-    mu_x = xv.mean(axis=0)
-    mu_y = yv.mean(axis=0)
-    xc = xv - mu_x
-    yc = yv - mu_y
-    c_xx = xc.T @ xc / n
-    c_yx = yc.T @ xc / n
+
+
+def _solve(n: int, mu_x, mu_y, s_xx, s_yx, ridge_eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """a and b from n complete frames' means and centred cross-product sums."""
+    d_x = len(mu_x)
+    c_xx = s_xx / n
+    c_yx = s_yx / n
     trace = float(np.trace(c_xx))
     if ridge_eps > 0.0:
         c_reg = c_xx + (ridge_eps * trace / d_x) * np.eye(d_x)
@@ -116,8 +104,55 @@ def _fit_arrays(
             )
         c_reg = c_xx
     a = np.linalg.solve(c_reg, c_yx.T).T
-    b = mu_y - a @ mu_x
-    return a, b, n
+    return a, mu_y - a @ mu_x
+
+
+def _fit_arrays(
+    x: np.ndarray, y: np.ndarray, ridge_eps: float
+) -> tuple[np.ndarray, np.ndarray, int]:
+    valid = np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1)
+    xv, yv = x[valid], y[valid]
+    n = len(xv)
+    _require_frames(n, x.shape[1])
+    mu_x, mu_y = xv.mean(axis=0), yv.mean(axis=0)
+    xc, yc = xv - mu_x, yv - mu_y
+    return (*_solve(n, mu_x, mu_y, xc.T @ xc, yc.T @ xc, ridge_eps), n)
+
+
+def _moments(z: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """Count, mean and centred cross-product matrix of the rows of z."""
+    if len(z) == 0:
+        return 0, 0.0, 0.0  # merges as the identity
+    mu = z.mean(axis=0)
+    zc = z - mu
+    return len(z), mu, zc.T @ zc
+
+
+def _merge(a: tuple, b: tuple) -> tuple[int, np.ndarray, np.ndarray]:
+    """Moments of two disjoint row sets (Chan, Golub & LeVeque 1979)."""
+    (n_a, mu_a, m_a), (n_b, mu_b, m_b) = a, b
+    if n_a == 0 or n_b == 0:
+        return b if n_a == 0 else a
+    n, delta = n_a + n_b, mu_b - mu_a
+    return n, mu_a + delta * (n_b / n), m_a + m_b + np.outer(delta, delta) * (n_a * n_b / n)
+
+
+def _k_fold_predictions(x: np.ndarray, y: np.ndarray, n_folds: int, ridge_eps: float):
+    """Each contiguous fold's predictions from a fit on the merged moments of
+    the folds before it and after it; no moments are ever subtracted."""
+    d_x = x.shape[1]
+    z = np.hstack([x, y])
+    moments = [_moments(b[np.isfinite(b).all(axis=1)]) for b in np.array_split(z, n_folds)]
+    before = list(accumulate(moments, _merge, initial=_moments(z[:0])))
+    after = list(accumulate(moments[::-1], lambda acc, m: _merge(m, acc), initial=before[0]))
+    after.reverse()  # after[k]: the merge of folds k onwards
+    y_hat = []
+    for k, x_held in enumerate(np.array_split(x, n_folds)):
+        n, mu, m = _merge(before[k], after[k + 1])
+        _require_frames(n, d_x)
+        a, b = _solve(n, mu[:d_x], mu[d_x:], m[:d_x, :d_x], m[d_x:, :d_x], ridge_eps)
+        y_hat.append(x_held @ a.T + b)
+    return np.concatenate(y_hat)
 
 
 def fit_ammse(
@@ -132,14 +167,7 @@ def fit_ammse(
     if x.grid != y.grid:
         raise GridMismatchError("x and y must share one frame grid")
     a, b, n = _fit_arrays(x.values, y.values, ridge_eps)
-    return AffineMap(
-        a=a,
-        b=b,
-        feature_names=x.columns,
-        target_names=y.columns,
-        n_frames=n,
-        ridge_eps=ridge_eps,
-    )
+    return AffineMap(a, b, x.columns, y.columns, n, ridge_eps)
 
 
 def predict(mapping: AffineMap, x: FeatureTrack) -> FeatureTrack:
@@ -248,11 +276,6 @@ class MappingEvaluation:
     per_target: dict[str, float]
     n_frames: int
 
-    @property
-    def r(self) -> float:
-        vals = [v for v in self.per_target.values() if not math.isnan(v)]
-        return float(np.mean(vals)) if vals else math.nan
-
 
 def _selection_mask(
     table: SessionTable,
@@ -332,12 +355,7 @@ def evaluate_mapping(
             raise InsufficientFramesError(
                 f"{len(idx)} selected frames cannot form {n_folds} folds"
             )
-        folds = np.array_split(np.arange(len(idx)), n_folds)
-        y_hat = np.full_like(y, np.nan)
-        for fold in folds:
-            train = np.setdiff1d(np.arange(len(idx)), fold, assume_unique=True)
-            a, b, _ = _fit_arrays(x[train], y[train], ridge_eps)
-            y_hat[fold] = x[fold] @ a.T + b
+        y_hat = _k_fold_predictions(x, y, n_folds, ridge_eps)
         y_hat[np.isnan(x).any(axis=1)] = np.nan
 
     per_target = {}
@@ -373,7 +391,7 @@ class CouplingCell:
 
 
 def coupling_report(
-    tables: dict[str, SessionTable],
+    tables: Iterable[SessionTable],
     feature_sets: tuple[str, ...] = ("prosody", "mfcc", "arousal", "valence"),
     protocol: str = "k_fold",
     n_folds: int = 5,
@@ -386,56 +404,39 @@ def coupling_report(
     Every condition in CONDITIONS is evaluated. Affect bins are evaluated only
     for the arousal/valence feature sets, on their own dimension. Sessions
     whose frames cannot support a cell are skipped; the row records how many
-    dyads contributed.
+    dyads contributed. `tables` (a mapping's values, or any iterable) is read
+    once, in order, and a table is let go before the next is asked for, so a
+    generator that loads each session on demand holds one table at a time.
     """
-    cells: list[CouplingCell] = []
-    for feature_set in feature_sets:
-        bins: tuple[str, ...] = ("all",)
-        if feature_set in ("arousal", "valence"):
-            bins = AFFECT_BINS
-        for condition in CONDITIONS:
-            for affect_bin in bins:
-                per_region: dict[str, list[float]] = {}
-                frame_total = 0
-                for table in tables.values():
-                    try:
-                        ev = evaluate_mapping(
-                            table,
-                            feature_set,
-                            region=None,
-                            protocol=protocol,
-                            n_folds=n_folds,
-                            condition=condition,
-                            affect_bin=affect_bin,
-                            bin_policy=bin_policy,
-                            ridge_eps=ridge_eps,
-                            affect_derivatives=affect_derivatives,
-                        )
-                    except InsufficientFramesError:
-                        continue
-                    frame_total += ev.n_frames
-                    for reg, r in ev.per_target.items():
-                        if not math.isnan(r):
-                            per_region.setdefault(reg, []).append(r)
-                regions = sorted(per_region) if per_region else []
-                for reg in regions:
-                    rs = np.asarray(per_region[reg])
-                    cells.append(
-                        CouplingCell(
-                            region=reg,
-                            feature_set=feature_set,
-                            condition=condition,
-                            affect_bin=affect_bin,
-                            bin_dimension=(
-                                feature_set if affect_bin != "all" else ""
-                            ),
-                            mean_r=float(rs.mean()),
-                            sem_r=sem_of(rs),
-                            n_dyads=len(rs),
-                            n_frames=frame_total,
-                        )
-                    )
-    return cells
+    keys = [  # (feature set, condition, affect bin) in report order
+        (fs, condition, affect_bin) for fs in feature_sets for condition in CONDITIONS
+        for affect_bin in (AFFECT_BINS if fs in ("arousal", "valence") else ("all",))
+    ]
+    r_by_region: dict[tuple, dict[str, list[float]]] = {key: {} for key in keys}
+    frame_totals = dict.fromkeys(keys, 0)
+    for table in tables.values() if isinstance(tables, Mapping) else tables:
+        for key in keys:
+            feature_set, condition, affect_bin = key
+            try:
+                ev = evaluate_mapping(
+                    table, feature_set, None, protocol, n_folds, condition, affect_bin,
+                    bin_policy, ridge_eps, affect_derivatives,
+                )
+            except InsufficientFramesError:
+                continue
+            frame_totals[key] += ev.n_frames
+            for reg, r in ev.per_target.items():
+                if not math.isnan(r):
+                    r_by_region[key].setdefault(reg, []).append(r)
+        del table  # so the source can free it before it yields the next
+    return [
+        CouplingCell(
+            reg, *key, key[0] if key[2] != "all" else "", float(np.mean(rs)), sem_of(rs),
+            len(rs), frame_totals[key],
+        )
+        for key, per_region in r_by_region.items()
+        for reg, rs in sorted(per_region.items())
+    ]
 
 
 COUPLING_HEADER = (

@@ -34,6 +34,7 @@ from .errors import (
     GridMismatchError,
     RankDeficientWarning,
     TrackTooShortError,
+    ValidationError,
 )
 from .frames import FeatureTrack, FrameGrid, concat_columns, read_json_object, write_json
 from .ingest import AudioClip
@@ -132,7 +133,7 @@ def f0_contour(
     lag_min = max(2, int(math.floor(sr / fmax)))
     lag_max = min(int(math.ceil(sr / fmin)), win - 2)
     if lag_min >= lag_max:
-        raise ValueError(f"pitch range [{fmin}, {fmax}] Hz unusable at {sr} Hz")
+        raise ValidationError(f"pitch range [{fmin}, {fmax}] Hz unusable at {sr} Hz")
     taper = np.hanning(win)
     nfft = _next_pow2(2 * win)
 

@@ -42,6 +42,9 @@ class RegionCoupling:
             raise InconsistentSpecError("region weights must be a vector")
         if self.noise_sigma < 0:
             raise InconsistentSpecError("noise_sigma must be >= 0")
+        offset = self.offset  # a number, not a bool, and finite
+        if type(offset) is bool or not (isinstance(offset, (int, float)) and math.isfinite(offset)):
+            raise InconsistentSpecError(f"region offset must be a finite number; got {offset!r}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 

@@ -467,13 +467,17 @@ class TestSynthCommand:
             ("noise_sigmaa", 0.5, "'noise_sigmaa'"),
             ("weights", ["a", "b"], "could not convert"),
             ("emit_tone_wav", "no", "emit_tone_wav must be true or false; got 'no'"),
+            ("regions", [1, 2], "regions must be an object of objects; got [1, 2]"),
+            ("regions", {"r": 3}, "regions must be an object of objects; got {'r': 3}"),
+            ("offset", "x", "region offset must be a finite number; got 'x'"),
+            ("offset", True, "region offset must be a finite number; got True"),
         ],
     )
     def test_bad_spec_field_exits_2(self, tmp_path, capsys, field, value, message):
         region = {"weights": [1.0, 2.0], "offset": 0.0}
         spec = {"seed": 5, "duration_s": 5.0, "feature_dim": 2, "feature_names": ["x0", "x1"],
                 "regions": {"r": region}}
-        (spec if field == "emit_tone_wav" else region)[field] = value
+        (spec if field in ("emit_tone_wav", "regions") else region)[field] = value
         p = tmp_path / "spec.json"
         p.write_text(json.dumps(spec))
         out = tmp_path / "session"
@@ -600,6 +604,24 @@ class TestTableErrors:
         assert f"{csv_path}:" in err
         assert "Traceback" not in err
 
+    def test_map_writes_nothing_when_a_later_table_is_damaged(
+        self, cli_workspace, tmp_path, capsys
+    ):
+        out = tmp_path / "o"
+        for sid in ("s101", "s202"):
+            (out / sid).mkdir(parents=True)
+            for name in ("aligned.csv", "aligned.meta.json"):
+                shutil.copy(cli_workspace["out"] / sid / name, out / sid / name)
+        csv_path = out / "s202" / "aligned.csv"
+        csv_path.write_text("".join(csv_path.read_text().splitlines(keepends=True)[:-5]))
+        before = hash_tree(out)
+        rc = cli.main([f"--config={cli_workspace['config']}", f"--out-dir={out}", "map"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{csv_path}:" in err
+        assert "Traceback" not in err
+        assert hash_tree(out) == before
+
     @pytest.mark.parametrize(
         "damage, command, message",
         [
@@ -690,6 +712,19 @@ def test_bad_wav_is_a_validation_error(tmp_path, capsys, wav, message):
     err = capsys.readouterr().err
     assert rc == 2
     assert f"{audio}: " in err and message in err
+    assert "Traceback" not in err
+
+
+def test_pitch_range_the_clip_cannot_resolve_names_the_wav(cli_workspace, tmp_path, capsys):
+    sessions = absolute_sessions(cli_workspace)[:1]
+    params = {"trim_head_s": 0, "f0_min_hz": 10, "f0_max_hz": 30}
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"params": params, "sessions": sessions}))
+    rc = cli.main([f"--config={p}", f"--out-dir={tmp_path / 'o'}", "features"])
+    err = capsys.readouterr().err
+    rate = ingest.load_wav(sessions[0]["audio"]).sample_rate_hz
+    assert rc == 2
+    assert f"{sessions[0]['audio']}: pitch range [10, 30] Hz unusable at {rate} Hz" in err
     assert "Traceback" not in err
 
 

@@ -1,4 +1,6 @@
 import math
+import weakref
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -6,7 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speechmotion.coupling import (
+    AFFECT_BINS,
+    CONDITIONS,
+    FEATURE_SETS,
     AffineMap,
+    _selection_mask,
     bin_affect,
     coupling_report,
     evaluate_mapping,
@@ -293,7 +299,7 @@ class TestEvaluateMapping:
         with pytest.raises(ValidationError, match=rf"n_folds >= 2, got {n_folds}"):
             evaluate_mapping(table, "all", protocol="k_fold", n_folds=n_folds)
         with pytest.raises(ValidationError):
-            coupling_report({"s": table}, feature_sets=("all",), n_folds=n_folds)
+            coupling_report([table], feature_sets=("all",), n_folds=n_folds)
         assert evaluate_mapping(table, "all", protocol="in_sample", n_folds=n_folds).n_frames > 0
 
     def test_feature_sets_resolve(self):
@@ -361,7 +367,7 @@ class TestCouplingReport:
         t1, a0 = build_table(seed=1, noise=0.3)
         t2, _ = build_table(seed=2, noise=0.3, a0=a0)
         cells = coupling_report(
-            {"s1": t1, "s2": t2}, feature_sets=("prosody", "mfcc"), n_folds=3
+            [t1, t2], feature_sets=("prosody", "mfcc"), n_folds=3
         )
         assert cells
         for c in cells:
@@ -378,9 +384,173 @@ class TestCouplingReport:
     def test_affect_bins_only_for_affect_sets(self):
         t1, _ = build_table(seed=3, noise=0.3)
         cells = coupling_report(
-            {"s1": t1}, feature_sets=("prosody", "arousal"), n_folds=3
+            [t1], feature_sets=("prosody", "arousal"), n_folds=3
         )
         prosody_bins = {c.affect_bin for c in cells if c.feature_set == "prosody"}
         arousal_bins = {c.affect_bin for c in cells if c.feature_set == "arousal"}
         assert prosody_bins == {"all"}
         assert arousal_bins == {"all", "high", "low"}
+
+    def test_a_generator_of_tables_is_held_one_at_a_time(self):
+        made = []
+
+        def tables():
+            for seed in range(4):
+                assert all(ref() is None for ref in made), "an earlier table is still held"
+                table = build_table(seed=seed, n=600, noise=0.3)[0]
+                made.append(weakref.ref(table))
+                yield table
+                del table
+
+        cells = coupling_report(tables(), feature_sets=("prosody", "arousal"), n_folds=3)
+        assert len(made) == 4 and all(ref() is None for ref in made)
+        again = [build_table(seed=seed, n=600, noise=0.3)[0] for seed in range(4)]
+        expected = coupling_report(again, feature_sets=("prosody", "arousal"), n_folds=3)
+        assert [astuple(c) for c in cells] == [astuple(c) for c in expected]
+        assert {c.n_dyads for c in cells} == {4}
+
+
+def _reference_fit(x, y, ridge_eps):
+    """The fit as it was before folds came from merged moments, step for step."""
+    valid = np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1)
+    xv = x[valid]
+    yv = y[valid]
+    n, d_x = xv.shape
+    if n <= d_x + 1:
+        raise InsufficientFramesError(f"{n} complete frames")
+    mu_x = xv.mean(axis=0)
+    mu_y = yv.mean(axis=0)
+    xc = xv - mu_x
+    yc = yv - mu_y
+    c_xx = xc.T @ xc / n
+    c_yx = yc.T @ xc / n
+    trace = float(np.trace(c_xx))
+    if ridge_eps > 0.0:
+        c_reg = c_xx + (ridge_eps * trace / d_x) * np.eye(d_x)
+    else:
+        eigvals = np.linalg.eigvalsh(c_xx)
+        if trace <= 0.0 or eigvals[0] <= eigvals[-1] * 1e-12:
+            raise DegenerateInputError("singular")
+        c_reg = c_xx
+    a = np.linalg.solve(c_reg, c_yx.T).T
+    return a, mu_y - a @ mu_x
+
+
+def _reference_r(table, feature_set, protocol, n_folds, condition, affect_bin, ridge_eps):
+    """Per-target r from a refit on copied training rows for every fold."""
+    dimension = None
+    if affect_bin != "all":
+        dimension = feature_set if feature_set in ("arousal", "valence") else "arousal"
+    idx = np.flatnonzero(
+        _selection_mask(table, condition, affect_bin, dimension, "median_split")
+    )
+    x = feature_set_track(table, feature_set).values[idx]
+    y = table.block("activeness").values[idx]
+    if protocol == "in_sample":
+        a, b = _reference_fit(x, y, ridge_eps)
+        y_hat = x @ a.T + b
+    else:
+        if len(idx) < n_folds:
+            raise InsufficientFramesError("fewer frames than folds")
+        y_hat = np.full_like(y, np.nan)
+        for fold in np.array_split(np.arange(len(idx)), n_folds):
+            train = np.setdiff1d(np.arange(len(idx)), fold, assume_unique=True)
+            a, b = _reference_fit(x[train], y[train], ridge_eps)
+            y_hat[fold] = x[fold] @ a.T + b
+        y_hat[np.isnan(x).any(axis=1)] = np.nan
+    out = {}
+    for j, name in enumerate(table.block("activeness").columns):
+        try:
+            out[name] = pearson_r(y[:, j], y_hat[:, j])
+        except TooFewPairsError:
+            out[name] = math.nan
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (InsufficientFramesError, DegenerateInputError) as exc:
+        return type(exc)
+
+
+def _with_dropouts(table, rng, x_share, y_share, constant_column, blank_fold):
+    """`table` with NaN frames in speech, arousal and activeness, optionally a
+    constant speech column, and optionally no complete frame in one fold."""
+    blocks = dict(table.blocks)
+    for name, column, share in (("speech", None, x_share), ("emotion", 0, x_share),
+                                ("activeness", None, y_share)):
+        values = blocks[name].values.copy()
+        rows = rng.random(len(values)) < share
+        if column is None:
+            values[rows, rng.integers(0, values.shape[1], rows.sum())] = np.nan
+        else:
+            values[rows, column] = np.nan
+        if name == "speech" and constant_column:
+            values[:, 0] = 5.0
+        if name == "activeness" and blank_fold is not None:
+            idx = np.flatnonzero(table.column("labels", "speaking") == 1.0)
+            fold, n_folds = blank_fold
+            values[np.array_split(idx, n_folds)[fold % n_folds]] = np.nan
+        blocks[name] = FeatureTrack(table.grid, blocks[name].columns, values)
+    return SessionTable(table.grid, blocks)
+
+
+class TestFoldsFromMoments:
+    """The fold engine against a refit on copied rows, kept here as the reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(60, 900),
+        n_folds=st.integers(2, 12),
+        ridge_eps=st.sampled_from([0.0, 1e-8]),
+        feature_set=st.sampled_from(FEATURE_SETS),
+        condition=st.sampled_from(CONDITIONS),
+        affect_bin=st.sampled_from(AFFECT_BINS),
+        x_share=st.sampled_from([0.0, 0.05, 0.3]),
+        y_share=st.sampled_from([0.0, 0.05, 0.3]),
+        constant_column=st.booleans(),
+        blank_fold=st.none() | st.integers(0, 11),
+    )
+    def test_k_fold_r_matches_refit_on_copied_rows(
+        self, seed, n, n_folds, ridge_eps, feature_set, condition, affect_bin,
+        x_share, y_share, constant_column, blank_fold,
+    ):
+        base, _ = build_table(seed=seed, n=n, noise=0.5)
+        table = _with_dropouts(
+            base, np.random.default_rng(seed), x_share, y_share, constant_column,
+            None if blank_fold is None else (blank_fold, n_folds),
+        )
+        for protocol in ("k_fold", "in_sample"):
+            expected = _outcome(
+                _reference_r, table, feature_set, protocol, n_folds, condition,
+                affect_bin, ridge_eps,
+            )
+            got = _outcome(
+                lambda: evaluate_mapping(
+                    table, feature_set, protocol=protocol, n_folds=n_folds,
+                    condition=condition, affect_bin=affect_bin, ridge_eps=ridge_eps,
+                ).per_target
+            )
+            if isinstance(expected, type):
+                assert got is expected
+                continue
+            assert isinstance(got, dict) and got.keys() == expected.keys()
+            for name, r in expected.items():
+                if protocol == "in_sample" or math.isnan(r):
+                    assert got[name] == r or math.isnan(got[name]) and math.isnan(r)
+                else:
+                    assert abs(got[name] - r) <= 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**16), ridge_eps=st.sampled_from([0.0, 1e-8]))
+    def test_fit_ammse_is_the_reference_fit_bit_for_bit(self, seed, ridge_eps):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((300, 6))
+        y = x @ rng.standard_normal((6, 3)) + rng.standard_normal((300, 3))
+        x[rng.random(300) < 0.1, 2] = np.nan
+        y[rng.random(300) < 0.1, 1] = np.nan
+        fitted = fit_ammse(track(x), track(y, columns=("y0", "y1", "y2")), ridge_eps=ridge_eps)
+        a, b = _reference_fit(x, y, ridge_eps)
+        assert np.array_equal(fitted.a, a) and np.array_equal(fitted.b, b)
