@@ -276,7 +276,7 @@ def cmd_map(config: Config) -> None:
 
     def read_and_fit(session: dict, csv_path: Path, meta_path: Path) -> timeline.SessionTable:
         table = timeline.read_session_csv(csv_path, meta_path)
-        idx = np.flatnonzero(table.column("labels", "speaking") == 1.0)
+        idx = np.flatnonzero(motion.condition_mask(table, "all"))
         y = _mask_track(table.block("activeness"), idx)
         for fs in params["feature_sets"]:
             x = coupling_mod.feature_set_track(table, fs, params["affect_derivatives"])

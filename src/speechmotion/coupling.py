@@ -27,12 +27,11 @@ from .errors import (
     ValidationError,
 )
 from .frames import FeatureTrack, number, read_json_object, read_records, write_json, write_records
-from .motion import CONDITION_NAMES, sem_of
+from .motion import SPEECH_CONDITIONS as CONDITIONS, condition_mask, sem_of
 from .speech_features import PC_COLUMNS, PROSODY_COLUMNS, temporal_derivatives
 from .timeline import SessionTable
 
 FEATURE_SETS = ("prosody", "mfcc", "arousal", "valence", "all")
-CONDITIONS = ("all",) + CONDITION_NAMES
 AFFECT_BINS = ("all", "high", "low")
 PROTOCOLS = ("k_fold", "in_sample")
 BIN_POLICIES = ("median_split", "zero_threshold")
@@ -284,19 +283,13 @@ def _selection_mask(
     dimension: str | None,
     bin_policy: str,
 ) -> np.ndarray:
-    speaking = table.column("labels", "speaking") == 1.0
-    mask = speaking.copy()
-    if condition == "overlap":
-        mask &= table.column("labels", "overlap") == 1.0
-    elif condition == "non_overlap":
-        mask &= table.column("labels", "overlap") == 0.0
-    elif condition != "all":
-        raise ValueError(f"unknown condition {condition!r}; expected {CONDITIONS}")
+    mask = condition_mask(table, condition)
     if affect_bin != "all":
         if affect_bin not in ("high", "low"):
             raise ValueError(f"unknown affect bin {affect_bin!r}")
         high, low = bin_affect(
-            table.block("emotion"), dimension, policy=bin_policy, speaking=speaking
+            table.block("emotion"), dimension, policy=bin_policy,
+            speaking=condition_mask(table, "all"),
         )
         mask &= high if affect_bin == "high" else low
     return mask

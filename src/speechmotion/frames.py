@@ -313,8 +313,12 @@ def write_feature_csv(track: FeatureTrack, path) -> None:
 
 
 def read_feature_csv(path) -> FeatureTrack:
-    """Load a feature CSV written by :func:`write_feature_csv`."""
+    """Load a feature CSV written by :func:`write_feature_csv`; a repeated
+    column name raises :class:`MalformedRowError` naming the header line."""
     grid, header, values, _ = read_rated_table(path)
+    repeated = sorted({c for c in header if header.count(c) > 1})
+    if repeated:
+        raise MalformedRowError(f"{path}:2: column name(s) {repeated} appear more than once")
     return FeatureTrack(grid, tuple(header[1:]), values)
 
 

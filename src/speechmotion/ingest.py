@@ -37,7 +37,7 @@ from .frames import (
     write_records,
     write_table,
 )
-from .motion import CATEGORY_NAMES, DEFAULT_MAX_ABS_MM, MarkerTrack
+from .motion import CATEGORY_NAMES, DEFAULT_MAX_ABS_MM, MarkerTrack, max_abs_mm
 
 CHANNEL_LEFT = "left"
 CHANNEL_RIGHT = "right"
@@ -424,16 +424,14 @@ def load_markers(path) -> MarkerTrack:
     path = str(path)
     grid, header, values, line_of = read_rated_table(path)
     names = _marker_names_from_header(header, path)
-    # fmin/fmax skip NaN dropouts and need no full-size temporary
-    if values.size and max(
-        -np.fmin.reduce(values, axis=None), np.fmax.reduce(values, axis=None)
-    ) > DEFAULT_MAX_ABS_MM:
+    if max_abs_mm(values) > DEFAULT_MAX_ABS_MM:
         row, col = np.argwhere(np.abs(values) > DEFAULT_MAX_ABS_MM)[0]
         raise ValueOutOfRangeError(
             f"{path}:{line_of(int(row))}: {header[col + 1]} {float(values[row, col])!r} "
             f"mm exceeds the plausibility bound {DEFAULT_MAX_ABS_MM} mm"
         )
     positions = values.reshape(grid.n_frames, len(names), 3)
+    positions.setflags(write=False)  # so MarkerTrack need not copy it
     return MarkerTrack(grid, tuple(names), positions)
 
 

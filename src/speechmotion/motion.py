@@ -29,6 +29,7 @@ DEFAULT_MAX_ABS_MM = 2000.0
 # target speaker's speaking frames by whether another speaker talks too.
 CATEGORY_NAMES = ("Neutral", "Happy", "Sad", "Angry")
 CONDITION_NAMES = ("overlap", "non_overlap")
+SPEECH_CONDITIONS = ("all",) + CONDITION_NAMES  # `all` is every speaking frame
 
 REGION_ORDER = (
     "head",
@@ -70,6 +71,18 @@ _HEAD = ("LHD", "RHD")
 _HANDS = ("RH1", "RH2", "RH3", "LH1", "LH2", "LH3")
 
 
+def max_abs_mm(values: np.ndarray) -> float:
+    """Largest coordinate magnitude, NaN dropouts skipped (0 when there is none).
+
+    fmin and fmax skip NaN and reach any infinity, so the check against
+    DEFAULT_MAX_ABS_MM needs no full-size temporary.
+    """
+    if not values.size:
+        return 0.0
+    magnitude = max(-np.fmin.reduce(values, axis=None), np.fmax.reduce(values, axis=None))
+    return 0.0 if math.isnan(magnitude) else float(magnitude)
+
+
 @dataclass(frozen=True)
 class MarkerTrack:
     """3D marker trajectories in millimeters; NaN coordinates mark dropouts."""
@@ -83,14 +96,16 @@ class MarkerTrack:
         object.__setattr__(self, "markers", markers)
         if len(set(markers)) != len(markers):
             raise ValueError(f"duplicate marker names: {markers}")
-        pos = np.array(self.positions, dtype=np.float64, order="C")
+        # a read-only float64 C-ordered array is adopted as it is; any other is copied
+        adopt = isinstance(self.positions, np.ndarray) and not self.positions.flags.writeable
+        pos = (np.asarray if adopt else np.array)(self.positions, dtype=np.float64, order="C")
         expected = (self.grid.n_frames, len(markers), 3)
         if pos.shape != expected:
             raise ValueError(f"positions shape {pos.shape}, expected {expected}")
-        finite = pos[np.isfinite(pos)]
-        if finite.size and np.abs(finite).max() > DEFAULT_MAX_ABS_MM:
+        magnitude = max_abs_mm(pos)
+        if magnitude > DEFAULT_MAX_ABS_MM:
             raise ValueError(
-                f"coordinate magnitude {np.abs(finite).max():.1f} mm exceeds "
+                f"coordinate magnitude {magnitude:.1f} mm exceeds "
                 f"plausibility bound {DEFAULT_MAX_ABS_MM} mm"
             )
         pos.setflags(write=False)
@@ -213,18 +228,28 @@ def sem_of(values: np.ndarray) -> float:
     return float(np.std(values, ddof=1) / math.sqrt(n))
 
 
+def condition_mask(table: "SessionTable", condition: str) -> np.ndarray:
+    """The target speaker's speaking frames under one speech condition: `all`,
+    `overlap` (another speaker talks too) or `non_overlap` (no one else does)."""
+    mask = table.column("labels", "speaking") == 1.0
+    if condition == "all":
+        return mask
+    if condition not in CONDITION_NAMES:
+        raise ValueError(f"unknown condition {condition!r}; expected {SPEECH_CONDITIONS}")
+    overlap = table.column("labels", "overlap") == 1.0
+    return mask & overlap if condition == "overlap" else mask & ~overlap
+
+
 def condition_strata(table: "SessionTable") -> list[tuple[str, str, np.ndarray]]:
     """``(emotion, condition, mask)`` for each emotion x condition stratum of the
     target speaker's speaking frames, in CATEGORY_NAMES x CONDITION_NAMES order."""
-    speaking = table.column("labels", "speaking") == 1.0
-    overlap = table.column("labels", "overlap") == 1.0
     category = table.column("emotion", "category")
-    strata = []
-    for code, emotion in enumerate(CATEGORY_NAMES):
-        emo_mask = speaking & (category == float(code))
-        for condition, mask in zip(CONDITION_NAMES, (emo_mask & overlap, emo_mask & ~overlap)):
-            strata.append((emotion, condition, mask))
-    return strata
+    by_condition = [(c, condition_mask(table, c)) for c in CONDITION_NAMES]
+    return [
+        (emotion, condition, mask & (category == float(code)))
+        for code, emotion in enumerate(CATEGORY_NAMES)
+        for condition, mask in by_condition
+    ]
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ extractor agrees on that count. Pitch uses Hann-tapered normalized
 autocorrelation with parabolic peak interpolation (voicing threshold 0.45 on
 the normalized peak); unvoiced frames carry f0 = 0. Mel cepstra use 26
 triangular filters from 0 Hz to Nyquist with a 1e-10 log floor, orthonormal
-DCT-II, and coefficient 0 dropped. All of these are configurable.
+DCT-II, and coefficient 0 dropped. These are module constants, the same for
+every clip and session.
 
 `f0_contour`, `rms_energy` and `mfcc` work through the frames in blocks of
 CHUNK_FRAMES rows and keep only their per-frame outputs, so their working
@@ -41,6 +42,9 @@ from .ingest import AudioClip
 
 FRAME_RATE_HZ = 120.0
 WINDOW_S = 0.025
+VOICING_THRESHOLD = 0.45  # least normalized autocorrelation peak of a voiced frame
+N_MEL_FILTERS = 26
+LOG_FLOOR = 1e-10  # floor of the mel energies before the log
 # Analysis frames are processed in blocks of this many rows (see _frame_blocks).
 CHUNK_FRAMES = 1024
 
@@ -60,21 +64,19 @@ SPECTRAL_COLUMNS = MFCC_COLUMNS + derivative_columns(MFCC_COLUMNS)
 SPEECH_FEATURE_COLUMNS = PC_COLUMNS + PROSODY_COLUMNS
 
 
-def feature_grid(
-    clip: AudioClip, rate_hz: float = FRAME_RATE_HZ, window_s: float = WINDOW_S
-) -> FrameGrid:
+def feature_grid(clip: AudioClip) -> FrameGrid:
     """Extraction grid for a clip: frame i's window starts at start_s + i/rate."""
-    n = int(math.floor((clip.duration_s - window_s) * rate_hz)) + 1
+    n = int(math.floor((clip.duration_s - WINDOW_S) * FRAME_RATE_HZ)) + 1
     if n < 1:
         raise ClipShorterThanWindowError(
             f"clip of {clip.duration_s:.4f} s is shorter than the "
-            f"{window_s * 1e3:.0f} ms analysis window"
+            f"{WINDOW_S * 1e3:.0f} ms analysis window"
         )
-    return FrameGrid(rate_hz=rate_hz, start_s=clip.start_s, n_frames=n)
+    return FrameGrid(rate_hz=FRAME_RATE_HZ, start_s=clip.start_s, n_frames=n)
 
 
 def _frame_blocks(
-    clip: AudioClip, grid: FrameGrid, window_s: float
+    clip: AudioClip, grid: FrameGrid
 ) -> tuple[int, Iterator[tuple[int, np.ndarray]]]:
     """Window length in samples, and the grid's analysis windows in blocks.
 
@@ -91,9 +93,9 @@ def _frame_blocks(
     if clip.samples.ndim != 1:
         raise ValueError("feature extraction requires a mono clip")
     sr = clip.sample_rate_hz
-    win = int(round(window_s * sr))
+    win = int(round(WINDOW_S * sr))
     rel_start = grid.start_s - clip.start_s
-    last_end = rel_start + (grid.n_frames - 1) / grid.rate_hz + window_s
+    last_end = rel_start + (grid.n_frames - 1) / grid.rate_hz + WINDOW_S
     if rel_start < -0.5 / sr or last_end > clip.duration_s + 0.5 / sr:
         raise ClipShorterThanWindowError(
             f"grid spans [{grid.start_s:.4f}, {last_end + clip.start_s:.4f}] s "
@@ -122,13 +124,11 @@ def f0_contour(
     grid: FrameGrid | None = None,
     fmin: float = 50.0,
     fmax: float = 500.0,
-    voicing_threshold: float = 0.45,
-    window_s: float = WINDOW_S,
 ) -> FeatureTrack:
     """Fundamental frequency per frame in Hz; 0 marks unvoiced frames."""
     if grid is None:
-        grid = feature_grid(clip, window_s=window_s)
-    win, blocks = _frame_blocks(clip, grid, window_s)
+        grid = feature_grid(clip)
+    win, blocks = _frame_blocks(clip, grid)
     sr = clip.sample_rate_hz
     lag_min = max(2, int(math.floor(sr / fmax)))
     lag_max = min(int(math.ceil(sr / fmin)), win - 2)
@@ -162,18 +162,16 @@ def f0_contour(
         shift = np.clip(shift, -0.5, 0.5)
         lag = (best + (lag_min - 1)) + shift
 
-        voiced = (r_0 >= voicing_threshold) & ~quiet
+        voiced = (r_0 >= VOICING_THRESHOLD) & ~quiet
         f0[lo:lo + len(frames)] = np.where(voiced, np.clip(sr / lag, fmin, fmax), 0.0)
     return FeatureTrack(grid, ("f0_hz",), f0)
 
 
-def rms_energy(
-    clip: AudioClip, grid: FrameGrid | None = None, window_s: float = WINDOW_S
-) -> FeatureTrack:
+def rms_energy(clip: AudioClip, grid: FrameGrid | None = None) -> FeatureTrack:
     """Root-mean-square amplitude of each analysis window."""
     if grid is None:
-        grid = feature_grid(clip, window_s=window_s)
-    _, blocks = _frame_blocks(clip, grid, window_s)
+        grid = feature_grid(clip)
+    _, blocks = _frame_blocks(clip, grid)
     rms = np.empty(grid.n_frames)
     for lo, frames in blocks:
         rms[lo:lo + len(frames)] = np.sqrt(np.mean(frames**2, axis=1))
@@ -208,29 +206,22 @@ def _dct_matrix(n: int) -> np.ndarray:
     return d
 
 
-def mfcc(
-    clip: AudioClip,
-    grid: FrameGrid | None = None,
-    n_keep: int = 12,
-    n_filters: int = 26,
-    log_floor: float = 1e-10,
-    window_s: float = WINDOW_S,
-) -> FeatureTrack:
-    """Mel-frequency cepstral coefficients 1..n_keep (coefficient 0 dropped)."""
+def mfcc(clip: AudioClip, grid: FrameGrid | None = None) -> FeatureTrack:
+    """Mel-frequency cepstral coefficients 1..12 (coefficient 0 dropped)."""
     if grid is None:
-        grid = feature_grid(clip, window_s=window_s)
-    win, blocks = _frame_blocks(clip, grid, window_s)
+        grid = feature_grid(clip)
+    win, blocks = _frame_blocks(clip, grid)
     nfft = _next_pow2(win)
     taper = np.hanning(win)
-    filters = _mel_filterbank(clip.sample_rate_hz, nfft, n_filters).T
-    dct = _dct_matrix(n_filters).T
+    filters = _mel_filterbank(clip.sample_rate_hz, nfft, N_MEL_FILTERS).T
+    dct = _dct_matrix(N_MEL_FILTERS).T
+    n_keep = len(MFCC_COLUMNS)
     coeffs = np.empty((grid.n_frames, n_keep))
     for lo, frames in blocks:
         power = np.abs(np.fft.rfft(frames * taper, nfft)) ** 2
-        log_e = np.log(np.maximum(power @ filters, log_floor))
+        log_e = np.log(np.maximum(power @ filters, LOG_FLOOR))
         coeffs[lo:lo + len(frames)] = (log_e @ dct)[:, 1:n_keep + 1]
-    names = tuple(f"mfcc_{i}" for i in range(1, n_keep + 1))
-    return FeatureTrack(grid, names, coeffs)
+    return FeatureTrack(grid, MFCC_COLUMNS, coeffs)
 
 
 def _ls_slope(x: np.ndarray) -> np.ndarray:
@@ -262,16 +253,13 @@ def temporal_derivatives(track: FeatureTrack) -> FeatureTrack:
         raise TrackTooShortError(
             f"need >= 5 frames for derivatives, got {track.n_frames}"
         )
-    blocks = [track.values]
-    names = list(track.columns)
     derived = np.empty((track.n_frames, 2 * len(track.columns)))
-    for j, col in enumerate(track.columns):
+    for j in range(len(track.columns)):
         d1 = _ls_slope(track.values[:, j])
         derived[:, 2 * j] = d1
         derived[:, 2 * j + 1] = _ls_slope(d1)
-        names.extend((f"{col}_delta", f"{col}_delta2"))
-    blocks.append(derived)
-    return FeatureTrack(track.grid, tuple(names), np.hstack(blocks))
+    names = track.columns + derivative_columns(track.columns)
+    return FeatureTrack(track.grid, names, np.hstack([track.values, derived]))
 
 
 def prosody_features(
@@ -373,11 +361,11 @@ def fit_pca(track: FeatureTrack, k: int = 12) -> PcaModel:
     )
 
 
-def fit_pca_pooled(tracks: list[FeatureTrack], k: int = 12) -> PcaModel:
-    """Fit one model on the stacked frames of several tracks (corpus scope)."""
+def fit_pca_pooled(tracks: list[FeatureTrack]) -> PcaModel:
+    """Fit one 12-component model on the stacked frames of several tracks (corpus scope)."""
     stacked = np.vstack([t.values for t in tracks])
     grid = FrameGrid(rate_hz=1.0, start_s=0.0, n_frames=stacked.shape[0])
-    return fit_pca(FeatureTrack(grid, tracks[0].columns, stacked), k=k)
+    return fit_pca(FeatureTrack(grid, tracks[0].columns, stacked))
 
 
 def apply_pca(model: PcaModel, track: FeatureTrack) -> FeatureTrack:

@@ -1,8 +1,9 @@
 """Two-way repeated-measures ANOVA over region activeness.
 
 Both factors are within-subject: each effect is tested against its own
-subject-interaction error term (classical univariate decomposition, no
-sphericity correction by default). Effect size is partial eta squared.
+effect-by-subject error term, and both come from one matrix, the subjects'
+orthonormal contrast scores for that effect (no sphericity correction by
+default). Effect size is partial eta squared.
 """
 
 from __future__ import annotations
@@ -147,51 +148,23 @@ def _f_tail(f: float, df1: float, df2: float) -> float:
     return float(betainc(df2 / 2.0, df1 / 2.0, df2 / (df2 + df1 * f)))
 
 
-def _effect(name, ss_eff, df_eff, ss_err, df_err, scale, epsilon=None) -> EffectStats:
-    tiny = 1e-12 * max(scale, 1.0)
-    if ss_eff <= tiny:
-        f_value, p, eta = 0.0, 1.0, 0.0
-    elif ss_err <= tiny:
-        f_value, p, eta = math.inf, 0.0, 1.0
-    else:
-        f_value = (ss_eff / df_eff) / (ss_err / df_err)
-        # Greenhouse-Geisser: same F, epsilon-scaled (non-integer) dfs
-        scale = 1.0 if epsilon is None else epsilon
-        p = _f_tail(f_value, scale * df_eff, scale * df_err)
-        eta = ss_eff / (ss_eff + ss_err)
-    return EffectStats(
-        name=name,
-        f_value=f_value,
-        df_effect=df_eff,
-        df_error=df_err,
-        p_value=p,
-        partial_eta_sq=eta,
-        ss_effect=ss_eff,
-        ss_error=ss_err,
-        gg_epsilon=epsilon,
-    )
-
-
 def _orthonormal_contrasts(k: int) -> np.ndarray:
-    """Orthonormal basis of the mean-zero subspace for k repeated levels."""
-    center = np.eye(k) - 1.0 / k
-    u, s, _ = np.linalg.svd(center)
-    return u[:, : k - 1].T
+    """Orthonormal basis of the mean-zero subspace for k repeated levels: the
+    Helmert contrasts, row j - 1 setting level j against the j levels before it.
+    Built in closed form, so no LAPACK routine is loaded for it."""
+    j = np.arange(1, k)[:, None]
+    level = np.arange(k)[None, :]
+    return np.where(level < j, 1.0, np.where(level == j, -j, 0.0)) / np.sqrt(j * (j + 1.0))
 
 
-def _gg_epsilon(cells: np.ndarray, contrast: np.ndarray) -> float:
-    """Greenhouse-Geisser epsilon of one effect from its contrast scores."""
-    n = cells.shape[0]
-    scores = cells.reshape(n, -1) @ contrast.T
-    d = contrast.shape[0]
-    if d < 2 or n < 2:
-        return 1.0
-    s = np.cov(scores, rowvar=False)
-    trace = float(np.trace(s))
+def _gg_epsilon(resid: np.ndarray) -> float:
+    """Greenhouse-Geisser epsilon from one effect's centred contrast scores."""
+    d = resid.shape[1]
+    s = resid.T @ resid  # (n - 1) cov(scores); epsilon does not see the scale
     denom = d * float((s * s).sum())
     if denom <= 0.0:
         return 1.0
-    return min(max(trace * trace / denom, 1.0 / d), 1.0)
+    return min(max(float(np.trace(s)) ** 2 / denom, 1.0 / d), 1.0)
 
 
 def rm_anova_two_way(
@@ -199,11 +172,16 @@ def rm_anova_two_way(
 ) -> AnovaResult:
     """Classical two-way within-subject ANOVA.
 
-    Each main effect is tested against its factor-by-subject interaction and
-    the interaction against the three-way residual. Returns F, dfs, p and
-    partial eta squared for A, B and AxB. With `sphericity_correction`, p
-    values use Greenhouse-Geisser epsilon-scaled degrees of freedom (a no-op
-    for two-level factors, where epsilon is identically 1).
+    Every effect is tested on its subjects' orthonormal contrast scores
+    (O'Brien & Kaiser 1985): rows kron(c_a, 1/sqrt(b)) for A,
+    kron(1/sqrt(a), c_b) for B and kron(c_a, c_b) for AxB, where c_k spans
+    the mean-zero contrasts of k levels. The effect's SS is n times the
+    squared norm of the mean score, its error SS the scores' spread about
+    that mean (the effect-by-subject interaction), and its df the number of
+    contrast rows. Returns F, dfs, p and partial eta squared for A, B and
+    AxB. With `sphericity_correction`, p values use Greenhouse-Geisser
+    epsilon-scaled degrees of freedom, epsilon from the scores' covariance
+    (a no-op for two-level factors, where epsilon is identically 1).
     """
     y = design.cells
     n, a, b = y.shape
@@ -212,60 +190,39 @@ def rm_anova_two_way(
     if a < 2 or b < 2:
         raise ValidationError("each factor needs >= 2 levels")
 
-    grand = y.mean()
-    m_s = y.mean(axis=(1, 2))
-    m_a = y.mean(axis=(0, 2))
-    m_b = y.mean(axis=(0, 1))
-    m_ab = y.mean(axis=0)
-    m_sa = y.mean(axis=2)
-    m_sb = y.mean(axis=1)
-
-    ss_total = float(((y - grand) ** 2).sum())
-    ss_a = float(n * b * ((m_a - grand) ** 2).sum())
-    ss_b = float(n * a * ((m_b - grand) ** 2).sum())
-    ss_ab = float(
-        n * ((m_ab - m_a[:, None] - m_b[None, :] + grand) ** 2).sum()
+    c_a, c_b = _orthonormal_contrasts(a), _orthonormal_contrasts(b)
+    ones_a, ones_b = np.full((1, a), a ** -0.5), np.full((1, b), b ** -0.5)
+    contrasts = (
+        (design.factor_a, np.kron(c_a, ones_b)),
+        (design.factor_b, np.kron(ones_a, c_b)),
+        (f"{design.factor_a}_x_{design.factor_b}", np.kron(c_a, c_b)),
     )
-    ss_subj = float(a * b * ((m_s - grand) ** 2).sum())
-    ss_as = float(
-        b * ((m_sa - m_a[None, :] - m_s[:, None] + grand) ** 2).sum()
-    )
-    ss_bs = float(
-        a * ((m_sb - m_b[None, :] - m_s[:, None] + grand) ** 2).sum()
-    )
-    ss_abs = ss_total - (ss_a + ss_b + ss_ab + ss_subj + ss_as + ss_bs)
-    ss_abs = max(ss_abs, 0.0)
-
-    eps_a = eps_b = eps_ab = None
-    if sphericity_correction:
-        c_a = _orthonormal_contrasts(a)
-        c_b = _orthonormal_contrasts(b)
-        ones_a = np.full((1, a), 1.0 / a)
-        ones_b = np.full((1, b), 1.0 / b)
-        eps_a = _gg_epsilon(y, np.kron(c_a, ones_b))
-        eps_b = _gg_epsilon(y, np.kron(ones_a, c_b))
-        eps_ab = _gg_epsilon(y, np.kron(c_a, c_b))
-
-    name_ab = f"{design.factor_a}_x_{design.factor_b}"
-    return AnovaResult(
-        effects=(
-            _effect(
-                design.factor_a, ss_a, a - 1, ss_as, (a - 1) * (n - 1), ss_total, eps_a
-            ),
-            _effect(
-                design.factor_b, ss_b, b - 1, ss_bs, (b - 1) * (n - 1), ss_total, eps_b
-            ),
-            _effect(
-                name_ab,
-                ss_ab,
-                (a - 1) * (b - 1),
-                ss_abs,
-                (a - 1) * (b - 1) * (n - 1),
-                ss_total,
-                eps_ab,
-            ),
+    flat = y.reshape(n, -1)
+    # an SS this far below the total SS is rounding: that effect or error is absent
+    tiny = 1e-12 * max(float(((flat - flat.mean()) ** 2).sum()), 1.0)
+    effects = []
+    for name, contrast in contrasts:
+        scores = flat @ contrast.T
+        mean = scores.mean(axis=0)
+        resid = scores - mean
+        ss_eff, ss_err = n * float(mean @ mean), float((resid * resid).sum())
+        df_eff = contrast.shape[0]
+        df_err = df_eff * (n - 1)
+        epsilon = _gg_epsilon(resid) if sphericity_correction else None
+        if ss_eff <= tiny:
+            f_value, p, eta = 0.0, 1.0, 0.0
+        elif ss_err <= tiny:
+            f_value, p, eta = math.inf, 0.0, 1.0
+        else:
+            f_value = (ss_eff / df_eff) / (ss_err / df_err)
+            # Greenhouse-Geisser: same F, epsilon-scaled (non-integer) dfs
+            scale = 1.0 if epsilon is None else epsilon
+            p = _f_tail(f_value, scale * df_eff, scale * df_err)
+            eta = ss_eff / (ss_eff + ss_err)
+        effects.append(
+            EffectStats(name, f_value, df_eff, df_err, p, eta, ss_eff, ss_err, epsilon)
         )
-    )
+    return AnovaResult(tuple(effects))
 
 
 def design_from_summaries(

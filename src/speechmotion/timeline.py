@@ -45,6 +45,7 @@ NATIVE_RATE_HZ = 120.0
 MIN_OVERLAP_S = 1.0  # least common time span that align_session accepts
 
 LABEL_COLUMNS = ("speaking", "overlap")
+BLOCK_NAMES = ("speech", "emotion", "activeness", "labels")  # the blocks of an aligned session
 
 
 def resample_linear(track: FeatureTrack, target: FrameGrid) -> FeatureTrack:
@@ -85,6 +86,11 @@ def resample_nearest(track: FeatureTrack, target: FrameGrid) -> FeatureTrack:
     return FeatureTrack(target, track.columns, track.values[idx])
 
 
+def _near_native(rate_hz: float) -> bool:
+    """Whether a rate is the ~120 Hz native rate, within 0.1%."""
+    return abs(rate_hz - NATIVE_RATE_HZ) <= 0.001 * NATIVE_RATE_HZ
+
+
 def decimate_alternate(track: FeatureTrack) -> FeatureTrack:
     """Keep even-indexed frames of a 120 Hz track, halving the rate to 60 Hz.
 
@@ -93,7 +99,7 @@ def decimate_alternate(track: FeatureTrack) -> FeatureTrack:
     that gap.
     """
     rate = track.grid.rate_hz
-    if abs(rate - NATIVE_RATE_HZ) > 0.001 * NATIVE_RATE_HZ:
+    if not _near_native(rate):
         raise RateMismatchError(
             f"decimation expects a ~{NATIVE_RATE_HZ} Hz track, got {rate} Hz"
         )
@@ -110,10 +116,7 @@ def decimates(rate_hz: float, target_rate_hz: float) -> bool:
     The every-other-frame rule applies when halving a ~120 Hz stream toward
     the session rate; a stream already at the target rate passes through.
     """
-    return (
-        abs(rate_hz - NATIVE_RATE_HZ) <= 0.001 * NATIVE_RATE_HZ
-        and rate_hz / target_rate_hz >= 1.8
-    )
+    return _near_native(rate_hz) and rate_hz / target_rate_hz >= 1.8
 
 
 def _interval_mask(timestamps: np.ndarray, intervals) -> np.ndarray:
@@ -148,6 +151,11 @@ def rasterize_intervals(
     return FeatureTrack(grid, LABEL_COLUMNS, values)
 
 
+def _not_binary(labels: np.ndarray) -> np.ndarray:
+    """Per row of label columns, whether a cell is other than 0 or 1."""
+    return ~np.isin(labels, (0.0, 1.0)).all(axis=1)
+
+
 @dataclass(frozen=True)
 class SessionTable:
     """Named feature blocks sharing one frame grid; the merged session view."""
@@ -161,10 +169,8 @@ class SessionTable:
         for name, track in blocks.items():
             if track.grid != self.grid:
                 raise ValueError(f"block {name!r} is not on the session grid")
-        if "labels" in blocks:
-            vals = blocks["labels"].values
-            if not np.isin(vals, (0.0, 1.0)).all():
-                raise ValueError("label columns must be binary")
+        if "labels" in blocks and _not_binary(blocks["labels"].values).any():
+            raise ValueError("label columns must be binary")
 
     def block(self, name: str) -> FeatureTrack:
         try:
@@ -255,9 +261,16 @@ _SIDECAR_KEYS = {
     "start_s": (lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number"),
     "n_frames": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
     "blocks": (
-        lambda v: type(v) is dict
-        and all(type(b) is dict and type(b.get("columns")) is list for b in v.values()),
-        'an object of {"columns": [...]} per block',
+        lambda v: type(v) is dict and all(name in v for name in BLOCK_NAMES)
+        and all(
+            type(b) is dict and type(b.get("columns")) is list
+            and all(type(c) is str for c in b["columns"])
+            and len(set(b["columns"])) == len(b["columns"])
+            for b in v.values()
+        )
+        and v["labels"]["columns"] == list(LABEL_COLUMNS),
+        f'an object of {{"columns": [...]}} per block for {", ".join(BLOCK_NAMES)}, '
+        f"with distinct column names, the labels' being {list(LABEL_COLUMNS)}",
     ),
     "provenance": (lambda v: type(v) is dict, "an object"),
 }
@@ -266,9 +279,11 @@ _SIDECAR_KEYS = {
 def read_session_csv(csv_path, meta_path) -> SessionTable:
     """Load a session written by :func:`write_session_csv`.
 
-    The sidecar gives the grid and the block columns; a sidecar that is not
-    JSON, lacks one of them or has an unknown key raises :class:`ValidationError`,
-    and a CSV whose header or row count does not match it :class:`MalformedRowError`.
+    The sidecar gives the grid and the columns of the four blocks of
+    BLOCK_NAMES; a sidecar that is not JSON, lacks one of them, repeats a
+    column name within a block or has an unknown key raises
+    :class:`ValidationError`, and a CSV whose header or row count does not
+    match it, or with a label cell other than 0 or 1, :class:`MalformedRowError`.
     """
     meta = read_json_object(meta_path)
     try:
@@ -286,11 +301,16 @@ def read_session_csv(csv_path, meta_path) -> SessionTable:
             raise MalformedRowError(
                 f"{path}: header does not match the block columns in {meta_path}"
             )
-        data, _ = read_rows(fh, path, first_line=2, n_cells=len(expected))
+        data, line_of = read_rows(fh, path, first_line=2, n_cells=len(expected))
     if data.shape[0] != grid.n_frames:
         raise MalformedRowError(
             f"{path}: {data.shape[0]} data rows, but {meta_path} gives "
             f"n_frames={grid.n_frames}"
+        )
+    not_binary = _not_binary(data[:, [expected.index(f"labels.{c}") for c in LABEL_COLUMNS]])
+    if not_binary.any():
+        raise MalformedRowError(
+            f"{path}:{line_of(int(np.argmax(not_binary)))}: label cells must be 0 or 1"
         )
     blocks: dict[str, FeatureTrack] = {}
     col = 1

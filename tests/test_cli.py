@@ -5,6 +5,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speechmotion import cli, ingest, speech_features
-from speechmotion.errors import ValidationError
+from speechmotion import cli, ingest, speech_features, stats, timeline
+from speechmotion.errors import IncompleteSubjectWarning, ValidationError
 from speechmotion.frames import read_feature_csv, write_feature_csv
 from speechmotion.speech_features import SPEECH_FEATURE_COLUMNS
 
@@ -122,6 +123,48 @@ def absolute_sessions(workspace) -> list[dict]:
         }
         for s in workspace["doc"]["sessions"]
     ]
+
+
+class TestStatsCommand:
+    def test_segment_unit_with_sphericity_correction(self, cli_workspace, tmp_path):
+        # each region's design from 30 s speaking segments, GG-corrected p in anova.csv
+        out = tmp_path / "o"
+        shutil.copytree(cli_workspace["out"], out)
+        doc = {
+            "params": {"anova_unit": "segment", "segment_s": 30.0, "sphericity_correction": True},
+            "sessions": absolute_sessions(cli_workspace),
+        }
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        with pytest.warns(IncompleteSubjectWarning):  # most segments miss a cell
+            rc = cli.main([f"--config={p}", f"--out-dir={out}", "stats"])
+        assert rc == 0
+        written = stats.read_anova_csv(out / "anova.csv")
+        tables = {
+            s["id"]: timeline.read_session_csv(
+                out / s["id"] / "aligned.csv", out / s["id"] / "aligned.meta.json"
+            )
+            for s in doc["sessions"]
+        }
+        assert list(written) == list(next(iter(tables.values())).block("activeness").columns)
+        for region, result in written.items():
+            rows = [
+                row for sid, table in tables.items()
+                for row in stats.segment_design_rows(table, region, sid, segment_s=30.0)
+            ]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", IncompleteSubjectWarning)
+                design = stats.RmDesign.from_rows(rows, drop_incomplete=True)
+            corrected = stats.rm_anova_two_way(design, sphericity_correction=True)
+            plain = stats.rm_anova_two_way(design)
+            assert corrected.effect("emotion").gg_epsilon < 1.0
+            for w, c, u in zip(result.effects, corrected.effects, plain.effects):
+                assert (w.name, w.df_effect, w.df_error) == (c.name, c.df_effect, c.df_error)
+                assert w.df_error == w.df_effect * (len(design.subjects) - 1)
+                assert (w.f_value, w.p_value, w.partial_eta_sq) == (
+                    c.f_value, c.p_value, c.partial_eta_sq
+                )
+            assert result.effect("emotion").p_value != plain.effect("emotion").p_value
 
 
 class TestCorpusPca:
@@ -661,6 +704,66 @@ class TestTableErrors:
         err = capsys.readouterr().err
         assert rc == 2
         assert f"{meta_path}{message}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["activeness", "map"])
+    @pytest.mark.parametrize("value", ["0.5", ""], ids=["half", "empty"])
+    def test_label_cell_that_is_not_binary_names_its_line(
+        self, cli_workspace, tmp_path, capsys, command, value
+    ):
+        out = tmp_path / "o"
+        shutil.copytree(cli_workspace["out"], out)
+        csv_path = out / "s101" / "aligned.csv"
+        header = csv_path.read_text().split("\n", 1)[0].split(",")
+        _set_cell(csv_path, line=40, column=header.index("labels.overlap"), value=value)
+        rc = cli.main([f"--config={cli_workspace['config']}", f"--out-dir={out}", command])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{csv_path}:40: label cells must be 0 or 1" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["activeness", "map"])
+    @pytest.mark.parametrize("damage", ["labels_dropped", "activeness_repeated"])
+    def test_sidecar_blocks_a_session_cannot_have_name_the_sidecar(
+        self, cli_workspace, tmp_path, capsys, command, damage
+    ):
+        # the table and its sidecar agree, so only the block rule can reject them
+        out = tmp_path / "o"
+        shutil.copytree(cli_workspace["out"], out)
+        csv_path = out / "s101" / "aligned.csv"
+        meta_path = out / "s101" / "aligned.meta.json"
+        meta = json.loads(meta_path.read_text())
+        rows = [line.split(",") for line in csv_path.read_text().splitlines()]
+        if damage == "labels_dropped":
+            del meta["blocks"]["labels"]
+            rows = [row[:-2] for row in rows]  # the labels are the last two columns
+        else:
+            columns = meta["blocks"]["activeness"]["columns"]
+            rows[0][rows[0].index(f"activeness.{columns[1]}")] = f"activeness.{columns[0]}"
+            columns[1] = columns[0]
+        csv_path.write_text("".join(",".join(row) + "\n" for row in rows))
+        meta_path.write_text(json.dumps(meta))
+        rc = cli.main([f"--config={cli_workspace['config']}", f"--out-dir={out}", command])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{meta_path}: 'blocks' must be an object of" in err
+        assert "Traceback" not in err
+
+    def test_repeated_column_in_a_feature_csv_names_the_header(
+        self, cli_workspace, tmp_path, capsys
+    ):
+        sessions = absolute_sessions(cli_workspace)[:1]
+        bad = tmp_path / "bad_speech_features.csv"
+        shutil.copy(sessions[0]["speech_features"], bad)
+        header = bad.read_text().splitlines()[1].split(",")
+        _set_cell(bad, line=2, column=2, value=header[1])
+        sessions[0]["speech_features"] = str(bad)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"sessions": sessions}))
+        rc = cli.main([f"--config={p}", f"--out-dir={tmp_path / 'o'}", "align"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{bad}:2: column name(s) ['{header[1]}'] appear more than once" in err
         assert "Traceback" not in err
 
     def test_markers_parsed_once_per_session(self, cli_workspace, tmp_path, monkeypatch):

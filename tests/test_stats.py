@@ -1,8 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import betainc
+from scipy.stats import binom
 
 from speechmotion.errors import (
     IncompleteSubjectWarning,
@@ -10,7 +15,7 @@ from speechmotion.errors import (
     TooFewSubjectsError,
     UnbalancedDesignError,
 )
-from speechmotion.motion import SummaryCell, sem_of
+from speechmotion.motion import CATEGORY_NAMES, CONDITION_NAMES, SummaryCell, sem_of
 from speechmotion.stats import (
     RmDesign,
     design_from_summaries,
@@ -155,6 +160,147 @@ class TestSphericityCorrection:
     def test_default_has_no_epsilon(self):
         result = rm_anova_two_way(HAND_DESIGN)
         assert all(e.gg_epsilon is None for e in result.effects)
+
+
+def _svd_contrasts(k: int) -> np.ndarray:
+    """An orthonormal basis of the mean-zero subspace of k levels, from the SVD
+    of the centring matrix."""
+    u, _, _ = np.linalg.svd(np.eye(k) - 1.0 / k)
+    return u[:, : k - 1].T
+
+
+def _reference_anova(y: np.ndarray, corrected: bool) -> list[tuple]:
+    """(F, p, partial eta squared, epsilon, error SS, tiny) per effect from the
+    classical sums-of-squares formulas, the three-way residual by subtraction,
+    and epsilon from np.cov of the contrast scores of an SVD basis."""
+    n, a, b = y.shape
+    grand = y.mean()
+    m_s, m_a, m_b = y.mean(axis=(1, 2)), y.mean(axis=(0, 2)), y.mean(axis=(0, 1))
+    m_ab, m_sa, m_sb = y.mean(axis=0), y.mean(axis=2), y.mean(axis=1)
+    ss_total = float(((y - grand) ** 2).sum())
+    ss_a = float(n * b * ((m_a - grand) ** 2).sum())
+    ss_b = float(n * a * ((m_b - grand) ** 2).sum())
+    ss_ab = float(n * ((m_ab - m_a[:, None] - m_b[None, :] + grand) ** 2).sum())
+    ss_subj = float(a * b * ((m_s - grand) ** 2).sum())
+    ss_as = float(b * ((m_sa - m_a[None, :] - m_s[:, None] + grand) ** 2).sum())
+    ss_bs = float(a * ((m_sb - m_b[None, :] - m_s[:, None] + grand) ** 2).sum())
+    ss_abs = max(ss_total - (ss_a + ss_b + ss_ab + ss_subj + ss_as + ss_bs), 0.0)
+    h_a, h_b = _svd_contrasts(a), _svd_contrasts(b)
+    parts = [
+        (ss_a, a - 1, ss_as, np.kron(h_a, np.ones((1, b)))),
+        (ss_b, b - 1, ss_bs, np.kron(np.ones((1, a)), h_b)),
+        (ss_ab, (a - 1) * (b - 1), ss_abs, np.kron(h_a, h_b)),
+    ]
+    tiny = 1e-12 * max(ss_total, 1.0)
+    out = []
+    for ss_eff, df_eff, ss_err, contrast in parts:
+        df_err = df_eff * (n - 1)
+        eps = None
+        if corrected:
+            s = np.atleast_2d(np.cov(y.reshape(n, -1) @ contrast.T, rowvar=False))
+            denom = df_eff * float((s * s).sum())
+            eps = 1.0 if denom <= 0 else min(max(np.trace(s) ** 2 / denom, 1 / df_eff), 1.0)
+        if ss_eff <= tiny:
+            f, p, eta = 0.0, 1.0, 0.0
+        elif ss_err <= tiny:
+            f, p, eta = math.inf, 0.0, 1.0
+        else:
+            f = (ss_eff / df_eff) / (ss_err / df_err)
+            scale = 1.0 if eps is None else eps
+            p = float(betainc(scale * df_err / 2, scale * df_eff / 2, df_err / (df_err + df_eff * f)))
+            eta = ss_eff / (ss_eff + ss_err)
+        out.append((f, p, eta, eps, ss_err, tiny))
+    return out
+
+
+@st.composite
+def designs(draw):
+    """Subject offsets, planted A, B and AxB offsets and noise; a factor may be
+    collapsed, its levels made identical.
+
+    Planted offsets stay within a few noise SDs: far above the noise, the
+    reference's residual by subtraction loses digits (see
+    test_interaction_error_when_effects_dwarf_the_noise)."""
+    n, a, b = draw(st.integers(2, 40)), draw(st.integers(2, 5)), draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    noise = draw(st.floats(0.1, 10.0))
+    size = st.floats(0.0, 2.0 * noise)
+    y = (
+        draw(st.floats(0.0, 20.0 * noise)) * rng.standard_normal((n, 1, 1))
+        + draw(size) * rng.standard_normal((1, a, 1))
+        + draw(size) * rng.standard_normal((1, 1, b))
+        + draw(size) * rng.standard_normal((1, a, b))
+        + noise * rng.standard_normal((n, a, b))
+        + draw(st.floats(-100.0, 100.0))
+    )
+    collapsed = draw(st.sampled_from([None, "a", "b"]))
+    if collapsed == "a":
+        y[:, 1:, :] = y[:, :1, :]
+    elif collapsed == "b":
+        y[:, :, 1:] = y[:, :, :1]
+    levels = [f"l{i}" for i in range(max(a, b))]
+    return RmDesign(tuple(f"s{i}" for i in range(n)), levels[:a], levels[:b], y)
+
+
+class TestContrastDecomposition:
+    """The contrast-score ANOVA against the classical sums-of-squares formulas."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(design=designs(), corrected=st.booleans())
+    def test_matches_the_sums_of_squares_formulas(self, design, corrected):
+        result = rm_anova_two_way(design, sphericity_correction=corrected)
+        for e, (f, p, eta, eps, ss_err, tiny) in zip(
+            result.effects, _reference_anova(design.cells, corrected)
+        ):
+            for got, want in ((e.f_value, f), (e.p_value, p), (e.partial_eta_sq, eta)):
+                assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+            if not corrected:
+                assert e.gg_epsilon is None
+            elif ss_err > tiny:  # no error variance leaves epsilon undefined
+                assert e.gg_epsilon == pytest.approx(eps, rel=1e-12, abs=0.0)
+
+    def test_interaction_error_when_effects_dwarf_the_noise(self):
+        # exact rational arithmetic: the interaction-by-subject residual is the
+        # cells centred along all three axes, the AxB effect the subject means
+        # centred along both factors
+        rng = np.random.default_rng(3)
+        y = (
+            30 * rng.standard_normal((2, 1, 1)) + 50 * rng.standard_normal((1, 5, 2))
+            + 0.05 * rng.standard_normal((2, 5, 2))
+        )
+        q = np.vectorize(Fraction, otypes=[object])(y)
+        for axis in (0, 1, 2):
+            q = q - q.mean(axis=axis, keepdims=True)
+        m = np.vectorize(Fraction, otypes=[object])(y).mean(axis=0)
+        for axis in (0, 1):
+            m = m - m.mean(axis=axis, keepdims=True)
+        ss_err, f_value = (q * q).sum(), 2 * (m * m).sum() / (q * q).sum()
+        design = RmDesign(("s0", "s1"), ("a", "b", "c", "d", "e"), ("x", "y"), y)
+        e = rm_anova_two_way(design).effect("emotion_x_condition")
+        assert e.ss_error == pytest.approx(float(ss_err), rel=1e-11)
+        # the reference's F, from the residual by subtraction, is 5.6e-9 off here
+        assert e.f_value == pytest.approx(float(f_value), rel=1e-11)
+
+
+class TestNullCalibration:
+    """Under a spherical null the test rejects at its nominal rate."""
+
+    @pytest.mark.parametrize("corrected", [False, True])
+    def test_rejection_rate_at_alpha(self, corrected):
+        n_designs, alpha = 300, 0.05
+        rng = np.random.default_rng(0)
+        rejected = np.zeros(3, dtype=int)
+        for _ in range(n_designs):
+            # subject offsets plus independent equal-variance noise: no effect
+            cells = rng.standard_normal((10, 1, 1)) + rng.standard_normal((10, 4, 2))
+            design = RmDesign(
+                tuple(f"s{i}" for i in range(10)), CATEGORY_NAMES, CONDITION_NAMES, cells
+            )
+            result = rm_anova_two_way(design, sphericity_correction=corrected)
+            rejected += [e.p_value < alpha for e in result.effects]
+        lo, hi = binom.interval(0.99, n_designs, alpha)
+        for name, count in zip(("emotion", "condition", "emotion_x_condition"), rejected):
+            assert lo <= count <= hi, f"{name}: {count} of {n_designs} rejected"
 
 
 class TestFromRows:
