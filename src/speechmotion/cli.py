@@ -18,16 +18,16 @@ import concurrent.futures
 import functools
 import json
 import sys
+import warnings
 from pathlib import Path
-
-import numpy as np
 
 from . import coupling as coupling_mod
 from . import ingest, motion, report, speech_features, stats, synth, timeline
-from .errors import MissingUpstreamOutputError, PipelineError, ValidationError
+from .errors import (
+    MissingUpstreamOutputError, PipelineError, SkippedSessionWarning, ValidationError,
+)
 from .frames import (
-    FeatureTrack, FrameGrid, check_fields, read_feature_csv, read_json_object, write_feature_csv,
-    write_json,
+    check_fields, read_feature_csv, read_json_object, write_feature_csv, write_json,
 )
 
 
@@ -270,29 +270,29 @@ def cmd_activeness(config: Config) -> None:
 
 def cmd_map(config: Config) -> None:
     params = config.params
+    options = {key: params[key] for key in (
+        "feature_sets", "protocol", "n_folds", "ridge_eps", "bin_policy", "affect_derivatives"
+    )}
     # every table must exist before any is read, and nothing is written until all fit
     paths = [_table_paths(config, s) for s in config.sessions]
-    maps = []  # (path, AffineMap) for every session and feature set
+    maps = []  # (path, AffineMap) for every session and feature set it can fit
 
-    def read_and_fit(session: dict, csv_path: Path, meta_path: Path) -> timeline.SessionTable:
-        table = timeline.read_session_csv(csv_path, meta_path)
-        idx = np.flatnonzero(motion.condition_mask(table, "all"))
-        y = _mask_track(table.block("activeness"), idx)
+    def evaluate_one(session: dict, table_paths: tuple[Path, Path]) -> dict:
+        table = timeline.read_session_csv(*table_paths)
+        try:
+            evaluations = coupling_mod.evaluate_session(table, **options)
+        except PipelineError as exc:
+            raise type(exc)(f"session {session['id']!r}: {exc}") from exc
         for fs in params["feature_sets"]:
-            x = coupling_mod.feature_set_track(table, fs, params["affect_derivatives"])
-            fitted = coupling_mod.fit_ammse(_mask_track(x, idx), y, ridge_eps=params["ridge_eps"])
-            maps.append((config.out_dir / session["id"] / f"affine_{fs}.json", fitted))
-        return table
+            ev = evaluations[fs, "all", "all"]
+            if isinstance(ev, coupling_mod.MappingEvaluation):
+                maps.append((config.out_dir / session["id"] / f"affine_{fs}.json", ev.fit))
+            else:
+                warnings.warn(f"session {session['id']!r}: feature set {fs!r} skipped, no "
+                              f"affine_{fs}.json written: {ev}", SkippedSessionWarning)
+        return evaluations
 
-    cells = coupling_mod.coupling_report(
-        (read_and_fit(s, *p) for s, p in zip(config.sessions, paths)),
-        feature_sets=tuple(params["feature_sets"]),
-        protocol=params["protocol"],
-        n_folds=params["n_folds"],
-        ridge_eps=params["ridge_eps"],
-        bin_policy=params["bin_policy"],
-        affect_derivatives=params["affect_derivatives"],
-    )
+    cells = coupling_mod.coupling_cells(map(evaluate_one, config.sessions, paths))
     coupling_mod.write_coupling_csv(cells, config.out_dir / "coupling_report.csv")
     write_json(config.out_dir / "coupling_report.meta.json", {
         "protocol": coupling_mod.protocol_label(params["protocol"], params["n_folds"]),
@@ -306,11 +306,6 @@ def cmd_map(config: Config) -> None:
     for path, fitted in maps:
         fitted.to_json(path)
     print(f"map: wrote {config.out_dir / 'coupling_report.csv'}")
-
-
-def _mask_track(track, idx):
-    grid = FrameGrid(rate_hz=track.grid.rate_hz, start_s=0.0, n_frames=len(idx))
-    return FeatureTrack(grid, track.columns, track.values[idx])
 
 
 def cmd_stats(config: Config) -> None:

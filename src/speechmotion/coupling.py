@@ -9,6 +9,7 @@ speech condition and affective bin.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from collections.abc import Iterable, Mapping
@@ -79,18 +80,39 @@ class AffineMap:
         return cls(**read_json_object(path))  # __post_init__ makes the arrays and tuples
 
 
-def _require_frames(n: int, d_x: int) -> None:
+def _moments(z: np.ndarray, d_x: int | None = None) -> tuple[int, np.ndarray, np.ndarray]:
+    """Count, mean and centred cross-product matrix of the complete rows of z:
+    one symmetric product for a fold; for a direct fit (`d_x` given), only the
+    x-x and y-x blocks, each its own product, which round as a fit on copied rows."""
+    z = z[np.isfinite(z).all(axis=1)]
+    if len(z) == 0:
+        return 0, 0.0, 0.0  # merges as the identity
+    mu = z.mean(axis=0)
+    if d_x is None:
+        zc = z - mu
+        return len(z), mu, zc.T @ zc
+    xc, yc = z[:, :d_x] - mu[:d_x], z[:, d_x:] - mu[d_x:]
+    return len(z), mu, np.vstack([xc.T @ xc, yc.T @ xc])
+
+
+def _merge(a: tuple, b: tuple) -> tuple[int, np.ndarray, np.ndarray]:
+    """Moments of two disjoint row sets (Chan, Golub & LeVeque 1979)."""
+    (n_a, mu_a, m_a), (n_b, mu_b, m_b) = a, b
+    if n_a == 0 or n_b == 0:
+        return b if n_a == 0 else a
+    n, delta = n_a + n_b, mu_b - mu_a
+    return n, mu_a + delta * (n_b / n), m_a + m_b + np.outer(delta, delta) * (n_a * n_b / n)
+
+
+def _solve(moments: tuple, d_x: int, ridge_eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """a and b from the moments of complete [x, y] rows, x being the first d_x columns."""
+    n, mu, m = moments
     if n <= d_x + 1:
         raise InsufficientFramesError(
             f"{n} complete frames cannot identify {d_x} inputs plus offsets"
         )
-
-
-def _solve(n: int, mu_x, mu_y, s_xx, s_yx, ridge_eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """a and b from n complete frames' means and centred cross-product sums."""
-    d_x = len(mu_x)
-    c_xx = s_xx / n
-    c_yx = s_yx / n
+    c_xx = m[:d_x, :d_x] / n
+    c_yx = m[d_x:, :d_x] / n
     trace = float(np.trace(c_xx))
     if ridge_eps > 0.0:
         c_reg = c_xx + (ridge_eps * trace / d_x) * np.eye(d_x)
@@ -103,60 +125,25 @@ def _solve(n: int, mu_x, mu_y, s_xx, s_yx, ridge_eps: float) -> tuple[np.ndarray
             )
         c_reg = c_xx
     a = np.linalg.solve(c_reg, c_yx.T).T
-    return a, mu_y - a @ mu_x
-
-
-def _fit_arrays(
-    x: np.ndarray, y: np.ndarray, ridge_eps: float
-) -> tuple[np.ndarray, np.ndarray, int]:
-    valid = np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1)
-    xv, yv = x[valid], y[valid]
-    n = len(xv)
-    _require_frames(n, x.shape[1])
-    mu_x, mu_y = xv.mean(axis=0), yv.mean(axis=0)
-    xc, yc = xv - mu_x, yv - mu_y
-    return (*_solve(n, mu_x, mu_y, xc.T @ xc, yc.T @ xc, ridge_eps), n)
-
-
-def _moments(z: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """Count, mean and centred cross-product matrix of the rows of z."""
-    if len(z) == 0:
-        return 0, 0.0, 0.0  # merges as the identity
-    mu = z.mean(axis=0)
-    zc = z - mu
-    return len(z), mu, zc.T @ zc
-
-
-def _merge(a: tuple, b: tuple) -> tuple[int, np.ndarray, np.ndarray]:
-    """Moments of two disjoint row sets (Chan, Golub & LeVeque 1979)."""
-    (n_a, mu_a, m_a), (n_b, mu_b, m_b) = a, b
-    if n_a == 0 or n_b == 0:
-        return b if n_a == 0 else a
-    n, delta = n_a + n_b, mu_b - mu_a
-    return n, mu_a + delta * (n_b / n), m_a + m_b + np.outer(delta, delta) * (n_a * n_b / n)
+    return a, mu[d_x:] - a @ mu[:d_x]
 
 
 def _k_fold_predictions(x: np.ndarray, y: np.ndarray, n_folds: int, ridge_eps: float):
     """Each contiguous fold's predictions from a fit on the merged moments of
-    the folds before it and after it; no moments are ever subtracted."""
-    d_x = x.shape[1]
+    the other folds (none are ever subtracted), and all folds' merged moments."""
     z = np.hstack([x, y])
-    moments = [_moments(b[np.isfinite(b).all(axis=1)]) for b in np.array_split(z, n_folds)]
+    moments = [_moments(b) for b in np.array_split(z, n_folds)]
     before = list(accumulate(moments, _merge, initial=_moments(z[:0])))
     after = list(accumulate(moments[::-1], lambda acc, m: _merge(m, acc), initial=before[0]))
     after.reverse()  # after[k]: the merge of folds k onwards
     y_hat = []
     for k, x_held in enumerate(np.array_split(x, n_folds)):
-        n, mu, m = _merge(before[k], after[k + 1])
-        _require_frames(n, d_x)
-        a, b = _solve(n, mu[:d_x], mu[d_x:], m[:d_x, :d_x], m[d_x:, :d_x], ridge_eps)
+        a, b = _solve(_merge(before[k], after[k + 1]), x.shape[1], ridge_eps)
         y_hat.append(x_held @ a.T + b)
-    return np.concatenate(y_hat)
+    return np.concatenate(y_hat), before[-1]
 
 
-def fit_ammse(
-    x: FeatureTrack, y: FeatureTrack, ridge_eps: float = 1e-8
-) -> AffineMap:
+def fit_ammse(x: FeatureTrack, y: FeatureTrack, ridge_eps: float = 1e-8) -> AffineMap:
     """Fit the affine MMSE estimator from x columns to y columns.
 
     Frames with a dropout in either side are excluded pairwise. The ridge
@@ -165,8 +152,9 @@ def fit_ammse(
     """
     if x.grid != y.grid:
         raise GridMismatchError("x and y must share one frame grid")
-    a, b, n = _fit_arrays(x.values, y.values, ridge_eps)
-    return AffineMap(a, b, x.columns, y.columns, n, ridge_eps)
+    moments = _moments(np.hstack([x.values, y.values]), len(x.columns))
+    a, b = _solve(moments, len(x.columns), ridge_eps)
+    return AffineMap(a, b, x.columns, y.columns, moments[0], ridge_eps)
 
 
 def predict(mapping: AffineMap, x: FeatureTrack) -> FeatureTrack:
@@ -265,7 +253,7 @@ def feature_set_track(
 
 @dataclass(frozen=True)
 class MappingEvaluation:
-    """Per-session mapping quality: Pearson r per target column."""
+    """Per-session mapping quality: Pearson r per target column, and the full fit."""
 
     feature_set: str
     protocol: str
@@ -274,6 +262,7 @@ class MappingEvaluation:
     bin_dimension: str | None
     per_target: dict[str, float]
     n_frames: int
+    fit: AffineMap
 
 
 def _selection_mask(
@@ -317,10 +306,11 @@ def evaluate_mapping(
     Frames are restricted to speaking = 1, then filtered by condition and
     affect bin before fitting. Under k_fold, folds are contiguous temporal
     blocks and r is computed over the concatenated held-out predictions;
-    under in_sample, the map is fitted and scored on the same frames.
-    `region=None` scores every activeness column of the joint fit. Affect
-    bins split the feature set's own dimension, or arousal for the speech
-    feature sets.
+    under in_sample, the map is fitted and scored on the same frames. Either
+    way `fit` is the map on every complete selected frame (under k_fold, from
+    the merge of the folds' moments). `region=None` scores every activeness
+    column of the joint fit. Affect bins split the feature set's own
+    dimension, or arousal for the speech feature sets.
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; expected {PROTOCOLS}")
@@ -341,15 +331,17 @@ def evaluate_mapping(
     y = y_all.values[idx]
 
     if protocol == "in_sample":
-        a, b, _ = _fit_arrays(x, y, ridge_eps)
+        moments = _moments(np.hstack([x, y]), x.shape[1])
+        a, b = _solve(moments, x.shape[1], ridge_eps)
         y_hat = x @ a.T + b
     else:
         if len(idx) < n_folds:
             raise InsufficientFramesError(
                 f"{len(idx)} selected frames cannot form {n_folds} folds"
             )
-        y_hat = _k_fold_predictions(x, y, n_folds, ridge_eps)
+        y_hat, moments = _k_fold_predictions(x, y, n_folds, ridge_eps)
         y_hat[np.isnan(x).any(axis=1)] = np.nan
+        a, b = _solve(moments, x.shape[1], ridge_eps)
 
     per_target = {}
     for j, name in enumerate(targets):
@@ -365,6 +357,7 @@ def evaluate_mapping(
         bin_dimension=affect_dimension,
         per_target=per_target,
         n_frames=len(idx),
+        fit=AffineMap(a, b, x_track.columns, targets, moments[0], ridge_eps),
     )
 
 
@@ -383,45 +376,42 @@ class CouplingCell:
     n_frames: int
 
 
-def coupling_report(
-    tables: Iterable[SessionTable],
+def evaluate_session(
+    table: SessionTable,
     feature_sets: tuple[str, ...] = ("prosody", "mfcc", "arousal", "valence"),
-    protocol: str = "k_fold",
-    n_folds: int = 5,
-    ridge_eps: float = 1e-8,
-    bin_policy: str = "median_split",
-    affect_derivatives: bool = True,
-) -> list[CouplingCell]:
-    """Mean/SEM of per-dyad r for every region and analysis cell.
+    **options,
+) -> dict[tuple[str, str, str], MappingEvaluation | InsufficientFramesError]:
+    """`evaluate_mapping(table, ..., **options)` for every report cell, keyed by
+    (feature set, condition, affect bin) in report order: every condition, and
+    the affect bins only for arousal and valence. A cell whose frames cannot
+    support it maps to the InsufficientFramesError that says why."""
+    keys = [(fs, condition, affect_bin) for fs in feature_sets for condition in CONDITIONS
+            for affect_bin in (AFFECT_BINS if fs in ("arousal", "valence") else ("all",))]
+    cells = {}
+    for fs, condition, affect_bin in keys:
+        try:
+            cells[fs, condition, affect_bin] = evaluate_mapping(
+                table, fs, condition=condition, affect_bin=affect_bin, **options
+            )
+        except InsufficientFramesError as exc:  # its traceback would keep the table alive
+            cells[fs, condition, affect_bin] = exc.with_traceback(None)
+    return cells
 
-    Every condition in CONDITIONS is evaluated. Affect bins are evaluated only
-    for the arousal/valence feature sets, on their own dimension. Sessions
-    whose frames cannot support a cell are skipped; the row records how many
-    dyads contributed. `tables` (a mapping's values, or any iterable) is read
-    once, in order, and a table is let go before the next is asked for, so a
-    generator that loads each session on demand holds one table at a time.
-    """
-    keys = [  # (feature set, condition, affect bin) in report order
-        (fs, condition, affect_bin) for fs in feature_sets for condition in CONDITIONS
-        for affect_bin in (AFFECT_BINS if fs in ("arousal", "valence") else ("all",))
-    ]
-    r_by_region: dict[tuple, dict[str, list[float]]] = {key: {} for key in keys}
-    frame_totals = dict.fromkeys(keys, 0)
-    for table in tables.values() if isinstance(tables, Mapping) else tables:
-        for key in keys:
-            feature_set, condition, affect_bin = key
-            try:
-                ev = evaluate_mapping(
-                    table, feature_set, None, protocol, n_folds, condition, affect_bin,
-                    bin_policy, ridge_eps, affect_derivatives,
-                )
-            except InsufficientFramesError:
+
+def coupling_cells(sessions: Iterable[dict]) -> list[CouplingCell]:
+    """Mean/SEM over dyads of per-session r, from `evaluate_session`'s results;
+    a session is left out of each cell it could not support."""
+    r_by_region: dict[tuple, dict[str, list[float]]] = {}
+    frame_totals: dict[tuple, int] = {}
+    for cells in sessions:
+        for key, ev in cells.items():
+            per_region = r_by_region.setdefault(key, {})
+            if isinstance(ev, InsufficientFramesError):
                 continue
-            frame_totals[key] += ev.n_frames
+            frame_totals[key] = frame_totals.get(key, 0) + ev.n_frames
             for reg, r in ev.per_target.items():
                 if not math.isnan(r):
-                    r_by_region[key].setdefault(reg, []).append(r)
-        del table  # so the source can free it before it yields the next
+                    per_region.setdefault(reg, []).append(r)
     return [
         CouplingCell(
             reg, *key, key[0] if key[2] != "all" else "", float(np.mean(rs)), sem_of(rs),
@@ -430,6 +420,14 @@ def coupling_report(
         for key, per_region in r_by_region.items()
         for reg, rs in sorted(per_region.items())
     ]
+
+
+def coupling_report(tables: Iterable[SessionTable], **options) -> list[CouplingCell]:
+    """`coupling_cells` of `evaluate_session(table, **options)` for every table.
+    `tables` (a mapping's values, or any iterable) is read once, in order, and
+    no table is kept once evaluated: a generator of tables holds one at a time."""
+    evaluate = functools.partial(evaluate_session, **options)
+    return coupling_cells(map(evaluate, tables.values() if isinstance(tables, Mapping) else tables))
 
 
 COUPLING_HEADER = (

@@ -190,3 +190,7 @@ class DegenerateSplitWarning(UserWarning):
 
 class IncompleteSubjectWarning(UserWarning):
     """Subjects dropped from a repeated-measures design for missing cells."""
+
+
+class SkippedSessionWarning(UserWarning):
+    """A session cannot support a feature set's fit and gets no affine map."""

@@ -128,6 +128,9 @@ class RegionMap:
         missing = [r for r in REGION_ORDER if r not in regions]
         if missing:
             raise ValueError(f"region map missing required regions: {missing}")
+        empty = [r for r, markers in regions.items() if not markers]
+        if empty:
+            raise ValueError(f"region(s) {empty} have no markers")
         upper = set(regions["upper_face"])
         middle = set(regions["middle_face"])
         lower = set(regions["lower_face"])

@@ -92,6 +92,10 @@ class SynthSpec:
                 )
         if not 0.0 <= self.overlap_prob <= 1.0:
             raise InconsistentSpecError("overlap_prob must be in [0, 1]")
+        if type(self.markers_per_region) is not int or self.markers_per_region < 1:
+            raise InconsistentSpecError(
+                f"markers_per_region must be an integer >= 1; got {self.markers_per_region!r}"
+            )
 
     def region_map(self) -> dict[str, tuple[str, ...]]:
         return {

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -36,9 +35,7 @@ from .frames import (
     write_json,
     write_table,
 )
-
-if TYPE_CHECKING:
-    from .ingest import SpeechIntervals
+from .ingest import EMOTION_COLUMNS, SpeechIntervals
 
 SESSION_RATE_HZ = 60.24
 NATIVE_RATE_HZ = 120.0
@@ -129,7 +126,7 @@ def _interval_mask(timestamps: np.ndarray, intervals) -> np.ndarray:
 
 
 def rasterize_intervals(
-    intervals: "SpeechIntervals", target_speaker: str, grid: FrameGrid
+    intervals: SpeechIntervals, target_speaker: str, grid: FrameGrid
 ) -> FeatureTrack:
     """Binary speaking/overlap labels for the target speaker on `grid`.
 
@@ -186,7 +183,7 @@ def align_session(
     speech: FeatureTrack,
     emotion: FeatureTrack,
     activeness: FeatureTrack,
-    intervals: "SpeechIntervals",
+    intervals: SpeechIntervals,
     target_speaker: str,
     target_rate_hz: float = SESSION_RATE_HZ,
 ) -> SessionTable:
@@ -268,9 +265,11 @@ _SIDECAR_KEYS = {
             and len(set(b["columns"])) == len(b["columns"])
             for b in v.values()
         )
-        and v["labels"]["columns"] == list(LABEL_COLUMNS),
+        and v["labels"]["columns"] == list(LABEL_COLUMNS)
+        and set(EMOTION_COLUMNS) <= set(v["emotion"]["columns"]),
         f'an object of {{"columns": [...]}} per block for {", ".join(BLOCK_NAMES)}, '
-        f"with distinct column names, the labels' being {list(LABEL_COLUMNS)}",
+        f"with distinct column names, the labels' being {list(LABEL_COLUMNS)} and the "
+        f"emotion block's including {list(EMOTION_COLUMNS)}",
     ),
     "provenance": (lambda v: type(v) is dict, "an object"),
 }
@@ -281,9 +280,10 @@ def read_session_csv(csv_path, meta_path) -> SessionTable:
 
     The sidecar gives the grid and the columns of the four blocks of
     BLOCK_NAMES; a sidecar that is not JSON, lacks one of them, repeats a
-    column name within a block or has an unknown key raises
-    :class:`ValidationError`, and a CSV whose header or row count does not
-    match it, or with a label cell other than 0 or 1, :class:`MalformedRowError`.
+    column name within a block, has an emotion block without EMOTION_COLUMNS
+    or has an unknown key raises :class:`ValidationError`, and a CSV whose
+    header or row count does not match it, or with a label cell other than 0
+    or 1, :class:`MalformedRowError`.
     """
     meta = read_json_object(meta_path)
     try:

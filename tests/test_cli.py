@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speechmotion import cli, ingest, speech_features, stats, timeline
-from speechmotion.errors import IncompleteSubjectWarning, ValidationError
+from speechmotion import cli, coupling, ingest, motion, speech_features, stats, timeline
+from speechmotion.errors import IncompleteSubjectWarning, SkippedSessionWarning, ValidationError
 from speechmotion.frames import read_feature_csv, write_feature_csv
 from speechmotion.speech_features import SPEECH_FEATURE_COLUMNS
+from test_coupling import _reference_fit
 
 
 def hash_tree(root: Path) -> dict[str, str]:
@@ -125,6 +126,15 @@ def absolute_sessions(workspace) -> list[dict]:
     ]
 
 
+def copy_aligned_tables(workspace, out: Path) -> Path:
+    """`out` holding only the aligned tables of the workspace's run, for `map` to read."""
+    for sid in ("s101", "s202"):
+        (out / sid).mkdir(parents=True)
+        for name in ("aligned.csv", "aligned.meta.json"):
+            shutil.copy(workspace["out"] / sid / name, out / sid / name)
+    return out
+
+
 class TestStatsCommand:
     def test_segment_unit_with_sphericity_correction(self, cli_workspace, tmp_path):
         # each region's design from 30 s speaking segments, GG-corrected p in anova.csv
@@ -165,6 +175,75 @@ class TestStatsCommand:
                     c.f_value, c.p_value, c.partial_eta_sq
                 )
             assert result.effect("emotion").p_value != plain.effect("emotion").p_value
+
+
+class TestMapCommand:
+    @pytest.mark.parametrize("protocol", ["k_fold", "in_sample"])
+    def test_affine_maps_are_the_fit_on_speaking_frames(self, cli_workspace, tmp_path, protocol):
+        out = cli_workspace["out"]
+        if protocol == "in_sample":
+            out = copy_aligned_tables(cli_workspace, tmp_path / "o")
+            doc = {**cli_workspace["doc"], "sessions": absolute_sessions(cli_workspace)}
+            doc["params"] = {**doc["params"], "protocol": "in_sample"}
+            p = tmp_path / "c.json"
+            p.write_text(json.dumps(doc))
+            assert cli.main([f"--config={p}", f"--out-dir={out}", "map"]) == 0
+        for sid in ("s101", "s202"):
+            table = timeline.read_session_csv(out / sid / "aligned.csv", out / sid / "aligned.meta.json")
+            idx = np.flatnonzero(motion.condition_mask(table, "all"))
+            y = table.block("activeness").values[idx]
+            for fs in cli.PARAMS["feature_sets"][0]:
+                x = coupling.feature_set_track(table, fs).values[idx]
+                a, b = _reference_fit(x, y, 1e-8)
+                fitted = coupling.AffineMap.from_json(out / sid / f"affine_{fs}.json")
+                for got, ref in ((fitted.a, a), (fitted.b, b)):  # relative to the largest entry
+                    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (sid, fs)
+                complete = np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1)
+                assert fitted.n_frames == complete.sum()
+                assert fitted.target_names == table.block("activeness").columns
+
+    def test_a_session_without_speaking_frames_is_skipped_with_a_warning(
+        self, cli_workspace, tmp_path, capsys
+    ):
+        sessions = absolute_sessions(cli_workspace)
+        transcript = Path(sessions[1]["transcript"]).read_text().splitlines(keepends=True)
+        silent = tmp_path / "transcript.txt"
+        silent.write_text("".join(line for line in transcript if not line.rstrip().endswith(" F")))
+        sessions[1]["transcript"] = str(silent)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"params": {"n_folds": 3, "trim_head_s": 0.0}, "sessions": sessions}))
+        out = tmp_path / "o"
+        with pytest.warns(UserWarning, match="has no intervals"):
+            assert cli.main([f"--config={p}", f"--out-dir={out}", "align"]) == 0
+        with pytest.warns(SkippedSessionWarning) as record:
+            rc = cli.main([f"--config={p}", f"--out-dir={out}", "map"])
+        assert rc == 0, capsys.readouterr().err
+        feature_sets = cli.PARAMS["feature_sets"][0]  # the default, one warning each
+        assert [str(w.message).split(":")[0] for w in record] == ["session 's202'"] * len(feature_sets)
+        for fs in feature_sets:
+            assert (out / "s101" / f"affine_{fs}.json").exists()
+            assert not (out / "s202" / f"affine_{fs}.json").exists()
+        cells = coupling.read_coupling_csv(out / "coupling_report.csv")
+        assert cells and {c.n_dyads for c in cells} == {1}
+
+    def test_any_other_error_names_the_session(self, cli_workspace, tmp_path, capsys):
+        out = copy_aligned_tables(cli_workspace, tmp_path / "o")
+        # a constant prosody column leaves s202's fits singular once the ridge is off
+        csv_path = out / "s202" / "aligned.csv"
+        rows = [line.split(",") for line in csv_path.read_text().splitlines()]
+        column = rows[0].index("speech.f0_hz")
+        for row in rows[1:]:
+            row[column] = "120.0"
+        csv_path.write_text("".join(",".join(row) + "\n" for row in rows))
+        before = hash_tree(out)
+        doc = {"params": {"n_folds": 3, "ridge_eps": 0}, "sessions": absolute_sessions(cli_workspace)}
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        rc = cli.main([f"--config={p}", f"--out-dir={out}", "map"])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert "error: session 's202': input covariance is singular" in err
+        assert hash_tree(out) == before
 
 
 class TestCorpusPca:
@@ -427,6 +506,21 @@ class TestErrors:
         assert f"{bad}:1:15: malformed JSON" in err
         assert "Traceback" not in err
 
+    def test_region_with_no_markers_names_the_region_map(self, cli_workspace, tmp_path, capsys):
+        sessions = absolute_sessions(cli_workspace)[:1]
+        regions = json.loads(Path(sessions[0]["region_map"]).read_text())
+        regions["region_2"] = []
+        bad = tmp_path / "region_map.json"
+        bad.write_text(json.dumps(regions))
+        sessions[0]["region_map"] = str(bad)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"sessions": sessions}))
+        rc = cli.main([f"--config={p}", f"--out-dir={tmp_path / 'o'}", "align"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{bad}: region(s) ['region_2'] have no markers" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("damage", ["inverted", "overlap"])
     def test_bad_transcript_interval_names_its_line(self, cli_workspace, tmp_path, capsys, damage):
         sessions = absolute_sessions(cli_workspace)[:1]
@@ -514,13 +608,15 @@ class TestSynthCommand:
             ("regions", {"r": 3}, "regions must be an object of objects; got {'r': 3}"),
             ("offset", "x", "region offset must be a finite number; got 'x'"),
             ("offset", True, "region offset must be a finite number; got True"),
+            ("markers_per_region", 0, "markers_per_region must be an integer >= 1; got 0"),
         ],
     )
     def test_bad_spec_field_exits_2(self, tmp_path, capsys, field, value, message):
         region = {"weights": [1.0, 2.0], "offset": 0.0}
         spec = {"seed": 5, "duration_s": 5.0, "feature_dim": 2, "feature_names": ["x0", "x1"],
                 "regions": {"r": region}}
-        (spec if field in ("emit_tone_wav", "regions") else region)[field] = value
+        top_level = ("emit_tone_wav", "regions", "markers_per_region")
+        (spec if field in top_level else region)[field] = value
         p = tmp_path / "spec.json"
         p.write_text(json.dumps(spec))
         out = tmp_path / "session"
@@ -626,12 +722,7 @@ class TestTableErrors:
     def test_aligned_table_that_disagrees_with_its_sidecar(
         self, cli_workspace, tmp_path, capsys, damage
     ):
-        out = tmp_path / "o"
-        for sid in ("s101", "s202"):
-            (out / sid).mkdir(parents=True)
-            for name in ("aligned.csv", "aligned.meta.json"):
-                source = cli_workspace["out"] / sid / name
-                (out / sid / name).write_bytes(source.read_bytes())
+        out = copy_aligned_tables(cli_workspace, tmp_path / "o")
         csv_path = out / "s101" / "aligned.csv"
         lines = csv_path.read_text().splitlines(keepends=True)
         if damage == "last_rows_dropped":
@@ -650,11 +741,7 @@ class TestTableErrors:
     def test_map_writes_nothing_when_a_later_table_is_damaged(
         self, cli_workspace, tmp_path, capsys
     ):
-        out = tmp_path / "o"
-        for sid in ("s101", "s202"):
-            (out / sid).mkdir(parents=True)
-            for name in ("aligned.csv", "aligned.meta.json"):
-                shutil.copy(cli_workspace["out"] / sid / name, out / sid / name)
+        out = copy_aligned_tables(cli_workspace, tmp_path / "o")
         csv_path = out / "s202" / "aligned.csv"
         csv_path.write_text("".join(csv_path.read_text().splitlines(keepends=True)[:-5]))
         before = hash_tree(out)
@@ -723,7 +810,9 @@ class TestTableErrors:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["activeness", "map"])
-    @pytest.mark.parametrize("damage", ["labels_dropped", "activeness_repeated"])
+    @pytest.mark.parametrize(
+        "damage", ["labels_dropped", "activeness_repeated", "category_dropped"]
+    )
     def test_sidecar_blocks_a_session_cannot_have_name_the_sidecar(
         self, cli_workspace, tmp_path, capsys, command, damage
     ):
@@ -737,6 +826,10 @@ class TestTableErrors:
         if damage == "labels_dropped":
             del meta["blocks"]["labels"]
             rows = [row[:-2] for row in rows]  # the labels are the last two columns
+        elif damage == "category_dropped":
+            meta["blocks"]["emotion"]["columns"].remove("category")
+            column = rows[0].index("emotion.category")
+            rows = [row[:column] + row[column + 1:] for row in rows]
         else:
             columns = meta["blocks"]["activeness"]["columns"]
             rows[0][rows[0].index(f"activeness.{columns[1]}")] = f"activeness.{columns[0]}"

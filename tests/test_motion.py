@@ -141,6 +141,10 @@ class TestDefaultRegionMap:
         broken["eyebrows"] = broken["eyebrows"] + ("MOU1",)
         with pytest.raises(ValueError):
             RegionMap(broken)
+        broken = dict(rmap.regions)
+        broken["head"] = ()
+        with pytest.raises(ValueError, match=r"region\(s\) \['head'\] have no markers"):
+            RegionMap(broken)
 
     def test_json_round_trip(self, tmp_path):
         rmap = default_region_map()
