@@ -220,14 +220,17 @@ def _align_one(config: Config, session: dict) -> None:
     emotion = ingest.load_emotion_frames(config.path(session, "emotion"))
     activeness = _native_activeness(config, session)
     intervals = ingest.load_transcript_intervals(config.path(session, "transcript"))
-    table = timeline.align_session(
-        speech,
-        emotion,
-        activeness,
-        intervals,
-        target_speaker=session.get("speaker", "F"),
-        target_rate_hz=config.params["target_rate_hz"],
-    )
+    try:
+        table = timeline.align_session(
+            speech,
+            emotion,
+            activeness,
+            intervals,
+            target_speaker=session.get("speaker", "F"),
+            target_rate_hz=config.params["target_rate_hz"],
+        )
+    except PipelineError as exc:
+        raise type(exc)(f"session {session['id']!r}: {exc}") from exc
     out = config.session_dir(session)
     write_feature_csv(activeness, out / "activeness.csv")
     provenance = {
@@ -276,6 +279,7 @@ def cmd_map(config: Config) -> None:
     # every table must exist before any is read, and nothing is written until all fit
     paths = [_table_paths(config, s) for s in config.sessions]
     maps = []  # (path, AffineMap) for every session and feature set it can fit
+    stale = []  # the affine_<set>.json of every session and feature set it cannot
 
     def evaluate_one(session: dict, table_paths: tuple[Path, Path]) -> dict:
         table = timeline.read_session_csv(*table_paths)
@@ -285,9 +289,11 @@ def cmd_map(config: Config) -> None:
             raise type(exc)(f"session {session['id']!r}: {exc}") from exc
         for fs in params["feature_sets"]:
             ev = evaluations[fs, "all", "all"]
+            path = config.out_dir / session["id"] / f"affine_{fs}.json"
             if isinstance(ev, coupling_mod.MappingEvaluation):
-                maps.append((config.out_dir / session["id"] / f"affine_{fs}.json", ev.fit))
+                maps.append((path, ev.fit))
             else:
+                stale.append(path)
                 warnings.warn(f"session {session['id']!r}: feature set {fs!r} skipped, no "
                               f"affine_{fs}.json written: {ev}", SkippedSessionWarning)
         return evaluations
@@ -305,6 +311,8 @@ def cmd_map(config: Config) -> None:
     })
     for path, fitted in maps:
         fitted.to_json(path)
+    for path in stale:  # an earlier run's map is not this run's
+        path.unlink(missing_ok=True)
     print(f"map: wrote {config.out_dir / 'coupling_report.csv'}")
 
 

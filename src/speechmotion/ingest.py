@@ -46,22 +46,26 @@ EMOTION_COLUMNS = ("arousal", "valence", "category")
 EMOTION_HEADER = ("time_s",) + EMOTION_COLUMNS + ("confidence",)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AudioClip:
-    """Normalized waveform in [-1, 1]; 1-D mono or (n, channels) multichannel."""
+    """Waveform, 1-D mono or (n, channels), held at the width it is stored at.
 
-    samples: np.ndarray
+    A clip made from samples holds them as float64 in [-1, 1]. A clip loaded
+    by :func:`load_wav` holds the file's PCM samples (`stored`: u1, <i2, <i4
+    or <f4; 24-bit samples sit in the top three bytes of an <i4), 1 to 4
+    bytes per sample instead of 8. `samples` is the whole clip in float64,
+    converted by :func:`unit_samples`, the one conversion; the speech front
+    end converts one block of windows at a time instead.
+    """
+
+    stored: np.ndarray
     sample_rate_hz: int
     start_s: float = 0.0
 
-    def __post_init__(self) -> None:
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
+    def __init__(self, samples, sample_rate_hz: int, start_s: float = 0.0) -> None:
         # a read-only float64 C-ordered array is adopted as it is; any other is copied
-        adopt = isinstance(self.samples, np.ndarray) and not self.samples.flags.writeable
-        samples = (np.asarray if adopt else np.array)(self.samples, dtype=np.float64, order="C")
-        if samples.ndim not in (1, 2):
-            raise ValueError("samples must be 1-D mono or 2-D (n, channels)")
+        adopt = isinstance(samples, np.ndarray) and not samples.flags.writeable
+        samples = (np.asarray if adopt else np.array)(samples, dtype=np.float64, order="C")
         if samples.size:
             # min and max are NaN if any sample is, and reach any infinity,
             # so both checks need no full-size temporary
@@ -70,20 +74,69 @@ class AudioClip:
                 raise ValueError("samples must be finite")
             if lo < -1.0 or hi > 1.0:
                 raise ValueError("samples must lie in [-1, 1] after normalization")
+        self._hold(samples, sample_rate_hz, start_s)
+
+    @classmethod
+    def _of_stored(cls, stored: np.ndarray, sample_rate_hz: int, start_s: float = 0.0):
+        """A clip of samples at a width :func:`unit_samples` converts, taken
+        as valid; a strided view is copied to C order at the same width."""
+        clip = cls.__new__(cls)
+        clip._hold(np.ascontiguousarray(stored), sample_rate_hz, start_s)
+        return clip
+
+    def _hold(self, stored: np.ndarray, sample_rate_hz: int, start_s: float) -> None:
+        if sample_rate_hz <= 0:
+            raise ValueError("sample_rate_hz must be positive")
+        if stored.ndim not in (1, 2):
+            raise ValueError("samples must be 1-D mono or 2-D (n, channels)")
+        stored.setflags(write=False)
+        object.__setattr__(self, "stored", stored)
+        object.__setattr__(self, "sample_rate_hz", sample_rate_hz)
+        object.__setattr__(self, "start_s", start_s)
+
+    @property
+    def samples(self) -> np.ndarray:
+        """The whole clip as read-only float64 in [-1, 1]."""
+        samples = unit_samples(self.stored)
         samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
+        return samples
 
     @property
     def n_samples(self) -> int:
-        return self.samples.shape[0]
+        return self.stored.shape[0]
 
     @property
     def n_channels(self) -> int:
-        return 1 if self.samples.ndim == 1 else self.samples.shape[1]
+        return 1 if self.stored.ndim == 1 else self.stored.shape[1]
 
     @property
     def duration_s(self) -> float:
         return self.n_samples / self.sample_rate_hz
+
+
+# full scale of each stored integer width; u1 is offset by 128 first
+_FULL_SCALE = {np.dtype("u1"): 128.0, np.dtype("<i2"): 32768.0, np.dtype("<i4"): float(1 << 31)}
+
+
+def unit_samples(stored: np.ndarray) -> np.ndarray:
+    """Float64 samples in [-1, 1] of samples at their stored width.
+
+    Integer PCM is divided by its full scale (2^(bits-1); 8-bit is offset by
+    128 first), 32-bit float is clipped to [-1, 1], and float64 is returned
+    as it is. Every other width gets a fresh array. Each value depends on
+    its own sample only, so converting a block gives the same bits as
+    converting the whole clip.
+    """
+    if stored.dtype == np.float64:
+        return stored
+    x = stored.astype(np.float64)
+    if stored.dtype.kind == "f":
+        np.clip(x, -1.0, 1.0, out=x)
+        return x
+    if stored.dtype == np.uint8:
+        x -= 128.0
+    x /= _FULL_SCALE[stored.dtype]
+    return x
 
 
 def _read_chunks(data: bytes, path: str) -> dict[bytes, memoryview]:
@@ -109,13 +162,15 @@ def _read_chunks(data: bytes, path: str) -> dict[bytes, memoryview]:
 _PCM_DTYPES = {(1, 8): "u1", (1, 16): "<i2", (1, 24): "3u1", (1, 32): "<i4", (3, 32): "<f4"}
 
 
-def _decode_pcm(
+def _stored_pcm(
     body, fmt_code: int, bits: int, n_channels: int, index: int | None, path: str
 ) -> np.ndarray:
-    """Float64 samples of channel `index`, or of every channel if it is None;
-    a mono file gives a 1-D array.
+    """Samples of channel `index`, or of every channel if it is None, at
+    their stored width; a mono file gives a 1-D array.
 
-    Only the kept samples are converted: one float64 copy, scaled in place.
+    The samples stay a view of `body` where they can. Taking one channel of
+    a stereo file copies it (at the stored width), and 24-bit samples are
+    copied into the top three bytes of an <i4, which is exact.
     """
     if (fmt_code, bits) not in _PCM_DTYPES:
         kind = "float WAV must be 32-bit" if fmt_code == 3 else f"unsupported bit depth {bits}"
@@ -127,24 +182,14 @@ def _decode_pcm(
     raw = raw.reshape((n_frames, n_channels) + raw.shape[1:])
     if index is not None or n_channels == 1:
         raw = raw[:, index or 0]
-    if bits == 24:  # Horner over the little-endian bytes, the top one signed; exact
-        x = raw[..., 2].view(np.int8).astype(np.float64)
-        for byte in (1, 0):
-            x *= 256.0
-            x += raw[..., byte]
-    else:
-        x = raw.astype(np.float64)
-    if fmt_code == 3:
-        # min and max are NaN if any sample is, and reach any infinity
-        if not (math.isfinite(x.min()) and math.isfinite(x.max())):
-            raise ValueOutOfRangeError(f"{path}: float samples must be finite")
-        np.clip(x, -1.0, 1.0, out=x)
-    elif bits == 8:
-        x -= 128.0
-        x /= 128.0
-    else:
-        x /= float(1 << (bits - 1))
-    return x
+    if bits == 24:
+        wide = np.zeros(raw.shape[:-1] + (4,), dtype=np.uint8)
+        wide[..., 1:] = raw
+        raw = wide.view("<i4")[..., 0]
+    # min and max are NaN if any sample is, and reach any infinity
+    if fmt_code == 3 and not (math.isfinite(raw.min()) and math.isfinite(raw.max())):
+        raise ValueOutOfRangeError(f"{path}: float samples must be finite")
+    return raw
 
 
 def _channel_index(channel: str, n_channels: int) -> int:
@@ -163,10 +208,12 @@ def _channel_index(channel: str, n_channels: int) -> int:
 def load_wav(path, channel: str | None = None) -> AudioClip:
     """Load a little-endian RIFF/WAVE file with integer or 32-bit-float PCM.
 
-    Integer samples are scaled by 2^(bits-1) (so 16-bit 32767 maps to
-    32767/32768). With `channel` (`left` or `right`) only that channel is
-    decoded, into a mono clip equal to :func:`select_channel` of the whole
-    file; without it, multichannel files keep their channels.
+    The clip keeps the samples at their stored width (see
+    :class:`AudioClip`); :func:`unit_samples` scales integer samples by
+    2^(bits-1), so 16-bit 32767 maps to 32767/32768. With `channel` (`left`
+    or `right`) only that channel is kept, in a mono clip equal to
+    :func:`select_channel` of the whole file; without it, multichannel files
+    keep their channels.
     """
     path = str(path)
     with open(path, "rb") as fh:
@@ -192,9 +239,8 @@ def load_wav(path, channel: str | None = None) -> AudioClip:
         index = None if channel is None else _channel_index(channel, n_channels)
     except ChannelOutOfRangeError as exc:
         raise ChannelOutOfRangeError(f"{path}: {exc}") from None
-    samples = _decode_pcm(chunks[b"data"], fmt_code, bits, n_channels, index, path)
-    samples.setflags(write=False)  # so the clip adopts it without a copy
-    return AudioClip(samples=samples, sample_rate_hz=int(sample_rate))
+    stored = _stored_pcm(chunks[b"data"], fmt_code, bits, n_channels, index, path)
+    return AudioClip._of_stored(stored, int(sample_rate))
 
 
 def write_wav(path, clip: AudioClip) -> None:
@@ -218,13 +264,9 @@ def write_wav(path, clip: AudioClip) -> None:
 def select_channel(clip: AudioClip, channel: str) -> AudioClip:
     """Return the requested channel as a mono clip, sample values untouched."""
     index = _channel_index(channel, clip.n_channels)
-    if clip.samples.ndim == 1:
+    if clip.stored.ndim == 1:
         return clip
-    return AudioClip(
-        samples=clip.samples[:, index],
-        sample_rate_hz=clip.sample_rate_hz,
-        start_s=clip.start_s,
-    )
+    return AudioClip._of_stored(clip.stored[:, index], clip.sample_rate_hz, clip.start_s)
 
 
 def trim_head(clip: AudioClip, seconds: float = 4.0) -> AudioClip:
@@ -238,11 +280,7 @@ def trim_head(clip: AudioClip, seconds: float = 4.0) -> AudioClip:
             f"cannot trim {seconds} s from a {clip.duration_s:.3f} s clip"
         )
     n = int(round(seconds * clip.sample_rate_hz))
-    return AudioClip(
-        samples=clip.samples[n:],
-        sample_rate_hz=clip.sample_rate_hz,
-        start_s=clip.start_s + seconds,
-    )
+    return AudioClip._of_stored(clip.stored[n:], clip.sample_rate_hz, clip.start_s + seconds)
 
 
 @dataclass(frozen=True)
@@ -430,8 +468,10 @@ def load_markers(path) -> MarkerTrack:
             f"{path}:{line_of(int(row))}: {header[col + 1]} {float(values[row, col])!r} "
             f"mm exceeds the plausibility bound {DEFAULT_MAX_ABS_MM} mm"
         )
+    # a view of the parsed table beside its time column; read-only, so
+    # MarkerTrack adopts it without a copy
     positions = values.reshape(grid.n_frames, len(names), 3)
-    positions.setflags(write=False)  # so MarkerTrack need not copy it
+    positions.setflags(write=False)
     return MarkerTrack(grid, tuple(names), positions)
 
 

@@ -23,6 +23,8 @@ if TYPE_CHECKING:
     from .timeline import SessionTable
 
 DEFAULT_MAX_ABS_MM = 2000.0
+# Marker kinematics are computed in blocks of this many frames (rows).
+ROW_BLOCK = 4096
 
 # Emotion categories in code order: the emotion CSV stores the names, the
 # numeric `category` column stores the index. Speech conditions split the
@@ -96,9 +98,12 @@ class MarkerTrack:
         object.__setattr__(self, "markers", markers)
         if len(set(markers)) != len(markers):
             raise ValueError(f"duplicate marker names: {markers}")
-        # a read-only float64 C-ordered array is adopted as it is; any other is copied
-        adopt = isinstance(self.positions, np.ndarray) and not self.positions.flags.writeable
-        pos = (np.asarray if adopt else np.array)(self.positions, dtype=np.float64, order="C")
+        # a read-only float64 array is adopted as it is, whatever its strides
+        # (load_markers passes a view of its parsed table); any other is copied
+        pos = self.positions
+        if not (isinstance(pos, np.ndarray) and pos.dtype == np.float64
+                and not pos.flags.writeable):
+            pos = np.array(pos, dtype=np.float64, order="C")
         expected = (self.grid.n_frames, len(markers), 3)
         if pos.shape != expected:
             raise ValueError(f"positions shape {pos.shape}, expected {expected}")
@@ -173,22 +178,41 @@ def default_region_map() -> RegionMap:
     )
 
 
+def _row_blocks(start: int, stop: int):
+    """(lo, hi) bounds of ROW_BLOCK-row blocks covering rows start..stop-1.
+
+    Every block has the same row count: the last one ends at `stop` and
+    overlaps its predecessor, because numpy sums the one row of a 1-row
+    block in another order than each row of a taller one, so a short tail
+    block could change the last bit of a region's mean. A range shorter
+    than ROW_BLOCK is one block, as a whole-track pass computes it.
+    """
+    for lo in range(start, stop, ROW_BLOCK):
+        lo = max(start, min(lo, stop - ROW_BLOCK))
+        yield lo, min(lo + ROW_BLOCK, stop)
+
+
 def displacement_magnitudes(markers: MarkerTrack) -> FeatureTrack:
     """Framewise 3D displacement magnitude per marker, mm per native frame.
 
     Frame 0 is defined as 0 so the output shares the marker grid. A dropout
     at frame k makes both difference endpoints unusable, so frames k and k+1
-    are dropouts in the output.
+    are dropouts in the output. The output is filled ROW_BLOCK frames at a
+    time (see _row_blocks), so the differences and their squares are
+    (ROW_BLOCK, markers, 3) temporaries however long the track is; each
+    value is computed as a whole-track pass computes it.
     """
     if markers.n_frames < 2:
         raise TooFewFramesError(
             f"need >= 2 frames to difference, got {markers.n_frames}"
         )
     pos = markers.positions
-    diffs = pos[1:] - pos[:-1]
-    mags = np.sqrt(np.sum(diffs * diffs, axis=2))
-    first = np.where(np.isfinite(pos[0]).all(axis=1), 0.0, np.nan)
-    values = np.vstack([first[None, :], mags])
+    values = np.empty((markers.n_frames, len(markers.markers)))
+    values[0] = np.where(np.isfinite(pos[0]).all(axis=1), 0.0, np.nan)
+    for lo, hi in _row_blocks(1, markers.n_frames):
+        diffs = pos[lo:hi] - pos[lo - 1:hi - 1]
+        diffs *= diffs
+        np.sqrt(np.sum(diffs, axis=2), out=values[lo:hi])
     return FeatureTrack(markers.grid, markers.markers, values)
 
 
@@ -198,7 +222,10 @@ def region_activeness(
     """Per-frame mean displacement over each region's non-dropout markers.
 
     Accepts the validated facial RegionMap or any plain region -> markers
-    mapping (synthetic sessions use the latter).
+    mapping (synthetic sessions use the latter). The output is filled
+    ROW_BLOCK frames at a time (see _row_blocks), so each region's gathered
+    markers are a (ROW_BLOCK, markers) temporary however long the track is,
+    and each value is computed as a whole-track pass computes it.
     """
     if isinstance(region_map, RegionMap):
         items = {r: region_map[r] for r in region_map.names()}
@@ -213,13 +240,15 @@ def region_activeness(
                 f"displacement track: {unknown}"
             )
     names = tuple(items)
+    indices = [[displacements.column_index(m) for m in items[r]] for r in names]
     out = np.empty((displacements.n_frames, len(names)))
-    for j, region in enumerate(names):
-        idx = [displacements.column_index(m) for m in items[region]]
-        block = displacements.values[:, idx]
-        counts = np.isfinite(block).sum(axis=1)
-        sums = np.nansum(block, axis=1)
-        out[:, j] = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+    for lo, hi in _row_blocks(0, displacements.n_frames):
+        rows = displacements.values[lo:hi]
+        for j, idx in enumerate(indices):
+            block = rows[:, idx]
+            counts = np.isfinite(block).sum(axis=1)
+            sums = np.nansum(block, axis=1)
+            out[lo:hi, j] = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     return FeatureTrack(displacements.grid, names, out)
 
 

@@ -11,12 +11,14 @@ every clip and session.
 
 `f0_contour`, `rms_energy` and `mfcc` work through the frames in blocks of
 CHUNK_FRAMES rows and keep only their per-frame outputs, so their working
-memory is set by the window length, not by the clip: each block's FFT and
-autocorrelation (of which pitch keeps only the searched lags) are freed
-before the next. What still grows with the clip is the decoded samples and
-the output tracks (8 bytes per frame and column). Blocking leaves every
-value bit-for-bit as a single whole-clip pass computes it (see
-_frame_blocks for the one condition this needs).
+memory is set by the window length, not by the clip: each block is
+converted to float64 from the clip's stored width (see
+ingest.unit_samples), and its FFT and autocorrelation (of which pitch keeps
+only the searched lags) are freed before the next. What still grows with
+the clip is the clip itself, at its stored width (2 bytes per sample for
+16-bit PCM), and the output tracks (8 bytes per frame and column).
+Blocking leaves every value bit-for-bit as a single whole-clip pass
+computes it (see _frame_blocks for the one condition this needs).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .errors import (
     ValidationError,
 )
 from .frames import FeatureTrack, FrameGrid, concat_columns, read_json_object, write_json
-from .ingest import AudioClip
+from .ingest import AudioClip, unit_samples
 
 FRAME_RATE_HZ = 120.0
 WINDOW_S = 0.025
@@ -81,16 +83,18 @@ def _frame_blocks(
     """Window length in samples, and the grid's analysis windows in blocks.
 
     The iterator yields (first frame index, block): each block is a fresh
-    (CHUNK_FRAMES, win) copy of the samples, made when the iterator reaches
-    it, so an extractor that keeps only its per-frame outputs holds one block
-    at a time however long the clip is. Every block has the same row count:
-    the last one ends at the last frame and overlaps its predecessor, because
-    BLAS rounds a small matrix product differently (OpenBLAS switches
-    kernels, below 47 rows on an AVX-512 Xeon) and a short tail block would
-    change the last bits of its MFCC rows. A grid shorter than CHUNK_FRAMES
-    is one block, and an empty grid one (0, win) block.
+    (CHUNK_FRAMES, win) float64 array of the samples, converted from the
+    clip's stored width by :func:`ingest.unit_samples` when the iterator
+    reaches it, so an extractor that keeps only its per-frame outputs holds
+    one block at a time however long the clip is. Every block has the same
+    row count: the last one ends at the last frame and overlaps its
+    predecessor, because BLAS rounds a small matrix product differently
+    (OpenBLAS switches kernels, below 47 rows on an AVX-512 Xeon) and a
+    short tail block would change the last bits of its MFCC rows. A grid
+    shorter than CHUNK_FRAMES is one block, and an empty grid one (0, win)
+    block.
     """
-    if clip.samples.ndim != 1:
+    if clip.stored.ndim != 1:
         raise ValueError("feature extraction requires a mono clip")
     sr = clip.sample_rate_hz
     win = int(round(WINDOW_S * sr))
@@ -103,13 +107,13 @@ def _frame_blocks(
         )
     starts = np.round((rel_start + np.arange(grid.n_frames) / grid.rate_hz) * sr)
     starts = np.clip(starts.astype(np.int64), 0, clip.n_samples - win)
-    windows = np.lib.stride_tricks.sliding_window_view(clip.samples, win)
+    windows = np.lib.stride_tricks.sliding_window_view(clip.stored, win)
     chunk = CHUNK_FRAMES
     firsts = (
         max(0, min(lo, grid.n_frames - chunk))
         for lo in range(0, max(grid.n_frames, 1), chunk)
     )
-    return win, ((lo, windows[starts[lo:lo + chunk]]) for lo in firsts)
+    return win, ((lo, unit_samples(windows[starts[lo:lo + chunk]])) for lo in firsts)
 
 
 def _next_pow2(n: int) -> int:
@@ -141,15 +145,21 @@ def f0_contour(
     for lo, frames in blocks:
         frames -= frames.mean(axis=1, keepdims=True)
         frames *= taper
+        # each of the block's spectra, power and autocorrelation is freed
+        # once the next step has used it, so none outlives the block
         spectra = np.fft.rfft(frames, nfft)
-        acf = np.fft.irfft(spectra.real**2 + spectra.imag**2, nfft)
+        power = spectra.real**2
+        power += spectra.imag**2
+        del spectra
+        acf = np.fft.irfft(power, nfft)
+        del power
 
-        r0 = acf[:, 0]
-        quiet = r0 <= 1e-12
-        safe_r0 = np.where(quiet, 1.0, r0)
+        quiet = acf[:, 0] <= 1e-12
+        safe_r0 = np.where(quiet, 1.0, acf[:, 0])
         # normalized autocorrelation at lags lag_min-1 .. lag_max+1 only: the
         # peak search and its parabolic neighbours need no other lag
         rho = acf[:, lag_min - 1:lag_max + 2] / safe_r0[:, None]
+        del acf
 
         best = np.argmax(rho[:, 1:-1], axis=1) + 1
         rows = np.arange(len(best))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -77,13 +78,13 @@ class RmDesign:
             cell[(a, b)] = value
 
         needed = [(a, b) for a in a_levels for b in b_levels]
-        complete, dropped = [], []
-        for subject in values:
-            cell = values[subject]
-            if all((k in cell and math.isfinite(cell[k])) for k in needed):
-                complete.append(subject)
-            else:
-                dropped.append(subject)
+        # the cells each subject lacks: absent, or not finite
+        lacks = {
+            subject: [k for k in needed if not math.isfinite(cell.get(k, math.nan))]
+            for subject, cell in values.items()
+        }
+        complete = [subject for subject, missing in lacks.items() if not missing]
+        dropped = [subject for subject, missing in lacks.items() if missing]
         if dropped and not drop_incomplete:
             raise UnbalancedDesignError(
                 f"subjects with missing cells: {dropped} "
@@ -96,9 +97,11 @@ class RmDesign:
                 stacklevel=2,
             )
         if not complete:
+            lacked = Counter(k for missing in lacks.values() for k in missing)
             raise UnbalancedDesignError(
                 "no subject covers every cell; the data cannot support a "
-                "balanced within-subject design"
+                f"balanced within-subject design: of {len(values)} subjects, "
+                + ", ".join(f"{lacked[k]} lack ({k[0]}, {k[1]})" for k in needed if lacked[k])
             )
         cells = np.array(
             [[[values[s][(a, b)] for b in b_levels] for a in a_levels] for s in complete]

@@ -194,8 +194,19 @@ def align_session(
     frame for the category; activeness interpolates from its native rate;
     labels are rasterized directly on the session grid. The output grid never
     extends past any input's span, and that common span must be at least
-    MIN_OVERLAP_S long.
+    MIN_OVERLAP_S long. A target rate above the fastest input rate raises
+    :class:`ValidationError` before any session-grid array is made: such a
+    grid only interpolates, and its size has no bound.
     """
+    rates = {
+        name: track.grid.rate_hz
+        for name, track in (("speech", speech), ("emotion", emotion), ("activeness", activeness))
+    }
+    if target_rate_hz > max(rates.values()):
+        raise ValidationError(
+            f"params.target_rate_hz {target_rate_hz!r} Hz is above the fastest input rate: "
+            + ", ".join(f"{name} {rate!r} Hz" for name, rate in rates.items())
+        )
     spans = [
         (t.grid.start_s, t.grid.end_s) for t in (speech, emotion, activeness)
     ]

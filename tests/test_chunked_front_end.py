@@ -1,7 +1,9 @@
-"""The speech front end works through its analysis frames in fixed blocks.
+"""The front ends work through their frames in fixed blocks.
 
-Blocking must change neither the values (every row keeps its arithmetic)
-nor let memory grow with the clip beyond the per-frame outputs.
+The speech extractors take analysis frames, and the marker kinematics
+frames of markers, a block at a time. Blocking must change neither the
+values (every row keeps its arithmetic) nor let memory grow with the clip
+beyond the per-frame outputs and the clip at its stored width.
 """
 
 import tracemalloc
@@ -9,8 +11,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from speechmotion import ingest, motion
 from speechmotion import speech_features as sf
+from speechmotion.frames import FrameGrid
 from speechmotion.ingest import AudioClip
+from speechmotion.motion import MarkerTrack
 
 
 def fm_clip(duration_s: float, sr: int, seed: int = 0) -> AudioClip:
@@ -78,3 +83,52 @@ def test_front_end_peak_memory_does_not_grow_with_clip_length():
     allowance = 1 << 20
     growth = peak(long) - peak(short)
     assert growth <= extra_rows * per_frame + allowance, (growth, extra_rows)
+
+
+def marker_track(duration_s: float, n_markers: int = 24, seed: int = 0) -> MarkerTrack:
+    """Random-walk markers at 120 Hz with 1 % dropouts."""
+    rng = np.random.default_rng(seed)
+    n = int(duration_s * 120)
+    pos = np.cumsum(rng.standard_normal((n, n_markers, 3)), axis=0)
+    pos[rng.random((n, n_markers)) < 0.01] = np.nan
+    names = tuple(f"M{i}" for i in range(n_markers))
+    return MarkerTrack(FrameGrid(120.0, 0.0, n), names, pos)
+
+
+def test_marker_kinematics_peak_memory_does_not_grow_with_track_length():
+    short, long = marker_track(30.0), marker_track(120.0)
+    names = short.markers
+    regions = {"a": names[:8], "b": names[8:], "c": names}
+
+    def peak(markers):
+        return traced_peak_bytes(
+            lambda m: motion.region_activeness(motion.displacement_magnitudes(m), regions),
+            markers,
+        )
+
+    extra_rows = long.n_frames - short.n_frames
+    # per extra frame: the displacement and activeness columns, held twice
+    # (the array and FeatureTrack's copy)
+    per_frame = 2 * (len(names) + len(regions)) * 8
+    # the longer track's blocks may hold more rows than the shorter's one
+    # block: at most one block of differences and their per-marker sums
+    allowance = motion.ROW_BLOCK * len(names) * (3 + 1) * 8
+    growth = peak(long) - peak(short)
+    assert growth <= extra_rows * per_frame + allowance, (growth, extra_rows)
+
+
+def test_load_wav_keeps_one_channel_at_its_stored_width(tmp_path):
+    n = 16000 * 20
+    frames = np.random.default_rng(2).integers(-32768, 32768, (n, 2)).astype("<i2")
+    p = tmp_path / "long.wav"
+    ingest.write_wav(p, AudioClip(frames / 32768.0, 16000))
+    del frames
+    file_bytes = p.stat().st_size
+    tracemalloc.start()
+    try:
+        clip = ingest.load_wav(p, channel="right")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert clip.n_samples == n
+    assert peak <= file_bytes + 2 * n + (64 << 10), (peak, file_bytes)

@@ -176,6 +176,42 @@ class TestStatsCommand:
                 )
             assert result.effect("emotion").p_value != plain.effect("emotion").p_value
 
+    def test_segment_unit_without_a_complete_subject_names_the_lacking_cells(
+        self, cli_workspace, tmp_path, capsys
+    ):
+        # at the default 10 s segments every segment misses a cell
+        doc = {"params": {"anova_unit": "segment"}, "sessions": absolute_sessions(cli_workspace)}
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        shutil.copytree(cli_workspace["out"], out)
+        with pytest.warns(IncompleteSubjectWarning):
+            rc = cli.main([f"--config={p}", f"--out-dir={out}", "stats"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        region = motion.default_region_map().names()[0]
+        rows = [
+            row for s in doc["sessions"]
+            for row in stats.segment_design_rows(
+                timeline.read_session_csv(
+                    out / s["id"] / "aligned.csv", out / s["id"] / "aligned.meta.json"
+                ),
+                region, s["id"], segment_s=10.0,
+            )
+        ]
+        present: dict[str, set] = {}
+        for subject, emotion, condition, value in rows:
+            cells = present.setdefault(subject, set())
+            if np.isfinite(value):
+                cells.add((emotion, condition))
+        lacks = [
+            f"{sum((e, c) not in cells for cells in present.values())} lack ({e}, {c})"
+            for e in motion.CATEGORY_NAMES for c in motion.CONDITION_NAMES
+        ]
+        expected = ", ".join(text for text in lacks if not text.startswith("0 "))
+        assert f"error: region {region!r}: no subject covers every cell" in err
+        assert f"of {len(present)} subjects, {expected}\n" in err
+
 
 class TestMapCommand:
     @pytest.mark.parametrize("protocol", ["k_fold", "in_sample"])
@@ -244,6 +280,28 @@ class TestMapCommand:
         assert rc == 4
         assert "error: session 's202': input covariance is singular" in err
         assert hash_tree(out) == before
+
+    def test_a_session_now_skipped_loses_its_earlier_maps(self, cli_workspace, tmp_path):
+        out = tmp_path / "o"
+        shutil.copytree(cli_workspace["out"], out)
+        csv_path = out / "s202" / "aligned.csv"
+        rows = [line.split(",") for line in csv_path.read_text().splitlines()]
+        column = rows[0].index("labels.speaking")
+        for row in rows[1:]:
+            row[column] = "0.0"
+        csv_path.write_text("".join(",".join(row) + "\n" for row in rows))
+        feature_sets = cli.PARAMS["feature_sets"][0]
+        for fs in feature_sets:
+            (out / "s101" / f"affine_{fs}.json").write_text("{}")
+        doc = {**cli_workspace["doc"], "sessions": absolute_sessions(cli_workspace)}
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        with pytest.warns(SkippedSessionWarning, match="session 's202'"):
+            assert cli.main([f"--config={p}", f"--out-dir={out}", "map"]) == 0
+        assert not list((out / "s202").glob("affine_*.json"))
+        for fs in feature_sets:
+            name = f"s101/affine_{fs}.json"
+            assert (out / name).read_bytes() == (cli_workspace["out"] / name).read_bytes()
 
 
 class TestCorpusPca:
@@ -393,6 +451,24 @@ class TestErrors:
         p.write_text("[]")
         assert cli.main([f"--config={p}", "align"]) == 2
         assert "expected a JSON object" in capsys.readouterr().err
+
+    def test_target_rate_above_every_input_rate_exits_2_before_any_grid(
+        self, cli_workspace, tmp_path, capsys, monkeypatch
+    ):
+        def no_grid(*args):
+            raise AssertionError("a session grid was made")
+
+        monkeypatch.setattr(timeline, "grid_over_span", no_grid)
+        doc = {"params": {"target_rate_hz": 1e6}, "sessions": absolute_sessions(cli_workspace)}
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        rc = cli.main([f"--config={p}", f"--out-dir={tmp_path / 'o'}", "align"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert (
+            "error: session 's101': params.target_rate_hz 1000000.0 Hz is above the fastest "
+            "input rate: speech 120.0 Hz, emotion 10.0 Hz, activeness 120.0 Hz\n"
+        ) in err
 
     def test_unknown_params_key_is_rejected(self, cli_workspace, tmp_path, capsys):
         doc = {"params": {"n_fold": 7}, "sessions": absolute_sessions(cli_workspace)}

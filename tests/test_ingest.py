@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from speechmotion import speech_features
 from speechmotion.errors import (
     ChannelOutOfRangeError,
     CorruptHeaderError,
@@ -170,6 +171,40 @@ class TestLoadWavChannel:
         assert one.samples.shape == expected.samples.shape == (1001,)
         assert one.samples.tobytes() == expected.samples.tobytes()
         assert one.sample_rate_hz == expected.sample_rate_hz
+
+    @pytest.mark.parametrize("fmt_code, bits", [(1, 8), (1, 16), (1, 24), (1, 32), (3, 32)])
+    def test_stored_width_gives_the_float_clip_features_bitwise(
+        self, tmp_path, monkeypatch, fmt_code, bits
+    ):
+        # a 150 Hz tone in noise on the right channel, random samples on the left
+        sr, n = 8000, 12000
+        rng = np.random.default_rng(bits)
+        t = np.arange(n) / sr
+        tone = 0.6 * np.sin(2 * np.pi * 150.0 * t) + 0.05 * rng.standard_normal(n)
+        data = bytearray(stereo_pcm(fmt_code, bits, n)[: n * 2 * bits // 8])
+        width = bits // 8
+        if fmt_code == 3:
+            right = tone.astype("<f4").tobytes()
+        elif bits == 8:
+            right = (np.round(tone * 127) + 128).astype("u1").tobytes()
+        else:
+            ints = np.round(tone * (2 ** (bits - 1) - 1)).astype("<i4")
+            right = b"".join(struct.pack("<i", v)[:width] for v in ints.tolist())
+        for i in range(n):
+            data[(2 * i + 1) * width:(2 * i + 2) * width] = right[i * width:(i + 1) * width]
+        p = write(tmp_path, "st.wav", wav_bytes(bytes(data), fmt_code, 2, sr=sr, bits=bits))
+        clip = load_wav(p, channel="right")
+        assert clip.stored.itemsize == {8: 1, 16: 2, 24: 4, 32: 4}[bits]
+        assert clip.samples.tobytes() == reference_decode(right, fmt_code, bits, 1)[:, 0].tobytes()
+        # 178 frames in blocks of 64: the last block overlaps its predecessor
+        monkeypatch.setattr(speech_features, "CHUNK_FRAMES", 64)
+        assert speech_features.feature_grid(clip).n_frames % 64
+        floats = AudioClip(clip.samples, sr)
+        for extract in (speech_features.f0_contour, speech_features.rms_energy,
+                        speech_features.mfcc):
+            got, want = extract(clip).values, extract(floats).values
+            assert got.tobytes() == want.tobytes(), extract.__name__
+        assert speech_features.f0_contour(clip).values.any()  # some frames are voiced
 
     def test_mono_file(self, tmp_path):
         p = write(tmp_path, "m.wav", wav_bytes(struct.pack("<3h", 100, -200, 300)))
