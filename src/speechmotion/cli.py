@@ -57,7 +57,7 @@ PARAMS = {
     "sphericity_correction": (False, *FLAG),
     "drop_incomplete_subjects": (True, *FLAG),
     "feature_sets": (
-        ["prosody", "mfcc", "arousal", "valence"],
+        list(coupling_mod.DEFAULT_FEATURE_SETS),
         lambda v: type(v) is list and v != []
         and all(f in coupling_mod.FEATURE_SETS for f in v) and len(set(v)) == len(v),
         f"a non-empty list of distinct names from {list(coupling_mod.FEATURE_SETS)}",
@@ -233,18 +233,7 @@ def _align_one(config: Config, session: dict) -> None:
         raise type(exc)(f"session {session['id']!r}: {exc}") from exc
     out = config.session_dir(session)
     write_feature_csv(activeness, out / "activeness.csv")
-    provenance = {
-        "speech_rate_hz": speech.grid.rate_hz,
-        "emotion_rate_hz": emotion.grid.rate_hz,
-        "activeness_rate_hz": activeness.grid.rate_hz,
-        "speech_rule": "decimate_alternate+linear"
-        if timeline.decimates(speech.grid.rate_hz, config.params["target_rate_hz"])
-        else "linear",
-        "emotion_rule": "linear+nearest_category",
-        "activeness_rule": "linear",
-        "target_speaker": session.get("speaker", "F"),
-    }
-    timeline.write_session_csv(table, out / "aligned.csv", out / "aligned.meta.json", provenance)
+    timeline.write_session_csv(table, out / "aligned.csv", out / "aligned.meta.json")
 
 
 def cmd_align(config: Config, jobs: int = 1) -> None:
@@ -386,10 +375,12 @@ def cmd_report(config: Config) -> None:
     out.mkdir(parents=True, exist_ok=True)
 
     session_cells = {}
-    for session in config.sessions:
-        path = config.out_dir / session["id"] / "summaries.csv"
-        if path.exists():
-            session_cells[session["id"]] = motion.read_summary_csv(path)
+    # once any session has summaries every session must, as `stats` requires
+    if any((config.out_dir / s["id"] / "summaries.csv").exists() for s in config.sessions):
+        session_cells = {
+            s["id"]: motion.read_summary_csv(_upstream(config, s, "summaries.csv", "activeness"))
+            for s in config.sessions
+        }
     coupling_path = config.out_dir / "coupling_report.csv"
     coupling_cells = (
         coupling_mod.read_coupling_csv(coupling_path) if coupling_path.exists() else None

@@ -27,12 +27,16 @@ from .errors import (
     TooFewPairsError,
     ValidationError,
 )
-from .frames import FeatureTrack, number, read_json_object, read_records, write_json, write_records
+from .frames import (
+    FeatureTrack, adopt, number, read_json_object, read_records, write_json, write_records,
+)
 from .motion import SPEECH_CONDITIONS as CONDITIONS, condition_mask, sem_of
 from .speech_features import PC_COLUMNS, PROSODY_COLUMNS, temporal_derivatives
 from .timeline import SessionTable
 
-FEATURE_SETS = ("prosody", "mfcc", "arousal", "valence", "all")
+# the sets `map` fits unless a config names them; `all` is fitted only when named
+DEFAULT_FEATURE_SETS = ("prosody", "mfcc", "arousal", "valence")
+FEATURE_SETS = DEFAULT_FEATURE_SETS + ("all",)
 AFFECT_BINS = ("all", "high", "low")
 PROTOCOLS = ("k_fold", "in_sample")
 BIN_POLICIES = ("median_split", "zero_threshold")
@@ -51,14 +55,11 @@ class AffineMap:
     fold_id: int | None = None
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.a, dtype=np.float64)
-        b = np.asarray(self.b, dtype=np.float64)
+        a, b = adopt(self.a), adopt(self.b)
         if a.shape != (len(self.target_names), len(self.feature_names)):
             raise ValueError(f"a has shape {a.shape}, expected (d_y, d_x)")
         if b.shape != (len(self.target_names),):
             raise ValueError("b must have one entry per target")
-        a.setflags(write=False)
-        b.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
@@ -378,7 +379,7 @@ class CouplingCell:
 
 def evaluate_session(
     table: SessionTable,
-    feature_sets: tuple[str, ...] = ("prosody", "mfcc", "arousal", "valence"),
+    feature_sets: tuple[str, ...] = DEFAULT_FEATURE_SETS,
     **options,
 ) -> dict[tuple[str, str, str], MappingEvaluation | InsufficientFramesError]:
     """`evaluate_mapping(table, ..., **options)` for every report cell, keyed by

@@ -52,6 +52,19 @@ class FrameGrid:
         return self.n_frames / self.rate_hz
 
 
+def adopt(values) -> np.ndarray:
+    """The read-only float64 array a value holds, made from `values`.
+
+    A value takes ownership of the array it is given: a float64 ndarray is
+    kept as it is, whatever its strides, and marked read-only, so its maker
+    must not write to it (or to memory it views) afterwards. Anything else
+    (a list, an integer array) is converted to a new float64 array.
+    """
+    array = np.asarray(values, dtype=np.float64)
+    array.setflags(write=False)
+    return array
+
+
 def grid_over_span(rate_hz: float, start_s: float, end_s: float) -> FrameGrid:
     """Largest grid at `rate_hz` starting at `start_s` with no frame past `end_s`."""
     if end_s < start_s:
@@ -73,7 +86,7 @@ class FeatureTrack:
         object.__setattr__(self, "columns", cols)
         if len(set(cols)) != len(cols):
             raise ValueError(f"duplicate column names: {cols}")
-        vals = np.array(self.values, dtype=np.float64, order="C")
+        vals = adopt(self.values)
         if vals.ndim == 1:
             vals = vals[:, None]
         if vals.shape != (self.grid.n_frames, len(cols)):
@@ -83,7 +96,6 @@ class FeatureTrack:
             )
         if np.isinf(vals).any():
             raise ValueError("feature values must be finite or NaN")
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     @property

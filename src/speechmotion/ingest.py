@@ -28,6 +28,7 @@ from .errors import (
 )
 from .frames import (
     FeatureTrack,
+    adopt,
     format_value,
     grid_of,
     iter_records,
@@ -50,7 +51,8 @@ EMOTION_HEADER = ("time_s",) + EMOTION_COLUMNS + ("confidence",)
 class AudioClip:
     """Waveform, 1-D mono or (n, channels), held at the width it is stored at.
 
-    A clip made from samples holds them as float64 in [-1, 1]. A clip loaded
+    A clip made from samples adopts them as float64 in [-1, 1] (see
+    :func:`frames.adopt`). A clip loaded
     by :func:`load_wav` holds the file's PCM samples (`stored`: u1, <i2, <i4
     or <f4; 24-bit samples sit in the top three bytes of an <i4), 1 to 4
     bytes per sample instead of 8. `samples` is the whole clip in float64,
@@ -63,9 +65,7 @@ class AudioClip:
     start_s: float = 0.0
 
     def __init__(self, samples, sample_rate_hz: int, start_s: float = 0.0) -> None:
-        # a read-only float64 C-ordered array is adopted as it is; any other is copied
-        adopt = isinstance(samples, np.ndarray) and not samples.flags.writeable
-        samples = (np.asarray if adopt else np.array)(samples, dtype=np.float64, order="C")
+        samples = adopt(samples)
         if samples.size:
             # min and max are NaN if any sample is, and reach any infinity,
             # so both checks need no full-size temporary
@@ -79,9 +79,12 @@ class AudioClip:
     @classmethod
     def _of_stored(cls, stored: np.ndarray, sample_rate_hz: int, start_s: float = 0.0):
         """A clip of samples at a width :func:`unit_samples` converts, taken
-        as valid; a strided view is copied to C order at the same width."""
+        as valid. A strided view is copied to C order at the same width: a
+        slice of a larger buffer would keep the whole buffer alive."""
+        stored = np.ascontiguousarray(stored)
+        stored.setflags(write=False)
         clip = cls.__new__(cls)
-        clip._hold(np.ascontiguousarray(stored), sample_rate_hz, start_s)
+        clip._hold(stored, sample_rate_hz, start_s)
         return clip
 
     def _hold(self, stored: np.ndarray, sample_rate_hz: int, start_s: float) -> None:
@@ -89,7 +92,6 @@ class AudioClip:
             raise ValueError("sample_rate_hz must be positive")
         if stored.ndim not in (1, 2):
             raise ValueError("samples must be 1-D mono or 2-D (n, channels)")
-        stored.setflags(write=False)
         object.__setattr__(self, "stored", stored)
         object.__setattr__(self, "sample_rate_hz", sample_rate_hz)
         object.__setattr__(self, "start_s", start_s)
@@ -97,9 +99,7 @@ class AudioClip:
     @property
     def samples(self) -> np.ndarray:
         """The whole clip as read-only float64 in [-1, 1]."""
-        samples = unit_samples(self.stored)
-        samples.setflags(write=False)
-        return samples
+        return adopt(unit_samples(self.stored))
 
     @property
     def n_samples(self) -> int:
@@ -468,11 +468,7 @@ def load_markers(path) -> MarkerTrack:
             f"{path}:{line_of(int(row))}: {header[col + 1]} {float(values[row, col])!r} "
             f"mm exceeds the plausibility bound {DEFAULT_MAX_ABS_MM} mm"
         )
-    # a view of the parsed table beside its time column; read-only, so
-    # MarkerTrack adopts it without a copy
-    positions = values.reshape(grid.n_frames, len(names), 3)
-    positions.setflags(write=False)
-    return MarkerTrack(grid, tuple(names), positions)
+    return MarkerTrack(grid, tuple(names), values.reshape(grid.n_frames, len(names), 3))
 
 
 def write_marker_csv(markers: MarkerTrack, path) -> None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import TooFewFramesError, UnknownMarkerInMapError
 from .frames import (
-    FeatureTrack, FrameGrid, flag, number, read_json_object, read_records, write_json,
+    FeatureTrack, FrameGrid, adopt, flag, number, read_json_object, read_records, write_json,
     write_records,
 )
 
@@ -98,12 +98,7 @@ class MarkerTrack:
         object.__setattr__(self, "markers", markers)
         if len(set(markers)) != len(markers):
             raise ValueError(f"duplicate marker names: {markers}")
-        # a read-only float64 array is adopted as it is, whatever its strides
-        # (load_markers passes a view of its parsed table); any other is copied
-        pos = self.positions
-        if not (isinstance(pos, np.ndarray) and pos.dtype == np.float64
-                and not pos.flags.writeable):
-            pos = np.array(pos, dtype=np.float64, order="C")
+        pos = adopt(self.positions)
         expected = (self.grid.n_frames, len(markers), 3)
         if pos.shape != expected:
             raise ValueError(f"positions shape {pos.shape}, expected {expected}")
@@ -113,7 +108,6 @@ class MarkerTrack:
                 f"coordinate magnitude {magnitude:.1f} mm exceeds "
                 f"plausibility bound {DEFAULT_MAX_ABS_MM} mm"
             )
-        pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
 
     @property

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import CouplingCell
-from .frames import format_value, write_records
+from .coupling import DEFAULT_FEATURE_SETS, CouplingCell
+from .frames import adopt, format_value, write_records
 from .motion import CATEGORY_NAMES, SummaryCell
 from .stats import AnovaResult
 
@@ -57,7 +57,7 @@ class HeatmapGrid:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = adopt(self.values)
         if vals.shape != (len(self.row_labels), len(self.col_labels)):
             raise ValueError("grid shape does not match labels")
         object.__setattr__(self, "values", vals)
@@ -92,7 +92,7 @@ def activeness_grid(session_cells: dict[str, list[SummaryCell]]) -> HeatmapGrid:
 
 def coupling_grid(
     cells: list[CouplingCell],
-    feature_sets: tuple[str, ...] = ("prosody", "mfcc", "arousal", "valence"),
+    feature_sets: tuple[str, ...] = DEFAULT_FEATURE_SETS,
 ) -> HeatmapGrid:
     """Regions x feature-set matrix of mean Pearson r over all speaking frames
     (condition and affect bin `all`)."""

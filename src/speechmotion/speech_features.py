@@ -39,7 +39,7 @@ from .errors import (
     TrackTooShortError,
     ValidationError,
 )
-from .frames import FeatureTrack, FrameGrid, concat_columns, read_json_object, write_json
+from .frames import FeatureTrack, FrameGrid, adopt, concat_columns, read_json_object, write_json
 from .ingest import AudioClip, unit_samples
 
 FRAME_RATE_HZ = 120.0
@@ -291,15 +291,12 @@ class PcaModel:
     explained_variance_ratio: np.ndarray
 
     def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=np.float64)
-        comps = np.asarray(self.components, dtype=np.float64)
-        ratios = np.asarray(self.explained_variance_ratio, dtype=np.float64)
+        mean, comps = adopt(self.mean), adopt(self.components)
+        ratios = adopt(self.explained_variance_ratio)
         if comps.ndim != 2 or comps.shape[1] != mean.shape[0]:
             raise ValueError("components must be (k, d) matching the mean")
         if ratios.shape != (comps.shape[0],):
             raise ValueError("one variance ratio per component required")
-        for arr in (mean, comps, ratios):
-            arr.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "explained_variance_ratio", ratios)
@@ -318,11 +315,7 @@ class PcaModel:
     @classmethod
     def from_json(cls, path) -> "PcaModel":
         doc = read_json_object(path)
-        return cls(
-            mean=np.asarray(doc["mean"]),
-            components=np.asarray(doc["components"]),
-            explained_variance_ratio=np.asarray(doc["explained_variance_ratio"]),
-        )
+        return cls(doc["mean"], doc["components"], doc["explained_variance_ratio"])
 
 
 def fit_pca(track: FeatureTrack, k: int = 12) -> PcaModel:

@@ -23,7 +23,7 @@ from .errors import (
     UnbalancedDesignError,
     ValidationError,
 )
-from .frames import number, read_records, write_records
+from .frames import adopt, number, read_records, write_records
 from .motion import CATEGORY_NAMES, CONDITION_NAMES, SummaryCell, condition_strata
 
 
@@ -42,7 +42,7 @@ class RmDesign:
         object.__setattr__(self, "subjects", tuple(self.subjects))
         object.__setattr__(self, "a_levels", tuple(self.a_levels))
         object.__setattr__(self, "b_levels", tuple(self.b_levels))
-        cells = np.array(self.cells, dtype=np.float64)
+        cells = adopt(self.cells)
         expected = (len(self.subjects), len(self.a_levels), len(self.b_levels))
         if cells.shape != expected:
             raise UnbalancedDesignError(
@@ -50,7 +50,6 @@ class RmDesign:
             )
         if not np.isfinite(cells).all():
             raise UnbalancedDesignError("design has missing or non-finite cells")
-        cells.setflags(write=False)
         object.__setattr__(self, "cells", cells)
 
     @classmethod
@@ -103,9 +102,7 @@ class RmDesign:
                 f"balanced within-subject design: of {len(values)} subjects, "
                 + ", ".join(f"{lacked[k]} lack ({k[0]}, {k[1]})" for k in needed if lacked[k])
             )
-        cells = np.array(
-            [[[values[s][(a, b)] for b in b_levels] for a in a_levels] for s in complete]
-        )
+        cells = [[[values[s][(a, b)] for b in b_levels] for a in a_levels] for s in complete]
         return cls(subjects=tuple(complete), a_levels=a_levels, b_levels=b_levels, cells=cells)
 
 

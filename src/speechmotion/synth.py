@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InconsistentSpecError, ZeroSignalVarianceError
-from .frames import FeatureTrack, FrameGrid, write_json
+from .frames import FeatureTrack, FrameGrid, adopt, write_json
 from .ingest import AudioClip, EMOTION_COLUMNS, Interval, SpeechIntervals
 from .motion import CATEGORY_NAMES, MarkerTrack, RegionMap
 from .speech_features import SPEECH_FEATURE_COLUMNS
@@ -37,7 +37,7 @@ class RegionCoupling:
     noise_sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=np.float64)
+        w = adopt(self.weights)
         if w.ndim != 1:
             raise InconsistentSpecError("region weights must be a vector")
         if self.noise_sigma < 0:
@@ -45,7 +45,6 @@ class RegionCoupling:
         offset = self.offset  # a number, not a bool, and finite
         if type(offset) is bool or not (isinstance(offset, (int, float)) and math.isfinite(offset)):
             raise InconsistentSpecError(f"region offset must be a finite number; got {offset!r}")
-        w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
     @property

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .errors import (
     EmptyTrackError,
     MalformedRowError,
     NoTemporalOverlapError,
+    OffGridTimeError,
     RateMismatchError,
     UnknownSpeakerWarning,
     ValidationError,
@@ -27,6 +28,8 @@ from .frames import (
     FeatureTrack,
     FrameGrid,
     check_fields,
+    concat_columns,
+    grid_of,
     grid_over_span,
     read_feature_csv,
     read_header,
@@ -155,10 +158,15 @@ def _not_binary(labels: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SessionTable:
-    """Named feature blocks sharing one frame grid; the merged session view."""
+    """Named feature blocks sharing one frame grid; the merged session view.
+
+    `provenance` records how :func:`align_session` made the blocks: each
+    input's rate, each block's resampling rule and the target speaker.
+    """
 
     grid: FrameGrid
     blocks: dict[str, FeatureTrack]
+    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         blocks = dict(self.blocks)
@@ -192,7 +200,8 @@ def align_session(
     Resampling rules: speech decimates 120 -> 60 Hz then interpolates to the
     session rate; emotion interpolates arousal/valence and takes the nearest
     frame for the category; activeness interpolates from its native rate;
-    labels are rasterized directly on the session grid. The output grid never
+    labels are rasterized directly on the session grid; the table's
+    provenance names the rule each block took. The output grid never
     extends past any input's span, and that common span must be at least
     MIN_OVERLAP_S long. A target rate above the fastest input rate raises
     :class:`ValidationError` before any session-grid array is made: such a
@@ -218,37 +227,32 @@ def align_session(
             f"(< {MIN_OVERLAP_S} s of common coverage)"
         )
     grid = grid_over_span(target_rate_hz, start, end)
+    decimated = decimates(speech.grid.rate_hz, target_rate_hz)
+    provenance = {
+        **{f"{name}_rate_hz": rate for name, rate in rates.items()},
+        "speech_rule": "decimate_alternate+linear" if decimated else "linear",
+        "emotion_rule": "linear+nearest_category",
+        "activeness_rule": "linear",
+        "target_speaker": target_speaker,
+    }
 
-    if decimates(speech.grid.rate_hz, target_rate_hz):
-        speech = decimate_alternate(speech)
-    speech_block = resample_linear(speech, grid)
-
+    speech_block = resample_linear(decimate_alternate(speech) if decimated else speech, grid)
     continuous = [c for c in emotion.columns if c != "category"]
     parts = [resample_linear(emotion.select(continuous), grid)]
     if "category" in emotion.columns:
         parts.append(resample_nearest(emotion.select(["category"]), grid))
-    emotion_values = np.hstack([p.values for p in parts])
-    emotion_block = FeatureTrack(
-        grid, tuple(continuous) + (("category",) if "category" in emotion.columns else ()),
-        emotion_values,
-    )
-
-    activeness_block = resample_linear(activeness, grid)
-    labels = rasterize_intervals(intervals, target_speaker, grid)
-
-    return SessionTable(
-        grid,
-        {
-            "speech": speech_block,
-            "emotion": emotion_block,
-            "activeness": activeness_block,
-            "labels": labels,
-        },
-    )
+    blocks = {
+        "speech": speech_block,
+        "emotion": concat_columns(*parts),
+        "activeness": resample_linear(activeness, grid),
+        "labels": rasterize_intervals(intervals, target_speaker, grid),
+    }
+    return SessionTable(grid, blocks, provenance)
 
 
-def write_session_csv(table: SessionTable, csv_path, meta_path, provenance: dict | None = None) -> None:
-    """Persist a session as one CSV plus a JSON sidecar with grid metadata."""
+def write_session_csv(table: SessionTable, csv_path, meta_path) -> None:
+    """Persist a session as one CSV plus a JSON sidecar with grid metadata and
+    the table's provenance."""
     header = ["time_s"]
     for name, track in table.blocks.items():
         header.extend(f"{name}.{col}" for col in track.columns)
@@ -260,7 +264,7 @@ def write_session_csv(table: SessionTable, csv_path, meta_path, provenance: dict
         "start_s": table.grid.start_s,
         "n_frames": table.grid.n_frames,
         "blocks": {name: {"columns": list(t.columns)} for name, t in table.blocks.items()},
-        "provenance": provenance or {},
+        "provenance": table.provenance,
     })
 
 
@@ -292,18 +296,17 @@ def read_session_csv(csv_path, meta_path) -> SessionTable:
     The sidecar gives the grid and the columns of the four blocks of
     BLOCK_NAMES; a sidecar that is not JSON, lacks one of them, repeats a
     column name within a block, has an emotion block without EMOTION_COLUMNS
-    or has an unknown key raises :class:`ValidationError`, and a CSV whose
-    header or row count does not match it, or with a label cell other than 0
-    or 1, :class:`MalformedRowError`.
+    or has an unknown key raises :class:`ValidationError`. A CSV whose header
+    or row count does not match it, whose `time_s` column is not the sidecar's
+    grid (checked by :func:`grid_of` from the sidecar's `start_s`), or with a
+    label cell other than 0 or 1 raises a :class:`ValidationError` naming
+    ``path:line`` where it has one.
     """
     meta = read_json_object(meta_path)
     try:
         check_fields(meta, _SIDECAR_KEYS, "", required=_SIDECAR_KEYS)
     except ValidationError as exc:
         raise ValidationError(f"{meta_path}: {exc}") from None
-    grid = FrameGrid(
-        rate_hz=meta["rate_hz"], start_s=meta["start_s"], n_frames=meta["n_frames"]
-    )
     columns = {name: tuple(info["columns"]) for name, info in meta["blocks"].items()}
     expected = ["time_s"] + [f"{name}.{c}" for name, cols in columns.items() for c in cols]
     path = str(csv_path)
@@ -313,10 +316,16 @@ def read_session_csv(csv_path, meta_path) -> SessionTable:
                 f"{path}: header does not match the block columns in {meta_path}"
             )
         data, line_of = read_rows(fh, path, first_line=2, n_cells=len(expected))
-    if data.shape[0] != grid.n_frames:
+    if data.shape[0] != meta["n_frames"]:
         raise MalformedRowError(
             f"{path}: {data.shape[0]} data rows, but {meta_path} gives "
-            f"n_frames={grid.n_frames}"
+            f"n_frames={meta['n_frames']}"
+        )
+    grid = grid_of(data[:, 0], meta["rate_hz"], path, line_of)
+    if grid.start_s != meta["start_s"]:
+        raise OffGridTimeError(
+            f"{path}:{line_of(0)}: time_s {grid.start_s!r} is not the start_s "
+            f"{meta['start_s']!r} that {meta_path} gives"
         )
     not_binary = _not_binary(data[:, [expected.index(f"labels.{c}") for c in LABEL_COLUMNS]])
     if not_binary.any():

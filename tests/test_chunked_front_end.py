@@ -76,10 +76,10 @@ def test_front_end_peak_memory_does_not_grow_with_clip_length():
         return traced_peak_bytes(sf.f0_contour, clip) + traced_peak_bytes(sf.mfcc, clip)
 
     extra_rows = sf.feature_grid(long).n_frames - sf.feature_grid(short).n_frames
-    # per extra frame: the 1 + 12 output columns, held twice (the array and
-    # FeatureTrack's copy), and up to four int64/float64 frame-start arrays
-    # in each of the two calls
-    per_frame = 2 * (1 + 12) * 8 + 2 * 4 * 8
+    # per extra frame: the 1 + 12 output columns, held once (FeatureTrack
+    # adopts the array), and up to four int64/float64 frame-start arrays in
+    # each of the two calls
+    per_frame = (1 + 12) * 8 + 2 * 4 * 8
     allowance = 1 << 20
     growth = peak(long) - peak(short)
     assert growth <= extra_rows * per_frame + allowance, (growth, extra_rows)
@@ -107,9 +107,9 @@ def test_marker_kinematics_peak_memory_does_not_grow_with_track_length():
         )
 
     extra_rows = long.n_frames - short.n_frames
-    # per extra frame: the displacement and activeness columns, held twice
-    # (the array and FeatureTrack's copy)
-    per_frame = 2 * (len(names) + len(regions)) * 8
+    # per extra frame: the displacement and activeness columns, held once
+    # (FeatureTrack adopts each array)
+    per_frame = (len(names) + len(regions)) * 8
     # the longer track's blocks may hold more rows than the shorter's one
     # block: at most one block of differences and their per-marker sums
     allowance = motion.ROW_BLOCK * len(names) * (3 + 1) * 8

@@ -398,6 +398,17 @@ class TestErrors:
         assert rc == 3
         assert "exist.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["stats", "report"])
+    def test_a_session_without_summaries_is_named(self, cli_workspace, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        shutil.copytree(cli_workspace["out"], out)
+        (out / "s202" / "summaries.csv").unlink()
+        before = hash_tree(out)
+        rc = cli.main([f"--config={cli_workspace['config']}", f"--out-dir={out}", command])
+        assert rc == 3
+        assert "summaries.csv missing for session 's202'" in capsys.readouterr().err
+        assert hash_tree(out) == before
+
     def test_trim_longer_than_clip_is_data_error(self, cli_workspace, tmp_path, capsys):
         # tone clips are 2 s; the default 4 s head trim cannot apply
         doc = json.loads(Path(cli_workspace["config"]).read_text())
@@ -812,6 +823,32 @@ class TestTableErrors:
         err = capsys.readouterr().err
         assert rc == 2
         assert f"{csv_path}:" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["activeness", "map"])
+    @pytest.mark.parametrize("damage", ["second_half_reversed", "start_s_moved"])
+    def test_aligned_time_column_off_the_sidecar_grid_names_its_line(
+        self, cli_workspace, tmp_path, capsys, command, damage
+    ):
+        out = tmp_path / "o"
+        shutil.copytree(cli_workspace["out"], out)
+        csv_path = out / "s101" / "aligned.csv"
+        if damage == "second_half_reversed":
+            lines = csv_path.read_text().splitlines(keepends=True)
+            half = len(lines) // 2
+            lines[half:] = lines[half:][::-1]
+            csv_path.write_text("".join(lines))
+            line = half + 2  # file line half + 1 now holds the last time
+        else:
+            meta_path = out / "s101" / "aligned.meta.json"
+            meta = json.loads(meta_path.read_text())
+            meta["start_s"] += 1.0
+            meta_path.write_text(json.dumps(meta))
+            line = 2
+        rc = cli.main([f"--config={cli_workspace['config']}", f"--out-dir={out}", command])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{csv_path}:{line}: time_s" in err
         assert "Traceback" not in err
 
     def test_map_writes_nothing_when_a_later_table_is_damaged(

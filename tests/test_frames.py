@@ -38,6 +38,8 @@ from speechmotion.frames import (
     write_records,
     write_table,
 )
+from speechmotion.ingest import AudioClip
+from speechmotion.motion import MarkerTrack
 
 
 class TestFrameGrid:
@@ -79,6 +81,27 @@ class TestFeatureTrack:
         track = FeatureTrack(FrameGrid(10.0, 0.0, 2), ("a",), np.zeros(2))
         with pytest.raises(ValueError):
             track.values[0, 0] = 1.0
+
+    @pytest.mark.parametrize("make, shape", [
+        (lambda v: FeatureTrack(FrameGrid(10.0, 0.0, 4), ("a", "b"), v).values, (4, 2)),
+        (lambda v: MarkerTrack(FrameGrid(10.0, 0.0, 4), ("m",), v).positions, (4, 1, 3)),
+        (lambda v: AudioClip(v, 16000).stored, (4, 2)),
+    ], ids=["FeatureTrack", "MarkerTrack", "AudioClip"])
+    def test_value_adopts_and_freezes_its_array(self, make, shape):
+        """A float64 array is held as it is, strides and all, and frozen;
+        a list or an integer array is converted to a new float64 array."""
+        wide = np.arange(2 * math.prod(shape), dtype=np.float64) / (4 * math.prod(shape))
+        given = wide.reshape(*shape[:-1], 2 * shape[-1])[..., ::2]
+        assert given.flags.writeable and not given.flags.c_contiguous
+        held = make(given)
+        assert np.shares_memory(held, given)
+        assert not held.flags.writeable
+        ints = np.zeros(shape, dtype=np.int64)
+        for other in (ints, ints.tolist()):
+            converted = make(other)
+            assert converted.dtype == np.float64 and not converted.flags.writeable
+            assert not np.shares_memory(converted, ints)
+        assert ints.flags.writeable
 
     def test_select_and_concat(self):
         g = FrameGrid(10.0, 0.0, 3)

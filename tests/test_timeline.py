@@ -279,9 +279,7 @@ class TestSessionCsv:
     def test_round_trip(self, tmp_path):
         speech, emotion, activeness, intervals = make_session_inputs()
         table = align_session(speech, emotion, activeness, intervals, "F")
-        write_session_csv(
-            table, tmp_path / "s.csv", tmp_path / "s.meta.json", {"origin": "test"}
-        )
+        write_session_csv(table, tmp_path / "s.csv", tmp_path / "s.meta.json")
         back = read_session_csv(tmp_path / "s.csv", tmp_path / "s.meta.json")
         assert back.grid == table.grid
         assert set(back.blocks) == set(table.blocks)
