@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import functools
 import json
 import sys
 import warnings
@@ -24,7 +23,8 @@ from pathlib import Path
 from . import coupling as coupling_mod
 from . import ingest, motion, report, speech_features, stats, synth, timeline
 from .errors import (
-    MissingUpstreamOutputError, PipelineError, SkippedSessionWarning, ValidationError,
+    IncompleteSubjectError, MissingUpstreamOutputError, PipelineError, SkippedSessionWarning,
+    ValidationError,
 )
 from .frames import (
     check_fields, read_feature_csv, read_json_object, write_feature_csv, write_json,
@@ -249,6 +249,14 @@ def _table_paths(config: Config, session: dict) -> tuple[Path, Path]:
     )
 
 
+def _session_summaries(config: Config) -> dict[str, list[motion.SummaryCell]]:
+    """Each session's summaries.csv, which `activeness` writes; raise if one is missing."""
+    return {
+        s["id"]: motion.read_summary_csv(_upstream(config, s, "summaries.csv", "activeness"))
+        for s in config.sessions
+    }
+
+
 def cmd_activeness(config: Config) -> None:
     for session in config.sessions:
         table = timeline.read_session_csv(*_table_paths(config, session))
@@ -307,39 +315,32 @@ def cmd_map(config: Config) -> None:
 
 def cmd_stats(config: Config) -> None:
     params = config.params
-    drop = params["drop_incomplete_subjects"]
-    # the unit only decides where each region's design comes from; it is
-    # built inside the loop below, so its errors name the region too
-    designs = {}
+    # subject -> condition summaries: each session's, or each segment_s run's
     if params["anova_unit"] == "segment":
-        rows_by_region: dict[str, list] = {}
+        subject_cells = {}
         for session in config.sessions:
             table = timeline.read_session_csv(*_table_paths(config, session))
-            for region in table.block("activeness").columns:
-                rows_by_region.setdefault(region, []).extend(
-                    stats.segment_design_rows(
-                        table, region, session["id"], segment_s=params["segment_s"]
-                    )
+            for k, run in enumerate(table.segments(params["segment_s"])):
+                subject_cells[f"{session['id']}:seg{k}"] = motion.condition_summaries(
+                    run.block("activeness"), run, min_frames=params["min_cell_frames"]
                 )
-        for region, rows in rows_by_region.items():
-            designs[region] = functools.partial(stats.RmDesign.from_rows, rows, drop)
     else:
-        session_cells = {
-            s["id"]: motion.read_summary_csv(_upstream(config, s, "summaries.csv", "activeness"))
-            for s in config.sessions
-        }
-        for c in next(iter(session_cells.values()), []):
-            designs[c.region] = functools.partial(
-                stats.design_from_summaries, session_cells, c.region, drop
-            )
+        subject_cells = _session_summaries(config)
+    # every region any subject has, in order of first appearance, as `report` shows them
+    regions = dict.fromkeys(c.region for cells in subject_cells.values() for c in cells)
     results: dict[str, stats.AnovaResult] = {}
-    for region, design in designs.items():
+    for region in regions:
         try:
+            design = stats.design_from_summaries(
+                subject_cells, region, params["drop_incomplete_subjects"]
+            )
             results[region] = stats.rm_anova_two_way(
-                design(), sphericity_correction=params["sphericity_correction"]
+                design, sphericity_correction=params["sphericity_correction"]
             )
         except PipelineError as exc:
-            raise type(exc)(f"region {region!r}: {exc}") from exc
+            hint = ("; set params.drop_incomplete_subjects to true to drop them"
+                    if isinstance(exc, IncompleteSubjectError) else "")
+            raise type(exc)(f"region {region!r}: {exc}{hint}") from exc
     stats.write_anova_csv(results, config.out_dir / "anova.csv")
     print(f"stats: wrote {config.out_dir / 'anova.csv'}")
 
@@ -377,10 +378,7 @@ def cmd_report(config: Config) -> None:
     session_cells = {}
     # once any session has summaries every session must, as `stats` requires
     if any((config.out_dir / s["id"] / "summaries.csv").exists() for s in config.sessions):
-        session_cells = {
-            s["id"]: motion.read_summary_csv(_upstream(config, s, "summaries.csv", "activeness"))
-            for s in config.sessions
-        }
+        session_cells = _session_summaries(config)
     coupling_path = config.out_dir / "coupling_report.csv"
     coupling_cells = (
         coupling_mod.read_coupling_csv(coupling_path) if coupling_path.exists() else None
@@ -449,6 +447,8 @@ def main(argv: list[str] | None = None) -> int:
         if not args.config:
             raise ValidationError(f"`{args.command}` requires --config")
         config = Config.load(args.config, out_dir=args.out_dir)
+        if not config.sessions:
+            raise ValidationError(f"{args.config}: sessions is empty; `{args.command}` needs one")
         config.out_dir.mkdir(parents=True, exist_ok=True)
         handler = STAGES[args.command]
         if handler in (cmd_features, cmd_align):

@@ -150,6 +150,10 @@ class UnbalancedDesignError(ValidationError):
     pass
 
 
+class IncompleteSubjectError(UnbalancedDesignError):
+    """A subject lacks a cell of a design built without listwise deletion."""
+
+
 class TooFewSubjectsError(DataError):
     pass
 

@@ -17,6 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import (
+    IncompleteSubjectError,
     IncompleteSubjectWarning,
     InvalidDegreesOfFreedomError,
     TooFewSubjectsError,
@@ -24,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .frames import adopt, number, read_records, write_records
-from .motion import CATEGORY_NAMES, CONDITION_NAMES, SummaryCell, condition_strata
+from .motion import CATEGORY_NAMES, CONDITION_NAMES, SummaryCell
 
 
 @dataclass(frozen=True)
@@ -85,9 +86,8 @@ class RmDesign:
         complete = [subject for subject, missing in lacks.items() if not missing]
         dropped = [subject for subject, missing in lacks.items() if missing]
         if dropped and not drop_incomplete:
-            raise UnbalancedDesignError(
-                f"subjects with missing cells: {dropped} "
-                "(pass drop_incomplete=True for listwise deletion)"
+            raise IncompleteSubjectError(
+                f"subjects with missing cells: {dropped}, and listwise deletion is off"
             )
         if dropped:
             warnings.warn(
@@ -226,47 +226,23 @@ def rm_anova_two_way(
 
 
 def design_from_summaries(
-    session_cells: dict[str, list[SummaryCell]],
+    subject_cells: dict[str, list[SummaryCell]],
     region: str,
     drop_incomplete: bool = False,
 ) -> RmDesign:
-    """Assemble a design from per-session condition summaries.
+    """Assemble a design from each subject's condition summaries.
 
-    The unit of analysis is the speaker-session: each session contributes one
-    mean activeness value per emotion x condition cell for the region.
+    A subject is a speaker-session, or one fixed-length segment of a session
+    (see SessionTable.segments); each contributes one mean activeness value
+    per emotion x condition cell for the region, and a subject with no
+    summary of the region contributes nothing.
     """
     rows = []
-    for session_id, cells in session_cells.items():
+    for subject, cells in subject_cells.items():
         for c in cells:
             if c.region == region and not math.isnan(c.mean):
-                rows.append((session_id, c.emotion, c.condition, c.mean))
+                rows.append((subject, c.emotion, c.condition, c.mean))
     return RmDesign.from_rows(rows, drop_incomplete=drop_incomplete)
-
-
-def segment_design_rows(
-    table,
-    activeness_region: str,
-    session_id: str,
-    segment_s: float = 10.0,
-) -> list[tuple[str, str, str, float]]:
-    """Design rows with fixed-length speaking segments as the subject unit.
-
-    Emulates error terms far larger than the session count; most segments
-    will not cover every cell, so combine with drop_incomplete=True.
-    """
-    strata = condition_strata(table)
-    series = table.column("activeness", activeness_region)
-    seg = (np.arange(table.grid.n_frames) / (segment_s * table.grid.rate_hz)).astype(int)
-
-    rows = []
-    for seg_id in np.unique(seg):
-        in_seg = seg == seg_id
-        for emotion, condition, mask in strata:
-            vals = series[in_seg & mask]
-            vals = vals[np.isfinite(vals)]
-            if len(vals):
-                rows.append((f"{session_id}:seg{seg_id}", emotion, condition, float(vals.mean())))
-    return rows
 
 
 ANOVA_HEADER = ("region", "effect", "F", "df1", "df2", "p", "partial_eta_sq")

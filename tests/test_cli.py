@@ -135,6 +135,38 @@ def copy_aligned_tables(workspace, out: Path) -> Path:
     return out
 
 
+def aligned_columns(aligned: Path) -> dict[str, np.ndarray]:
+    """Every column of an aligned.csv by its header name, parsed by numpy."""
+    with aligned.open() as fh:
+        header = fh.readline().rstrip("\n").split(",")
+    data = np.genfromtxt(aligned, delimiter=",", skip_header=1)
+    return {name: data[:, j] for j, name in enumerate(header)}
+
+
+def reference_segment_rows(
+    aligned: Path, sid: str, region: str, segment_s: float
+) -> list[tuple[str, str, str, float]]:
+    """(subject, emotion, condition, mean) for every stratum of every `segment_s`
+    run of frames that has a finite activeness value of `region`, computed with
+    numpy from aligned.csv: frame i is in run int(i / (segment_s * rate_hz))."""
+    cols = aligned_columns(aligned)
+    rate_hz = json.loads(aligned.with_suffix(".meta.json").read_text())["rate_hz"]
+    series = cols[f"activeness.{region}"]
+    run = (np.arange(len(series)) / (segment_s * rate_hz)).astype(int)
+    speaking = cols["labels.speaking"] == 1.0
+    overlap = cols["labels.overlap"] == 1.0
+    rows = []
+    for k in np.unique(run):
+        for code, emotion in enumerate(motion.CATEGORY_NAMES):
+            for condition, in_condition in (("overlap", overlap), ("non_overlap", ~overlap)):
+                mask = (run == k) & speaking & in_condition & (cols["emotion.category"] == code)
+                vals = series[mask]
+                vals = vals[np.isfinite(vals)]
+                if len(vals):
+                    rows.append((f"{sid}:seg{k}", emotion, condition, float(vals.mean())))
+    return rows
+
+
 class TestStatsCommand:
     def test_segment_unit_with_sphericity_correction(self, cli_workspace, tmp_path):
         # each region's design from 30 s speaking segments, GG-corrected p in anova.csv
@@ -150,17 +182,13 @@ class TestStatsCommand:
             rc = cli.main([f"--config={p}", f"--out-dir={out}", "stats"])
         assert rc == 0
         written = stats.read_anova_csv(out / "anova.csv")
-        tables = {
-            s["id"]: timeline.read_session_csv(
-                out / s["id"] / "aligned.csv", out / s["id"] / "aligned.meta.json"
-            )
-            for s in doc["sessions"]
-        }
-        assert list(written) == list(next(iter(tables.values())).block("activeness").columns)
+        aligned = {s["id"]: out / s["id"] / "aligned.csv" for s in doc["sessions"]}
+        first = aligned_columns(next(iter(aligned.values())))
+        assert list(written) == [c.split(".", 1)[1] for c in first if c.startswith("activeness.")]
         for region, result in written.items():
             rows = [
-                row for sid, table in tables.items()
-                for row in stats.segment_design_rows(table, region, sid, segment_s=30.0)
+                row for sid, path in aligned.items()
+                for row in reference_segment_rows(path, sid, region, segment_s=30.0)
             ]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", IncompleteSubjectWarning)
@@ -192,11 +220,8 @@ class TestStatsCommand:
         region = motion.default_region_map().names()[0]
         rows = [
             row for s in doc["sessions"]
-            for row in stats.segment_design_rows(
-                timeline.read_session_csv(
-                    out / s["id"] / "aligned.csv", out / s["id"] / "aligned.meta.json"
-                ),
-                region, s["id"], segment_s=10.0,
+            for row in reference_segment_rows(
+                out / s["id"] / "aligned.csv", s["id"], region, segment_s=10.0
             )
         ]
         present: dict[str, set] = {}
@@ -211,6 +236,92 @@ class TestStatsCommand:
         expected = ", ".join(text for text in lacks if not text.startswith("0 "))
         assert f"error: region {region!r}: no subject covers every cell" in err
         assert f"of {len(present)} subjects, {expected}\n" in err
+
+    def test_segment_shorter_than_a_frame_exits_2_naming_segment_s(
+        self, cli_workspace, tmp_path, capsys
+    ):
+        # 1e-300 s once overflowed the segment index and still wrote an anova.csv
+        doc = {
+            "params": {"anova_unit": "segment", "segment_s": 1e-300},
+            "sessions": absolute_sessions(cli_workspace),
+        }
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        out = copy_aligned_tables(cli_workspace, tmp_path / "o")
+        rc = cli.main([f"--config={p}", f"--out-dir={out}", "stats"])
+        assert rc == 2
+        assert "params.segment_s 1e-300 s is shorter than one frame" in capsys.readouterr().err
+        assert not (out / "anova.csv").exists()
+
+    def test_incomplete_subject_without_listwise_deletion_names_the_config_key(
+        self, cli_workspace, tmp_path, capsys
+    ):
+        doc = {
+            "params": {"anova_unit": "segment", "segment_s": 30.0,
+                       "drop_incomplete_subjects": False},
+            "sessions": absolute_sessions(cli_workspace),
+        }
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        out = copy_aligned_tables(cli_workspace, tmp_path / "o")
+        rc = cli.main([f"--config={p}", f"--out-dir={out}", "stats"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "subjects with missing cells: ['s101:seg" in err
+        assert "set params.drop_incomplete_subjects to true" in err
+        assert "drop_incomplete=" not in err
+
+
+@pytest.fixture(scope="module")
+def extra_region_workspace(cli_workspace, tmp_path_factory):
+    """cli_workspace's two sessions plus `s303`: s101's inputs under a region map
+    that adds the region `extra`, aligned and summarised on its own."""
+    out = tmp_path_factory.mktemp("extra_region") / "out"
+    shutil.copytree(cli_workspace["out"], out)
+    sessions = absolute_sessions(cli_workspace)
+    region_map = json.loads(Path(sessions[0]["region_map"]).read_text())
+    extra = out.parent / "region_map.json"
+    extra.write_text(json.dumps({"extra": region_map["mouth"], **region_map}))
+    added = {**sessions[0], "id": "s303", "region_map": str(extra)}
+    config = out.parent / "c303.json"
+    config.write_text(json.dumps({"params": {"trim_head_s": 0.0}, "sessions": [added]}))
+    for command in ("align", "activeness"):
+        assert cli.main([f"--config={config}", f"--out-dir={out}", command]) == 0
+    return {"out": out, "sessions": sessions, "added": added}
+
+
+class TestRegionRule:
+    @pytest.mark.parametrize("unit", ["session", "segment"])
+    @pytest.mark.parametrize("place", ["first", "last"])
+    def test_a_region_one_session_adds_is_analysed_in_any_session_order(
+        self, extra_region_workspace, tmp_path, capsys, unit, place
+    ):
+        # every region any session has is analysed; `extra` has one subject
+        # (a segment_s past the session's end makes each session one segment)
+        ws = extra_region_workspace
+        sessions = ws["sessions"]
+        sessions = [ws["added"], *sessions] if place == "first" else [*sessions, ws["added"]]
+        doc = {"params": {"anova_unit": unit, "segment_s": 600.0}, "sessions": sessions}
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        shutil.copytree(ws["out"], out)
+        (out / "anova.csv").unlink()
+        rc = cli.main([f"--config={p}", f"--out-dir={out}", "stats"])
+        assert rc == 3
+        assert "error: region 'extra': need >= 2 subjects, got 1" in capsys.readouterr().err
+        assert not (out / "anova.csv").exists()
+
+
+@pytest.mark.parametrize("command", list(cli.STAGES))
+@pytest.mark.parametrize("doc", [{"sessions": []}, {}])
+def test_a_config_without_sessions_exits_2(tmp_path, capsys, command, doc):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(doc))
+    rc = cli.main([f"--config={p}", command])
+    assert rc == 2
+    assert f"{p}: sessions is empty; `{command}` needs one" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 class TestMapCommand:
