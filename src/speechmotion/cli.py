@@ -123,7 +123,7 @@ class Config:
 
     def path(self, session: dict, key: str) -> Path:
         if key not in session:
-            raise MissingUpstreamOutputError(f"session {session['id']!r} has no {key!r} input")
+            raise MissingUpstreamOutputError(f"no {key!r} input")
         p = self.base_dir / session[key]
         if not p.exists():
             raise MissingUpstreamOutputError(f"input file not found: {p}")
@@ -151,23 +151,32 @@ class Config:
             raise ValidationError(f"{path}: {exc}") from exc
 
 
-def _for_each_session(fn, items: list, jobs: int) -> None:
-    """Call `fn` on every session (or group of sessions), on up to `jobs` threads."""
+def _for_each_session(step, items: list, jobs: int = 1):
+    """`step`'s result for each session (or group of sessions), in config order.
+
+    The one per-session loop, and the one place that names a session: a
+    PipelineError from `step` is re-raised as `session '<id>': <message>`,
+    a group naming every id in it. `jobs` > 1 runs the steps on threads.
+    """
+    def named(item):
+        try:
+            return step(item)
+        except PipelineError as exc:
+            ids = ", ".join(repr(s["id"]) for s in (item if type(item) is list else [item]))
+            raise type(exc)(f"session {ids}: {exc}") from exc
+
     if jobs > 1 and len(items) > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(fn, items))
+            yield from pool.map(named, items)
     else:
-        for item in items:
-            fn(item)
+        yield from map(named, items)
 
 
 def _upstream(config: Config, session: dict, name: str, stage: str) -> Path:
     """`<out_dir>/<id>/<name>`, which `stage` writes; raise if it is missing."""
     path = config.out_dir / session["id"] / name
     if not path.exists():
-        raise MissingUpstreamOutputError(
-            f"{name} missing for session {session['id']!r}; run `{stage}` first (looked at {path})"
-        )
+        raise MissingUpstreamOutputError(f"{name} missing; run `{stage}` first (looked at {path})")
     return path
 
 
@@ -185,7 +194,7 @@ def cmd_features(config: Config, jobs: int = 1) -> None:
         clip = ingest.load_wav(path, channel=config.channel_for(session))
         try:
             return speech_features.pre_pca_tracks(ingest.trim_head(clip, trim_s), **f0_range)
-        except ValidationError as exc:  # e.g. a pitch range the clip's rate cannot resolve
+        except PipelineError as exc:  # e.g. a trim longer than the clip
             raise type(exc)(f"{path}: {exc}") from None
 
     def features_for(group: list[dict]) -> None:
@@ -198,7 +207,7 @@ def cmd_features(config: Config, jobs: int = 1) -> None:
             write_feature_csv(track, out / "features.csv")
             model.to_json(out / "pca_model.json")
 
-    _for_each_session(features_for, groups, jobs)
+    list(_for_each_session(features_for, groups, jobs))
     for s in sessions:
         print(f"features: wrote {config.session_dir(s) / 'features.csv'}")
 
@@ -215,31 +224,24 @@ def _native_activeness(config: Config, session: dict):
     return motion.region_activeness(displacements, config.region_map_for(session))
 
 
-def _align_one(config: Config, session: dict) -> None:
+def _align_one(config: Config, session: dict) -> Path:
     speech = _speech_track_for(config, session)
     emotion = ingest.load_emotion_frames(config.path(session, "emotion"))
     activeness = _native_activeness(config, session)
     intervals = ingest.load_transcript_intervals(config.path(session, "transcript"))
-    try:
-        table = timeline.align_session(
-            speech,
-            emotion,
-            activeness,
-            intervals,
-            target_speaker=session.get("speaker", "F"),
-            target_rate_hz=config.params["target_rate_hz"],
-        )
-    except PipelineError as exc:
-        raise type(exc)(f"session {session['id']!r}: {exc}") from exc
+    table = timeline.align_session(
+        speech, emotion, activeness, intervals,
+        target_speaker=session.get("speaker", "F"), target_rate_hz=config.params["target_rate_hz"],
+    )
     out = config.session_dir(session)
     write_feature_csv(activeness, out / "activeness.csv")
     timeline.write_session_csv(table, out / "aligned.csv", out / "aligned.meta.json")
+    return out
 
 
-def cmd_align(config: Config, jobs: int = 1) -> None:
-    _for_each_session(lambda s: _align_one(config, s), config.sessions, jobs)
-    for s in config.sessions:
-        print(f"align: wrote {config.session_dir(s) / 'aligned.csv'} and activeness.csv")
+def cmd_align(config: Config) -> None:
+    for out in _for_each_session(lambda s: _align_one(config, s), config.sessions):
+        print(f"align: wrote {out / 'aligned.csv'} and activeness.csv")
 
 
 def _table_paths(config: Config, session: dict) -> tuple[Path, Path]:
@@ -249,23 +251,29 @@ def _table_paths(config: Config, session: dict) -> tuple[Path, Path]:
     )
 
 
+def _read_table(config: Config, session: dict) -> timeline.SessionTable:
+    return timeline.read_session_csv(*_table_paths(config, session))
+
+
 def _session_summaries(config: Config) -> dict[str, list[motion.SummaryCell]]:
     """Each session's summaries.csv, which `activeness` writes; raise if one is missing."""
-    return {
-        s["id"]: motion.read_summary_csv(_upstream(config, s, "summaries.csv", "activeness"))
-        for s in config.sessions
-    }
+    def read(session: dict) -> list[motion.SummaryCell]:
+        return motion.read_summary_csv(_upstream(config, session, "summaries.csv", "activeness"))
+
+    return dict(zip([s["id"] for s in config.sessions], _for_each_session(read, config.sessions)))
 
 
 def cmd_activeness(config: Config) -> None:
-    for session in config.sessions:
-        table = timeline.read_session_csv(*_table_paths(config, session))
+    def summarise(session: dict) -> Path:
         cells = motion.condition_summaries(
-            table.block("activeness"), table, min_frames=config.params["min_cell_frames"]
+            _read_table(config, session), min_frames=config.params["min_cell_frames"]
         )
-        out = config.session_dir(session)
-        motion.write_summary_csv(cells, out / "summaries.csv")
-        print(f"activeness: wrote {out / 'summaries.csv'}")
+        path = config.session_dir(session) / "summaries.csv"
+        motion.write_summary_csv(cells, path)
+        return path
+
+    for path in _for_each_session(summarise, config.sessions):
+        print(f"activeness: wrote {path}")
 
 
 def cmd_map(config: Config) -> None:
@@ -274,16 +282,12 @@ def cmd_map(config: Config) -> None:
         "feature_sets", "protocol", "n_folds", "ridge_eps", "bin_policy", "affect_derivatives"
     )}
     # every table must exist before any is read, and nothing is written until all fit
-    paths = [_table_paths(config, s) for s in config.sessions]
+    list(_for_each_session(lambda s: _table_paths(config, s), config.sessions))
     maps = []  # (path, AffineMap) for every session and feature set it can fit
     stale = []  # the affine_<set>.json of every session and feature set it cannot
 
-    def evaluate_one(session: dict, table_paths: tuple[Path, Path]) -> dict:
-        table = timeline.read_session_csv(*table_paths)
-        try:
-            evaluations = coupling_mod.evaluate_session(table, **options)
-        except PipelineError as exc:
-            raise type(exc)(f"session {session['id']!r}: {exc}") from exc
+    def evaluate_one(session: dict) -> dict:
+        evaluations = coupling_mod.evaluate_session(_read_table(config, session), **options)
         for fs in params["feature_sets"]:
             ev = evaluations[fs, "all", "all"]
             path = config.out_dir / session["id"] / f"affine_{fs}.json"
@@ -295,7 +299,8 @@ def cmd_map(config: Config) -> None:
                               f"affine_{fs}.json written: {ev}", SkippedSessionWarning)
         return evaluations
 
-    cells = coupling_mod.coupling_cells(map(evaluate_one, config.sessions, paths))
+    # one session's evaluations are held at a time
+    cells = coupling_mod.coupling_cells(_for_each_session(evaluate_one, config.sessions))
     coupling_mod.write_coupling_csv(cells, config.out_dir / "coupling_report.csv")
     write_json(config.out_dir / "coupling_report.meta.json", {
         "protocol": coupling_mod.protocol_label(params["protocol"], params["n_folds"]),
@@ -317,13 +322,16 @@ def cmd_stats(config: Config) -> None:
     params = config.params
     # subject -> condition summaries: each session's, or each segment_s run's
     if params["anova_unit"] == "segment":
+        min_frames = params["min_cell_frames"]
+
+        def segment_cells(session: dict) -> dict[str, list[motion.SummaryCell]]:
+            runs = _read_table(config, session).segments(params["segment_s"])
+            return {f"{session['id']}:seg{k}": motion.condition_summaries(run, min_frames)
+                    for k, run in enumerate(runs)}
+
         subject_cells = {}
-        for session in config.sessions:
-            table = timeline.read_session_csv(*_table_paths(config, session))
-            for k, run in enumerate(table.segments(params["segment_s"])):
-                subject_cells[f"{session['id']}:seg{k}"] = motion.condition_summaries(
-                    run.block("activeness"), run, min_frames=params["min_cell_frames"]
-                )
+        for cells in _for_each_session(segment_cells, config.sessions):
+            subject_cells.update(cells)
     else:
         subject_cells = _session_summaries(config)
     # every region any subject has, in order of first appearance, as `report` shows them
@@ -408,7 +416,7 @@ def cmd_report(config: Config) -> None:
     print(f"report: wrote grids and comparison tables to {out}")
 
 
-STAGES = {  # every stage command; `features` and `align` also take the --jobs count
+STAGES = {  # every stage command; `features` also takes the --jobs count
     "features": cmd_features, "align": cmd_align, "activeness": cmd_activeness,
     "map": cmd_map, "stats": cmd_stats, "report": cmd_report,
 }
@@ -421,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="session config JSON")
     parser.add_argument("--out-dir", help="override the config's output directory")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel sessions")
+    parser.add_argument("--jobs", type=int, default=1, help="parallel sessions (features only)")
     parser.add_argument("--seed", type=int, default=None, help="seed override (synth)")
     parser.add_argument(
         "--error-json",
@@ -450,11 +458,10 @@ def main(argv: list[str] | None = None) -> int:
         if not config.sessions:
             raise ValidationError(f"{args.config}: sessions is empty; `{args.command}` needs one")
         config.out_dir.mkdir(parents=True, exist_ok=True)
-        handler = STAGES[args.command]
-        if handler in (cmd_features, cmd_align):
-            handler(config, args.jobs)
+        if args.command == "features":
+            cmd_features(config, args.jobs)
         else:
-            handler(config)
+            STAGES[args.command](config)
         return 0
     except PipelineError as exc:
         if args.error_json:

@@ -180,10 +180,6 @@ class MissingUpstreamOutputError(DataError):
 
 # --- warnings -----------------------------------------------------------------------
 
-class RankDeficientWarning(UserWarning):
-    """Fewer usable principal components than requested."""
-
-
 class UnknownSpeakerWarning(UserWarning):
     """Target speaker has no transcript intervals; labels are all zero."""
 

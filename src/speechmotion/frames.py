@@ -65,6 +65,21 @@ def adopt(values) -> np.ndarray:
     return array
 
 
+def row_blocks(start: int, stop: int, size: int):
+    """(lo, hi) bounds of `size`-row blocks covering rows start..stop-1.
+
+    Every block has the same row count: the last one ends at `stop` and
+    overlaps its predecessor, because a short tail block can round
+    differently from a tall one (numpy sums a 1-row block in another order;
+    OpenBLAS switches matrix kernels below 47 rows on an AVX-512 Xeon), so
+    it could change the last bits of its rows. A range shorter than `size`
+    is one block, as a whole-range pass computes it; an empty range none.
+    """
+    for lo in range(start, stop, size):
+        lo = max(start, min(lo, stop - size))
+        yield lo, min(lo + size, stop)
+
+
 def grid_over_span(rate_hz: float, start_s: float, end_s: float) -> FrameGrid:
     """Largest grid at `rate_hz` starting at `start_s` with no frame past `end_s`."""
     if end_s < start_s:

@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import TooFewFramesError, UnknownMarkerInMapError
 from .frames import (
-    FeatureTrack, FrameGrid, adopt, flag, number, read_json_object, read_records, write_json,
-    write_records,
+    FeatureTrack, FrameGrid, adopt, flag, number, read_json_object, read_records, row_blocks,
+    write_json, write_records,
 )
 
 if TYPE_CHECKING:
@@ -172,27 +172,13 @@ def default_region_map() -> RegionMap:
     )
 
 
-def _row_blocks(start: int, stop: int):
-    """(lo, hi) bounds of ROW_BLOCK-row blocks covering rows start..stop-1.
-
-    Every block has the same row count: the last one ends at `stop` and
-    overlaps its predecessor, because numpy sums the one row of a 1-row
-    block in another order than each row of a taller one, so a short tail
-    block could change the last bit of a region's mean. A range shorter
-    than ROW_BLOCK is one block, as a whole-track pass computes it.
-    """
-    for lo in range(start, stop, ROW_BLOCK):
-        lo = max(start, min(lo, stop - ROW_BLOCK))
-        yield lo, min(lo + ROW_BLOCK, stop)
-
-
 def displacement_magnitudes(markers: MarkerTrack) -> FeatureTrack:
     """Framewise 3D displacement magnitude per marker, mm per native frame.
 
     Frame 0 is defined as 0 so the output shares the marker grid. A dropout
     at frame k makes both difference endpoints unusable, so frames k and k+1
     are dropouts in the output. The output is filled ROW_BLOCK frames at a
-    time (see _row_blocks), so the differences and their squares are
+    time (see frames.row_blocks), so the differences and their squares are
     (ROW_BLOCK, markers, 3) temporaries however long the track is; each
     value is computed as a whole-track pass computes it.
     """
@@ -203,7 +189,7 @@ def displacement_magnitudes(markers: MarkerTrack) -> FeatureTrack:
     pos = markers.positions
     values = np.empty((markers.n_frames, len(markers.markers)))
     values[0] = np.where(np.isfinite(pos[0]).all(axis=1), 0.0, np.nan)
-    for lo, hi in _row_blocks(1, markers.n_frames):
+    for lo, hi in row_blocks(1, markers.n_frames, ROW_BLOCK):
         diffs = pos[lo:hi] - pos[lo - 1:hi - 1]
         diffs *= diffs
         np.sqrt(np.sum(diffs, axis=2), out=values[lo:hi])
@@ -217,9 +203,9 @@ def region_activeness(
 
     Accepts the validated facial RegionMap or any plain region -> markers
     mapping (synthetic sessions use the latter). The output is filled
-    ROW_BLOCK frames at a time (see _row_blocks), so each region's gathered
-    markers are a (ROW_BLOCK, markers) temporary however long the track is,
-    and each value is computed as a whole-track pass computes it.
+    ROW_BLOCK frames at a time (see frames.row_blocks), so each region's
+    gathered markers are a (ROW_BLOCK, markers) temporary however long the
+    track is, and each value is computed as a whole-track pass computes it.
     """
     if isinstance(region_map, RegionMap):
         items = {r: region_map[r] for r in region_map.names()}
@@ -236,7 +222,7 @@ def region_activeness(
     names = tuple(items)
     indices = [[displacements.column_index(m) for m in items[r]] for r in names]
     out = np.empty((displacements.n_frames, len(names)))
-    for lo, hi in _row_blocks(0, displacements.n_frames):
+    for lo, hi in row_blocks(0, displacements.n_frames, ROW_BLOCK):
         rows = displacements.values[lo:hi]
         for j, idx in enumerate(indices):
             block = rows[:, idx]
@@ -291,20 +277,15 @@ class SummaryCell:
     low_support: bool
 
 
-def condition_summaries(
-    activeness: FeatureTrack,
-    table: "SessionTable",
-    min_frames: int = 30,
-) -> list[SummaryCell]:
-    """Per-region mean/SEM of activeness by emotion category and speech condition.
+def condition_summaries(table: "SessionTable", min_frames: int = 30) -> list[SummaryCell]:
+    """Per-region mean/SEM of the table's activeness by emotion and speech condition.
 
     Only frames where the target speaker is speaking contribute. Strata are
     the four emotion categories crossed with overlap vs non-overlap speech.
     Cells with fewer than `min_frames` frames are flagged low-support; empty
     cells are reported with NaN statistics.
     """
-    if activeness.grid != table.grid:
-        raise ValueError("activeness must be aligned on the session grid")
+    activeness = table.block("activeness")
     strata = condition_strata(table)
     cells: list[SummaryCell] = []
     for region in activeness.columns:

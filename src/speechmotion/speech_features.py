@@ -18,13 +18,12 @@ only the searched lags) are freed before the next. What still grows with
 the clip is the clip itself, at its stored width (2 bytes per sample for
 16-bit PCM), and the output tracks (8 bytes per frame and column).
 Blocking leaves every value bit-for-bit as a single whole-clip pass
-computes it (see _frame_blocks for the one condition this needs).
+computes it (see frames.row_blocks for the one condition this needs).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -35,11 +34,12 @@ from .errors import (
     DataError,
     DimensionMismatchError,
     GridMismatchError,
-    RankDeficientWarning,
     TrackTooShortError,
     ValidationError,
 )
-from .frames import FeatureTrack, FrameGrid, adopt, concat_columns, read_json_object, write_json
+from .frames import (
+    FeatureTrack, FrameGrid, adopt, concat_columns, read_json_object, row_blocks, write_json,
+)
 from .ingest import AudioClip, unit_samples
 
 FRAME_RATE_HZ = 120.0
@@ -78,22 +78,19 @@ def feature_grid(clip: AudioClip) -> FrameGrid:
 
 
 def _frame_blocks(
-    clip: AudioClip, grid: FrameGrid
-) -> tuple[int, Iterator[tuple[int, np.ndarray]]]:
-    """Window length in samples, and the grid's analysis windows in blocks.
+    clip: AudioClip, grid: FrameGrid | None
+) -> tuple[FrameGrid, int, Iterator[tuple[int, np.ndarray]]]:
+    """The grid (the clip's feature_grid by default), the window length in
+    samples, and the grid's analysis windows in :func:`frames.row_blocks`.
 
     The iterator yields (first frame index, block): each block is a fresh
     (CHUNK_FRAMES, win) float64 array of the samples, converted from the
     clip's stored width by :func:`ingest.unit_samples` when the iterator
     reaches it, so an extractor that keeps only its per-frame outputs holds
-    one block at a time however long the clip is. Every block has the same
-    row count: the last one ends at the last frame and overlaps its
-    predecessor, because BLAS rounds a small matrix product differently
-    (OpenBLAS switches kernels, below 47 rows on an AVX-512 Xeon) and a
-    short tail block would change the last bits of its MFCC rows. A grid
-    shorter than CHUNK_FRAMES is one block, and an empty grid one (0, win)
-    block.
+    one block at a time however long the clip is.
     """
+    if grid is None:
+        grid = feature_grid(clip)
     if clip.stored.ndim != 1:
         raise ValueError("feature extraction requires a mono clip")
     sr = clip.sample_rate_hz
@@ -108,12 +105,8 @@ def _frame_blocks(
     starts = np.round((rel_start + np.arange(grid.n_frames) / grid.rate_hz) * sr)
     starts = np.clip(starts.astype(np.int64), 0, clip.n_samples - win)
     windows = np.lib.stride_tricks.sliding_window_view(clip.stored, win)
-    chunk = CHUNK_FRAMES
-    firsts = (
-        max(0, min(lo, grid.n_frames - chunk))
-        for lo in range(0, max(grid.n_frames, 1), chunk)
-    )
-    return win, ((lo, unit_samples(windows[starts[lo:lo + chunk]])) for lo in firsts)
+    blocks = row_blocks(0, grid.n_frames, CHUNK_FRAMES)
+    return grid, win, ((lo, unit_samples(windows[starts[lo:hi]])) for lo, hi in blocks)
 
 
 def _next_pow2(n: int) -> int:
@@ -130,9 +123,7 @@ def f0_contour(
     fmax: float = 500.0,
 ) -> FeatureTrack:
     """Fundamental frequency per frame in Hz; 0 marks unvoiced frames."""
-    if grid is None:
-        grid = feature_grid(clip)
-    win, blocks = _frame_blocks(clip, grid)
+    grid, win, blocks = _frame_blocks(clip, grid)
     sr = clip.sample_rate_hz
     lag_min = max(2, int(math.floor(sr / fmax)))
     lag_max = min(int(math.ceil(sr / fmin)), win - 2)
@@ -179,9 +170,7 @@ def f0_contour(
 
 def rms_energy(clip: AudioClip, grid: FrameGrid | None = None) -> FeatureTrack:
     """Root-mean-square amplitude of each analysis window."""
-    if grid is None:
-        grid = feature_grid(clip)
-    _, blocks = _frame_blocks(clip, grid)
+    grid, _, blocks = _frame_blocks(clip, grid)
     rms = np.empty(grid.n_frames)
     for lo, frames in blocks:
         rms[lo:lo + len(frames)] = np.sqrt(np.mean(frames**2, axis=1))
@@ -218,9 +207,7 @@ def _dct_matrix(n: int) -> np.ndarray:
 
 def mfcc(clip: AudioClip, grid: FrameGrid | None = None) -> FeatureTrack:
     """Mel-frequency cepstral coefficients 1..12 (coefficient 0 dropped)."""
-    if grid is None:
-        grid = feature_grid(clip)
-    win, blocks = _frame_blocks(clip, grid)
+    grid, win, blocks = _frame_blocks(clip, grid)
     nfft = _next_pow2(win)
     taper = np.hanning(win)
     filters = _mel_filterbank(clip.sample_rate_hz, nfft, N_MEL_FILTERS).T
@@ -272,14 +259,9 @@ def temporal_derivatives(track: FeatureTrack) -> FeatureTrack:
     return FeatureTrack(track.grid, names, np.hstack([track.values, derived]))
 
 
-def prosody_features(
-    clip: AudioClip, grid: FrameGrid | None = None, **f0_kwargs
-) -> FeatureTrack:
+def prosody_features(clip: AudioClip, **f0_kwargs) -> FeatureTrack:
     """Six-column prosody block: f0, RMS energy and their derivatives."""
-    if grid is None:
-        grid = feature_grid(clip)
-    base = concat_columns(f0_contour(clip, grid, **f0_kwargs), rms_energy(clip, grid))
-    return temporal_derivatives(base)
+    return temporal_derivatives(concat_columns(f0_contour(clip, **f0_kwargs), rms_energy(clip)))
 
 
 @dataclass(frozen=True)
@@ -321,9 +303,9 @@ class PcaModel:
 def fit_pca(track: FeatureTrack, k: int = 12) -> PcaModel:
     """Top-k principal components of the track's column covariance.
 
-    Components with numerically zero variance are dropped with a
-    RankDeficientWarning instead of failing, so downstream projection still
-    works on degenerate data.
+    Data whose rank is below k (a silent clip's spectral columns, for one)
+    raises a DataError naming both: fewer components than asked for could
+    only fail later.
     """
     x = track.values
     n, d = x.shape
@@ -345,13 +327,8 @@ def fit_pca(track: FeatureTrack, k: int = 12) -> PcaModel:
     tol = max(eigvals[0] * 1e-12, 1e-300)
     rank = int(np.sum(eigvals > tol))
     if rank < k:
-        warnings.warn(
-            f"requested {k} components but data rank is {rank}; keeping {rank}",
-            RankDeficientWarning,
-            stacklevel=2,
-        )
-    keep = min(k, rank)
-    components = eigvecs[:, :keep].T.copy()
+        raise DataError(f"PCA input has rank {rank}, below the {k} components requested")
+    components = eigvecs[:, :k].T.copy()
     # sign convention: largest-magnitude loading of each component is positive
     for row in components:
         pivot = np.argmax(np.abs(row))
@@ -360,7 +337,7 @@ def fit_pca(track: FeatureTrack, k: int = 12) -> PcaModel:
     return PcaModel(
         mean=mean,
         components=components,
-        explained_variance_ratio=eigvals[:keep] / total,
+        explained_variance_ratio=eigvals[:k] / total,
     )
 
 
@@ -408,9 +385,7 @@ def pre_pca_tracks(clip: AudioClip, **f0_kwargs) -> tuple[FeatureTrack, FeatureT
     The spectral track (MFCCs and their derivatives) is what PCA is fitted on
     and projects; :func:`project_speech_features` finishes the front end.
     """
-    grid = feature_grid(clip)
-    prosody = prosody_features(clip, grid, **f0_kwargs)
-    return prosody, temporal_derivatives(mfcc(clip, grid))
+    return prosody_features(clip, **f0_kwargs), temporal_derivatives(mfcc(clip))
 
 
 def project_speech_features(

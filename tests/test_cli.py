@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speechmotion import cli, coupling, ingest, motion, speech_features, stats, timeline
+from speechmotion import cli, coupling, ingest, motion, speech_features, stats, synth, timeline
 from speechmotion.errors import IncompleteSubjectWarning, SkippedSessionWarning, ValidationError
 from speechmotion.frames import read_feature_csv, write_feature_csv
 from speechmotion.speech_features import SPEECH_FEATURE_COLUMNS
@@ -517,7 +517,7 @@ class TestErrors:
         before = hash_tree(out)
         rc = cli.main([f"--config={cli_workspace['config']}", f"--out-dir={out}", command])
         assert rc == 3
-        assert "summaries.csv missing for session 's202'" in capsys.readouterr().err
+        assert "session 's202': summaries.csv missing" in capsys.readouterr().err
         assert hash_tree(out) == before
 
     def test_trim_longer_than_clip_is_data_error(self, cli_workspace, tmp_path, capsys):
@@ -1146,6 +1146,77 @@ def test_pitch_range_the_clip_cannot_resolve_names_the_wav(cli_workspace, tmp_pa
     assert rc == 2
     assert f"{sessions[0]['audio']}: pitch range [10, 30] Hz unusable at {rate} Hz" in err
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def bad_input_dir(tmp_path_factory):
+    """A 20 s synthetic session (seed 3, 2 s tone WAV) and damaged copies of its inputs."""
+    root = tmp_path_factory.mktemp("bad_inputs")
+    spec = synth.default_spec(seed=3, duration_s=20.0)
+    synth.write_session_dir(spec, root / "s", emit_tone_wav=True)
+    region_map = json.loads((root / "s" / "region_map.json").read_text())
+    region_map["hands"].append("NOPE")
+    (root / "nope_map.json").write_text(json.dumps(region_map))
+    markers = (root / "s" / "markers.csv").read_text().splitlines(keepends=True)
+    (root / "one_row.csv").write_text("".join(markers[:3]))  # rate comment, header, one row
+    rng = np.random.default_rng(0)
+    ingest.write_wav(root / "short.wav", ingest.AudioClip(0.1 * rng.standard_normal(1600), 16000))
+    ingest.write_wav(root / "silent.wav", ingest.AudioClip(np.zeros(6 * 16000), 16000))
+    return root
+
+
+def _bad_input_config(root: Path, tmp_path: Path, params: dict, **inputs) -> Path:
+    session = json.loads((root / "s" / "config.json").read_text())
+    session = {k: v if k in ("id", "speaker") else str(root / "s" / v) for k, v in session.items()}
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"params": params, "sessions": [{**session, **inputs}]}))
+    return p
+
+
+@pytest.mark.parametrize(
+    "stage, params, inputs, code, message",
+    [
+        ("features", {"trim_head_s": 5.0}, {}, 3, "tone.wav: cannot trim 5.0 s from a 2.000 s clip"),
+        ("align", {}, {"region_map": "nope_map.json"}, 2,
+         "region 'hands' references markers absent from the displacement track: ['NOPE']"),
+        ("features", {"trim_head_s": 0.0}, {"audio": "short.wav"}, 3,
+         "PCA needs more frames (10) than columns (36)"),
+        ("align", {}, {"markers": "one_row.csv"}, 3, "need >= 2 frames to difference, got 1"),
+        ("features", {"trim_head_s": 0.0}, {"audio": "silent.wav"}, 3,
+         "PCA input has rank 3, below the 12 components requested"),
+    ],
+    ids=["trim_past_the_clip", "region_map_marker_absent", "clip_shorter_than_pca",
+         "one_marker_row", "silent_wav"],
+)
+def test_a_bad_input_names_its_session(
+    bad_input_dir, tmp_path, capsys, stage, params, inputs, code, message
+):
+    inputs = {k: str(bad_input_dir / v) for k, v in inputs.items()}
+    p = _bad_input_config(bad_input_dir, tmp_path, params, **inputs)
+    argv = [f"--config={p}", f"--out-dir={tmp_path / 'o'}", stage]
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: session 'synth-3': ") and message in err
+    assert "Traceback" not in err
+    assert cli.main(["--error-json", *argv]) == code
+    payload = json.loads(capsys.readouterr().err)
+    assert f"error: {payload['message']}\n" == err
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_features_on_threads_names_the_failing_session(
+    cli_workspace, bad_input_dir, tmp_path, capsys, jobs
+):
+    sessions = absolute_sessions(cli_workspace)
+    sessions[1]["audio"] = str(bad_input_dir / "short.wav")
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"params": {"trim_head_s": 0.0}, "sessions": sessions}))
+    rc = cli.main([f"--config={p}", f"--out-dir={tmp_path / 'o'}", f"--jobs={jobs}", "features"])
+    assert rc == 3
+    # the same exit and message as one thread gives
+    assert capsys.readouterr().err == (
+        "error: session 's202': PCA needs more frames (10) than columns (36)\n"
+    )
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -177,7 +177,7 @@ def make_table(activeness_value=None, n=100, rate=10.0):
 class TestConditionSummaries:
     def test_constant_mean_sem(self):
         table, act = make_table(activeness_value=np.full(100, 1.5))
-        cells = condition_summaries(act, table, min_frames=5)
+        cells = condition_summaries(table, min_frames=5)
         filled = [c for c in cells if c.n_frames > 0]
         assert filled
         for c in filled:
@@ -196,7 +196,7 @@ class TestConditionSummaries:
         table2 = SessionTable(
             g, {"emotion": table.block("emotion"), "activeness": act, "labels": labels}
         )
-        cells = condition_summaries(act, table2)
+        cells = condition_summaries(table2)
         cell = next(
             c for c in cells if c.emotion == "Neutral" and c.condition == "non_overlap"
         )
@@ -207,7 +207,7 @@ class TestConditionSummaries:
 
     def test_non_speaking_frames_excluded(self):
         table, act = make_table()
-        cells = condition_summaries(act, table)
+        cells = condition_summaries(table)
         # speaking covers [0,6) at 10 Hz = 60 frames; lose none to dropout
         assert sum(c.n_frames for c in cells) == 60
 
@@ -215,7 +215,7 @@ class TestConditionSummaries:
         table, act = make_table()
         cells = {
             (c.condition): c
-            for c in condition_summaries(act, table)
+            for c in condition_summaries(table)
             if c.emotion == "Neutral"
         }
         assert cells["overlap"].n_frames == 20  # [2,4) at 10 Hz
@@ -223,13 +223,13 @@ class TestConditionSummaries:
 
     def test_empty_cells_reported(self):
         table, act = make_table()
-        cells = condition_summaries(act, table)
+        cells = condition_summaries(table)
         angry = [c for c in cells if c.emotion == "Angry"]
         assert angry and all(c.n_frames == 0 and math.isnan(c.mean) for c in angry)
 
     def test_csv_round_trip(self, tmp_path):
         table, act = make_table()
-        cells = condition_summaries(act, table)
+        cells = condition_summaries(table)
         write_summary_csv(cells, tmp_path / "s.csv")
         back = read_summary_csv(tmp_path / "s.csv")
         assert len(back) == len(cells)

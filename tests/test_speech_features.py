@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from speechmotion.errors import (
     ClipShorterThanWindowError,
+    DataError,
     DimensionMismatchError,
     GridMismatchError,
-    RankDeficientWarning,
     TrackTooShortError,
 )
 from speechmotion.frames import FeatureTrack, FrameGrid
@@ -194,8 +194,9 @@ class TestPca:
     def test_exact_rank_two(self):
         rng = np.random.default_rng(1)
         data = rng.standard_normal((100, 2)) @ rng.standard_normal((2, 36))
-        with pytest.warns(RankDeficientWarning):
-            model = fit_pca(self.make_track(data), k=12)
+        with pytest.raises(DataError, match="rank 2, below the 12 components requested"):
+            fit_pca(self.make_track(data), k=12)
+        model = fit_pca(self.make_track(data), k=2)
         assert model.n_components == 2
         assert model.explained_variance_ratio.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -243,8 +244,7 @@ class TestPca:
         rng = np.random.default_rng(7)
         data = rng.standard_normal((80, 3)) @ rng.standard_normal((3, 9))
         track = self.make_track(data)
-        with pytest.warns(RankDeficientWarning):
-            model = fit_pca(track, k=5)
+        model = fit_pca(track, k=3)
         proj = apply_pca(model, track).values
         recon = proj @ model.components + model.mean
         assert np.allclose(recon, data, atol=1e-9)
