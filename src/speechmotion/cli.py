@@ -197,17 +197,21 @@ def cmd_features(config: Config, jobs: int = 1) -> None:
         except PipelineError as exc:  # e.g. a trim longer than the clip
             raise type(exc)(f"{path}: {exc}") from None
 
-    def features_for(group: list[dict]) -> None:
-        # each clip is decoded once, and freed once its pre-PCA columns are made
+    def features_for(group: list[dict]):
+        # each clip is decoded once, and its pre-PCA columns freed once projected
         tracks = [pre_pca(s) for s in group]
         model = speech_features.fit_pca_pooled([spectral for _, spectral in tracks])
-        for s, (prosody, spectral) in zip(group, tracks):
-            track = speech_features.project_speech_features(prosody, spectral, model)
-            out = config.session_dir(s)
-            write_feature_csv(track, out / "features.csv")
-            model.to_json(out / "pca_model.json")
+        project = speech_features.project_speech_features
+        return model, [project(*tracks.pop(0), model) for _ in group]
 
-    list(_for_each_session(features_for, groups, jobs))
+    # written in config order as the groups come back, so a failed group
+    # stops every write after it, on threads as on one; each track is freed
+    # once written, before the next group is computed
+    for group, (model, projected) in zip(groups, _for_each_session(features_for, groups, jobs)):
+        for s in group:
+            out = config.session_dir(s)
+            write_feature_csv(projected.pop(0), out / "features.csv")
+            model.to_json(out / "pca_model.json")
     for s in sessions:
         print(f"features: wrote {config.session_dir(s) / 'features.csv'}")
 

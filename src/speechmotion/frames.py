@@ -158,7 +158,7 @@ def format_value(x: float) -> str:
 # dropout. Rows are parsed by numpy's C parser and formatted a block at a time;
 # nothing here loops over cells in Python except to name a rejected row.
 
-WRITE_BLOCK_ROWS = 4096  # rows formatted per write; bounds the text held at once
+WRITE_BLOCK_ROWS = 512  # rows formatted per write; bounds the text held at once
 
 
 def _write_head(fh, header, rate_hz: float | None) -> None:
@@ -168,17 +168,20 @@ def _write_head(fh, header, rate_hz: float | None) -> None:
 
 
 def write_table(
-    path, header, times: np.ndarray, values: np.ndarray, rate_hz: float | None = None
+    path, header, times: np.ndarray, *values: np.ndarray, rate_hz: float | None = None
 ) -> None:
     """Write an optional rate comment, the header and one `time,v1,...` row per frame.
 
-    Each row's bytes equal ``",".join(map(format_value, row))``.
+    `values` are 2-D arrays whose columns follow `times` in order; they are
+    joined one block of rows at a time, never as a whole table. Each row's
+    bytes equal ``",".join(map(format_value, row))``.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         _write_head(fh, header, rate_hz)
+        # disjoint blocks: row_blocks' overlapping last block would write rows twice
         for lo in range(0, len(times), WRITE_BLOCK_ROWS):
             hi = lo + WRITE_BLOCK_ROWS
-            block = np.column_stack((times[lo:hi], values[lo:hi]))
+            block = np.column_stack((times[lo:hi], *(v[lo:hi] for v in values)))
             text = "\n".join([",".join(map(repr, row)) for row in block.tolist()]) + "\n"
             if np.isnan(block).any():
                 # repr spells NaN "nan", and no other float's repr contains it

@@ -9,6 +9,7 @@ default). Effect size is partial eta squared.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -142,10 +143,47 @@ def f_distribution_sf(f: float, df1: int, df2: int) -> float:
 
 
 def _f_tail(f: float, df1: float, df2: float) -> float:
-    """P(F > f) for real degrees of freedom, via the regularized incomplete beta."""
-    from scipy.special import betainc  # imported here: only p-values need scipy
+    """P(F > f) for real degrees of freedom: I_x(df2/2, df1/2) at
+    x = df2 / (df2 + df1 f), the regularized incomplete beta as its continued
+    fraction (Abramowitz & Stegun 26.5.8). Past x = (a+1)/(a+b+2) the
+    fraction converges slowly, so I_x(a, b) = 1 - I_{1-x}(b, a) is used there
+    (Press et al. 2007, Numerical Recipes 3rd ed., 6.4).
+    """
+    a, b = df2 / 2.0, df1 / 2.0
+    x, y = df2 / (df2 + df1 * f), df1 * f / (df2 + df1 * f)  # y is 1 - x without cancellation
+    if y == 0.0:
+        return 1.0
+    if x == 0.0:
+        return 0.0
+    # log1p on the side near 1 keeps the prefactor's digits when a or b is large
+    log_x = math.log1p(-y) if x > 0.5 else math.log(x)
+    log_y = math.log1p(-x) if y > 0.5 else math.log(y)
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * log_x + b * log_y)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front / (a * _beta_fraction(a, b, x))
+    return 1.0 - front / (b * _beta_fraction(b, a, y))
 
-    return float(betainc(df2 / 2.0, df1 / 2.0, df2 / (df2 + df1 * f)))
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """1 + d1/(1 + d2/(1 + ...)), whose reciprocal times x^a (1-x)^b / (a B(a, b))
+    is I_x(a, b) (A&S 26.5.8), by the modified Lentz method. Below
+    x = (a+1)/(a+b+2) it takes O(sqrt(max(a, b))) terms."""
+    tiny = 1e-300  # stands in for a zero denominator
+    g, c, d = 1.0, 1.0, 0.0
+    for j in range(1, 100_000):
+        m = j // 2
+        if j % 2:
+            term = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
+        else:
+            term = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        d = 1.0 + term * d
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = 1.0 + term / c
+        c = c if abs(c) > tiny else tiny
+        g *= c * d
+        if j % 2 and abs(c * d - 1.0) <= sys.float_info.epsilon:
+            return g
+    raise ValidationError(f"incomplete beta I_{x}({a}, {b}) did not converge")
 
 
 def _orthonormal_contrasts(k: int) -> np.ndarray:

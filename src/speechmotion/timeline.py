@@ -35,6 +35,7 @@ from .frames import (
     read_header,
     read_json_object,
     read_rows,
+    row_blocks,
     write_json,
     write_table,
 )
@@ -43,6 +44,7 @@ from .ingest import EMOTION_COLUMNS, SpeechIntervals
 SESSION_RATE_HZ = 60.24
 NATIVE_RATE_HZ = 120.0
 MIN_OVERLAP_S = 1.0  # least common time span that align_session accepts
+ROW_BLOCK = 1024  # target frames that resample_linear interpolates at a time
 
 LABEL_COLUMNS = ("speaking", "overlap")
 BLOCK_NAMES = ("speech", "emotion", "activeness", "labels")  # the blocks of an aligned session
@@ -53,7 +55,9 @@ def resample_linear(track: FeatureTrack, target: FrameGrid) -> FeatureTrack:
 
     A dropout in a bracketing source frame propagates whenever that frame has
     nonzero interpolation weight, so resampling a track onto its own grid is
-    the identity even around dropouts.
+    the identity even around dropouts. The output is filled ROW_BLOCK target
+    frames at a time (see frames.row_blocks); every step is elementwise, so
+    each value is computed as a whole-grid pass computes it.
     """
     if track.n_frames < 2:
         raise EmptyTrackError(
@@ -61,19 +65,18 @@ def resample_linear(track: FeatureTrack, target: FrameGrid) -> FeatureTrack:
         )
     src_t = track.grid.timestamps()
     tgt_t = target.timestamps()
-    idx = np.searchsorted(src_t, tgt_t, side="right") - 1
-    idx = np.clip(idx, 0, track.n_frames - 2)
-    t0 = src_t[idx]
-    t1 = src_t[idx + 1]
-    w = np.clip((tgt_t - t0) / (t1 - t0), 0.0, 1.0)[:, None]
-
-    left = track.values[idx]
-    right = track.values[idx + 1]
-    nan_left = np.isnan(left)
-    nan_right = np.isnan(right)
-    out = (1.0 - w) * np.where(nan_left, 0.0, left) + w * np.where(nan_right, 0.0, right)
-    out[(w < 1.0) & nan_left] = np.nan
-    out[(w > 0.0) & nan_right] = np.nan
+    out = np.empty((target.n_frames, len(track.columns)))
+    for lo, hi in row_blocks(0, target.n_frames, ROW_BLOCK):
+        t = tgt_t[lo:hi]
+        idx = np.clip(np.searchsorted(src_t, t, side="right") - 1, 0, track.n_frames - 2)
+        t0, t1 = src_t[idx], src_t[idx + 1]
+        w = np.clip((t - t0) / (t1 - t0), 0.0, 1.0)[:, None]
+        left, right = track.values[idx], track.values[idx + 1]
+        nan_left, nan_right = np.isnan(left), np.isnan(right)
+        block = (1.0 - w) * np.where(nan_left, 0.0, left) + w * np.where(nan_right, 0.0, right)
+        block[(w < 1.0) & nan_left] = np.nan
+        block[(w > 0.0) & nan_right] = np.nan
+        out[lo:hi] = block
     return FeatureTrack(target, track.columns, out)
 
 
@@ -275,8 +278,9 @@ def write_session_csv(table: SessionTable, csv_path, meta_path) -> None:
     header = ["time_s"]
     for name, track in table.blocks.items():
         header.extend(f"{name}.{col}" for col in track.columns)
-    stacked = np.hstack([track.values for track in table.blocks.values()])
-    write_table(csv_path, header, table.grid.timestamps(), stacked)
+    write_table(
+        csv_path, header, table.grid.timestamps(), *(t.values for t in table.blocks.values())
+    )
     # insertion order keeps blocks aligned with the CSV
     write_json(meta_path, {
         "rate_hz": table.grid.rate_hz,

@@ -1,9 +1,10 @@
-"""The front ends work through their frames in fixed blocks.
+"""The front ends, the resampler and the table writer work in fixed blocks.
 
-The speech extractors take analysis frames, and the marker kinematics
-frames of markers, a block at a time. Blocking must change neither the
-values (every row keeps its arithmetic) nor let memory grow with the clip
-beyond the per-frame outputs and the clip at its stored width.
+The speech extractors take analysis frames, the marker kinematics frames of
+markers, resample_linear frames of its target grid and write_table rows a
+block at a time. Blocking must change neither the values (every row keeps
+its arithmetic) nor let memory grow with the clip beyond the per-frame
+outputs and the clip at its stored width.
 """
 
 import tracemalloc
@@ -11,9 +12,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from speechmotion import ingest, motion
+from speechmotion import frames, ingest, motion, timeline
 from speechmotion import speech_features as sf
-from speechmotion.frames import FrameGrid
+from speechmotion.frames import FeatureTrack, FrameGrid
 from speechmotion.ingest import AudioClip
 from speechmotion.motion import MarkerTrack
 
@@ -132,3 +133,73 @@ def test_load_wav_keeps_one_channel_at_its_stored_width(tmp_path):
         tracemalloc.stop()
     assert clip.n_samples == n
     assert peak <= file_bytes + 2 * n + (64 << 10), (peak, file_bytes)
+
+
+def dropout_track(n_frames: int, n_columns: int = 5, seed: int = 0) -> FeatureTrack:
+    """Random columns at 120 Hz with 5 % NaN dropouts, some of them runs."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((n_frames, n_columns))
+    values[rng.random(values.shape) < 0.05] = np.nan
+    values[n_frames // 3 : n_frames // 3 + 7, 0] = np.nan
+    names = tuple(f"c{j}" for j in range(n_columns))
+    return FeatureTrack(FrameGrid(120.0, 0.25, n_frames), names, values)
+
+
+def whole_grid_resample(track: FeatureTrack, target: FrameGrid) -> np.ndarray:
+    """resample_linear's formula over the whole target grid at once."""
+    src_t, tgt_t = track.grid.timestamps(), target.timestamps()
+    idx = np.clip(np.searchsorted(src_t, tgt_t, side="right") - 1, 0, track.n_frames - 2)
+    w = np.clip((tgt_t - src_t[idx]) / (src_t[idx + 1] - src_t[idx]), 0.0, 1.0)[:, None]
+    left, right = track.values[idx], track.values[idx + 1]
+    nan_left, nan_right = np.isnan(left), np.isnan(right)
+    out = (1.0 - w) * np.where(nan_left, 0.0, left) + w * np.where(nan_right, 0.0, right)
+    out[(w < 1.0) & nan_left] = np.nan
+    out[(w > 0.0) & nan_right] = np.nan
+    return out
+
+
+BLOCK = timeline.ROW_BLOCK
+
+
+@pytest.mark.parametrize("n_target", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+def test_blocked_resample_equals_the_whole_grid_bit_for_bit(n_target):
+    # the 120 Hz source starts 0.15 s after the 60.24 Hz target and spans
+    # about half of it, so both edges clamp and the rest interpolates
+    track = dropout_track(n_target + 2)
+    target = FrameGrid(60.24, 0.1, n_target)
+    got = timeline.resample_linear(track, target).values
+    assert got.tobytes() == whole_grid_resample(track, target).tobytes()
+
+
+def test_resample_peak_memory_does_not_grow_with_grid_length():
+    short, long = dropout_track(30 * 120), dropout_track(120 * 120)
+
+    def peak(track):
+        return traced_peak_bytes(
+            lambda t: timeline.resample_linear(t, FrameGrid(60.24, 0.0, t.n_frames // 2)), track
+        )
+
+    extra_rows = long.n_frames // 2 - short.n_frames // 2
+    columns = long.values.shape[1]
+    # per extra target frame: the output columns, held once, and the target's
+    # timestamps and the source's, at twice the rate
+    per_frame = columns * 8 + 8 + 2 * 8
+    # the longer grid's blocks may hold more rows than the shorter's one
+    # block: at most one block of index, weight and value temporaries
+    allowance = timeline.ROW_BLOCK * (4 * 8 + 10 * columns * 8)
+    growth = peak(long) - peak(short)
+    assert growth <= extra_rows * per_frame + allowance, (growth, extra_rows)
+
+
+def test_write_table_peak_memory_does_not_grow_with_rows(tmp_path):
+    def peak(n_rows):
+        track = dropout_track(n_rows, n_columns=18)
+        return traced_peak_bytes(
+            lambda t: frames.write_feature_csv(t, tmp_path / "t.csv"), track
+        )
+
+    # the table's timestamps are made once for the whole table; the text of
+    # one block is all the writer holds beyond them
+    extra_rows = 120 * 120 - 30 * 120
+    growth = peak(120 * 120) - peak(30 * 120)
+    assert growth <= extra_rows * 8 + (64 << 10), growth

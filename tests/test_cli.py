@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -1219,16 +1220,55 @@ def test_features_on_threads_names_the_failing_session(
     )
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def test_features_failure_leaves_the_same_tree_on_threads(
+    cli_workspace, bad_input_dir, tmp_path, capsys
+):
+    # a failing session first: the session after it must not be written
+    # on threads either, where its step has already run
+    sessions = absolute_sessions(cli_workspace)
+    sessions[0]["audio"] = str(bad_input_dir / "short.wav")
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"params": {"trim_head_s": 0.0}, "sessions": sessions}))
+    trees = []
+    for jobs in (1, 2):
+        out = tmp_path / f"o{jobs}"
+        assert cli.main([f"--config={p}", f"--out-dir={out}", f"--jobs={jobs}", "features"]) == 3
+        trees.append({q.relative_to(out): q.is_file() and q.read_bytes() for q in out.rglob("*")})
+    capsys.readouterr()
+    assert trees[0] == trees[1]
+    assert not any(path.name == "features.csv" for path in trees[0])
+
+
+def test_cli_import_leaves_scipy_unloaded(cli_workspace, tmp_path):
     import speechmotion
 
-    env = {**os.environ, "PYTHONPATH": str(Path(speechmotion.__file__).parents[1])}
-    code = "import sys, speechmotion.cli; print('scipy' in sys.modules)"
+    package = Path(speechmotion.__file__).parent
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                modules = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            assert not [m for m in modules if m.split(".")[0] == "scipy"], path
+
+    # stats and report, the stages that compute and print p values, with
+    # every scipy import failing
+    out = tmp_path / "out"
+    shutil.copytree(cli_workspace["out"], out)
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from speechmotion import cli\n"
+        "sys.exit(cli.main(sys.argv[1:] + ['stats']) or cli.main(sys.argv[1:] + ['report']))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(package.parent)}
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code, f"--config={cli_workspace['config']}", f"--out-dir={out}"],
+        env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    for name in ("anova.csv", "report/reference_comparison.csv"):
+        assert (out / name).read_bytes() == (cli_workspace["out"] / name).read_bytes(), name
 
 
 JSON_VALUES = st.recursive(

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from speechmotion.errors import (
 from speechmotion.motion import CATEGORY_NAMES, CONDITION_NAMES, SummaryCell, sem_of
 from speechmotion.stats import (
     RmDesign,
+    _f_tail,
     design_from_summaries,
     f_distribution_sf,
     rm_anova_two_way,
@@ -47,6 +49,98 @@ HAND_EXPECTED = {
     "condition": (169.0 / 7.0, 1 - math.sqrt(169.0 / 183.0), 169.0 / 183.0),
     "emotion_x_condition": (3.0, 1 - math.sqrt(3.0 / 5.0), 0.75 / 1.25),
 }
+
+
+# P(F > f) as (df1, df2, f, p), from mpmath 1.3.0 at 40 digits, over df1 1-12,
+# df2 1-1e4 and F 1e-8-1e8, then F chosen for p from 1e-300 down into the
+# subnormals. Generated by:
+#   import random, mpmath
+#   mpmath.mp.dps = 40
+#   def tail(df1, df2, f):  # P(F > f) = I_x(df2/2, df1/2) at x = df2 / (df2 + df1 f)
+#       a, b = mpmath.mpf(df2) / 2, mpmath.mpf(df1) / 2
+#       return float(mpmath.betainc(a, b, 0, a / (a + b * mpmath.mpf(f)), regularized=True))
+#   rng, rows = random.Random(20), []
+#   while len(rows) < 48:  # integer or real dfs
+#       df1 = rng.choice([rng.randint(1, 12), round(rng.uniform(1, 12), 3)])
+#       df2 = rng.choice([rng.randint(1, 10**4), round(10 ** rng.uniform(0, 4), 3)])
+#       f = float(f"{10 ** rng.uniform(-8, 8):.6g}")
+#       if tail(df1, df2, f) > 1e-300:
+#           rows.append((df1, df2, f))
+#   # F found by bisection on log10 F for p from 1e-300 down into the subnormals
+#   rows += [(3, 40, 1.44706e16), (12, 100.5, 1.38969e7), (1, 30, 9.28479e21),
+#            (2.5, 600, 2344.54), (7, 9000, 227.62), (4, 13.25, 4.50116e48),
+#            (2, 70, 5.19394e10), (10.5, 3000, 190.471)]
+#   for df1, df2, f in rows:
+#       print(f"    {(df1, df2, f, tail(df1, df2, f))!r},")
+F_TAIL_REFERENCE = (
+    (10, 6743, 4.48709e-07, 1.0),
+    (6.218, 6.833, 101.386, 2.402251172552712e-06),
+    (4.691, 324.142, 0.0301251, 0.9993178804102866),
+    (4, 3307, 0.00011344, 0.999999974251067),
+    (4.356, 2677, 0.000190921, 0.9999999817501264),
+    (10, 1907, 2.05028, 0.025387661316057894),
+    (7, 2.88, 1.07646e-08, 1.0),
+    (2.293, 9131, 15.1774, 4.6967842159696326e-08),
+    (2.026, 6680.013, 415.246, 9.417443826177715e-173),
+    (3, 6358, 1.44731e-05, 0.9999999238993094),
+    (4, 9094, 233.082, 7.828512590834976e-191),
+    (8, 1802.245, 0.0302755, 0.9999918133035495),
+    (10.997, 28.706, 2.00195e-06, 1.0),
+    (5.355, 1.847, 2.40368e-05, 0.9999999999935358),
+    (1, 308.974, 2737.06, 1.4077826668993709e-155),
+    (3, 40, 2.40449e-05, 0.9999998340279891),
+    (7.801, 2.055, 42993.9, 1.7685691598556152e-05),
+    (8, 3958.789, 0.0201789, 0.9999983370747269),
+    (9.807, 212.726, 0.00127743, 0.9999999999998321),
+    (4.222, 6229, 0.00372461, 0.9999838253190113),
+    (9.235, 1102.035, 6.80758e-05, 1.0),
+    (3, 531.387, 3.05926, 0.027889312663826448),
+    (10.996, 413.93, 0.00436774, 0.9999999999954835),
+    (3, 3.299, 70953200.0, 2.2990386563179604e-13),
+    (11, 36.554, 100757.0, 2.075524719343329e-78),
+    (11, 2111, 11.7129, 1.5305990035573965e-21),
+    (2, 12.545, 2.29303e-07, 0.9999997706970305),
+    (5, 9909.796, 4.27779e-08, 1.0),
+    (10.032, 8231, 0.194755, 0.9967693885290186),
+    (10.89, 2512, 0.00043043, 1.0),
+    (5.906, 2545.479, 152.188, 3.116490523817579e-163),
+    (2, 5005, 1.27622, 0.27918107634613976),
+    (7, 5965, 9.29761, 1.6820867918039352e-11),
+    (6, 21.925, 2.25566e-06, 0.9999999999999999),
+    (9, 8362, 7.28261e-07, 1.0),
+    (5, 5.862, 0.1292, 0.9797739568075052),
+    (12, 2843, 0.876664, 0.5705257500692239),
+    (7.202, 9.381, 30981500.0, 8.651210407409964e-34),
+    (2.034, 7073, 4.68725, 0.008874300280449292),
+    (6.613, 106.756, 3.11167e-08, 1.0),
+    (9.446, 7652.083, 137.918, 6.085481874505874e-253),
+    (1.694, 227, 3.32611e-06, 0.999978940221035),
+    (1.786, 6894, 42.4488, 2.6693249416658055e-17),
+    (5.281, 13.997, 2133370.0, 1.0201267126847143e-40),
+    (9.553, 5383, 2.40639e-06, 1.0),
+    (11, 5768, 7.71553e-06, 1.0),
+    (10, 5219, 1.49396e-08, 1.0),
+    (6.598, 2904, 5.8689, 1.6486658707965429e-06),
+    (3, 40, 1.44706e+16, 1.0000548502987305e-300),
+    (12, 100.5, 13896900.0, 9.999931067661785e-307),
+    (1, 30, 9.28479e+21, 6.309551964244517e-309),
+    (2.5, 600, 2344.54, 1.00008259205085e-309),
+    (7, 9000, 227.62, 9.9912524613e-313),
+    (4, 13.25, 4.50116e+48, 9.99994e-319),
+    (2, 70, 51939400000.0, 1e-321),
+    (10.5, 3000, 190.471, 3e-323),
+)
+
+# The bound was fixed from the error budget before the table was checked. The
+# prefactor's lgamma terms reach ~4e4 at df2 = 1e4, where half an ulp is
+# 3.6e-12; three of them, lgamma's own error and the fraction's rounding stay
+# below 5e-11 relative. Below the smallest normal double a result holds fewer
+# digits, so there the bound is absolute: the relative bound at that double.
+F_TAIL_REL = 5e-11
+
+
+def assert_tail(got: float, want: float) -> None:
+    assert abs(got - want) <= F_TAIL_REL * max(want, sys.float_info.min), (got, want)
 
 
 class TestRmAnova:
@@ -355,6 +449,21 @@ class TestFSurvival:
         assert f_distribution_sf(4.0, df1, df2) == pytest.approx(tail, abs=1e-10)
         # closed form for df1=2: (1 + 2 f / df2)^(-df2/2) = (5/9)^5
         assert f_distribution_sf(4.0, 2, 10) == pytest.approx((5.0 / 9.0) ** 5, abs=1e-12)
+
+    def test_against_mpmath_reference(self):
+        for df1, df2, f, want in F_TAIL_REFERENCE:
+            assert_tail(_f_tail(f, df1, df2), want)
+
+    @pytest.mark.parametrize("df2", [1, 2.5, 10, 137.25, 5000])
+    def test_closed_form_for_df1_two(self, df2):
+        # P(F > f) = (1 + 2f/df2)^(-df2/2) (A&S 26.6), its log taken by log1p
+        for f in np.geomspace(1e-8, 1e8, 33):
+            assert_tail(_f_tail(f, 2, df2), math.exp(-df2 / 2 * math.log1p(2 * f / df2)))
+
+    def test_closed_form_for_one_and_one_df(self):
+        # 1 - (2/pi) atan(sqrt f) (A&S 26.6), as (2/pi) atan(1/sqrt f) without cancellation
+        for f in np.geomspace(1e-8, 1e8, 33):
+            assert_tail(_f_tail(f, 1, 1), 2 / math.pi * math.atan(1 / math.sqrt(f)))
 
     def test_invalid_dfs(self):
         with pytest.raises(InvalidDegreesOfFreedomError):
