@@ -31,7 +31,6 @@ from .motion import (
 from .speech_features import (
     PcaModel,
     apply_pca,
-    assemble_speech_features,
     f0_contour,
     fit_pca,
     mfcc,
@@ -64,7 +63,6 @@ __all__ = [
     "SynthSpec",
     "align_session",
     "apply_pca",
-    "assemble_speech_features",
     "bin_affect",
     "condition_summaries",
     "coupling_report",

@@ -23,8 +23,8 @@ from pathlib import Path
 from . import coupling as coupling_mod
 from . import ingest, motion, report, speech_features, stats, synth, timeline
 from .errors import (
-    IncompleteSubjectError, MissingUpstreamOutputError, PipelineError, SkippedSessionWarning,
-    ValidationError,
+    DataError, IncompleteSubjectError, MissingUpstreamOutputError, PipelineError,
+    SkippedSessionWarning, ValidationError,
 )
 from .frames import (
     check_fields, read_feature_csv, read_json_object, write_feature_csv, write_json,
@@ -113,8 +113,6 @@ class Config:
     @classmethod
     def load(cls, path: str, out_dir: str | None = None) -> "Config":
         p = Path(path)
-        if not p.exists():
-            raise MissingUpstreamOutputError(f"config file not found: {p}")
         doc = read_json_object(p)
         try:
             return cls(doc, p.parent.resolve(), Path(out_dir) if out_dir else None)
@@ -124,10 +122,7 @@ class Config:
     def path(self, session: dict, key: str) -> Path:
         if key not in session:
             raise MissingUpstreamOutputError(f"no {key!r} input")
-        p = self.base_dir / session[key]
-        if not p.exists():
-            raise MissingUpstreamOutputError(f"input file not found: {p}")
-        return p
+        return self.base_dir / session[key]
 
     def session_dir(self, session: dict) -> Path:
         d = self.out_dir / session["id"]
@@ -143,27 +138,33 @@ class Config:
         if ref == "default":
             return motion.default_region_map()
         path = self.base_dir / ref
-        if not path.exists():
-            raise MissingUpstreamOutputError(f"region map not found: {path}")
         try:
             return motion.RegionMap.from_json(path)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"{path}: {exc}") from exc
 
 
+def _unopenable(exc: OSError) -> DataError:
+    """A file the OS cannot open or write (missing, a directory, unreadable), as
+    a data error naming it: `<path>: <reason>`."""
+    return DataError(f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc))
+
+
 def _for_each_session(step, items: list, jobs: int = 1):
     """`step`'s result for each session (or group of sessions), in config order.
 
     The one per-session loop, and the one place that names a session: a
-    PipelineError from `step` is re-raised as `session '<id>': <message>`,
-    a group naming every id in it. `jobs` > 1 runs the steps on threads.
+    PipelineError from `step`, or an OSError as :func:`_unopenable` words it,
+    is re-raised as `session '<id>': <message>`, a group naming every id in
+    it. `jobs` > 1 runs the steps on threads.
     """
     def named(item):
         try:
             return step(item)
-        except PipelineError as exc:
+        except (PipelineError, OSError) as exc:
             ids = ", ".join(repr(s["id"]) for s in (item if type(item) is list else [item]))
-            raise type(exc)(f"session {ids}: {exc}") from exc
+            error = _unopenable(exc) if isinstance(exc, OSError) else exc
+            raise type(error)(f"session {ids}: {error}") from exc
 
     if jobs > 1 and len(items) > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -200,7 +201,7 @@ def cmd_features(config: Config, jobs: int = 1) -> None:
     def features_for(group: list[dict]):
         # each clip is decoded once, and its pre-PCA columns freed once projected
         tracks = [pre_pca(s) for s in group]
-        model = speech_features.fit_pca_pooled([spectral for _, spectral in tracks])
+        model = speech_features.fit_pca(*(spectral for _, spectral in tracks))
         project = speech_features.project_speech_features
         return model, [project(*tracks.pop(0), model) for _ in group]
 
@@ -359,8 +360,6 @@ def cmd_stats(config: Config) -> None:
 
 def cmd_synth(spec_path: str, out_dir: str, seed_override: int | None = None) -> None:
     p = Path(spec_path)
-    if not p.exists():
-        raise MissingUpstreamOutputError(f"spec file not found: {p}")
     doc = read_json_object(p)
     if seed_override is not None:
         doc["seed"] = seed_override
@@ -467,16 +466,14 @@ def main(argv: list[str] | None = None) -> int:
         else:
             STAGES[args.command](config)
         return 0
-    except PipelineError as exc:
+    except (PipelineError, OSError) as exc:  # OSError: a config, spec or output path
+        error = _unopenable(exc) if isinstance(exc, OSError) else exc
         if args.error_json:
-            payload = {"error": type(exc).__name__, "message": str(exc)}
+            payload = {"error": type(error).__name__, "message": str(error)}
             print(json.dumps(payload), file=sys.stderr)
         else:
-            print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename}", file=sys.stderr)
-        return 3
+            print(f"error: {error}", file=sys.stderr)
+        return error.exit_code
 
 
 if __name__ == "__main__":

@@ -33,7 +33,6 @@ from .errors import (
     ClipShorterThanWindowError,
     DataError,
     DimensionMismatchError,
-    GridMismatchError,
     TrackTooShortError,
     ValidationError,
 )
@@ -62,7 +61,6 @@ def derivative_columns(columns: tuple[str, ...]) -> tuple[str, ...]:
 
 
 PROSODY_COLUMNS = ("f0_hz", "energy_rms") + derivative_columns(("f0_hz", "energy_rms"))
-SPECTRAL_COLUMNS = MFCC_COLUMNS + derivative_columns(MFCC_COLUMNS)
 SPEECH_FEATURE_COLUMNS = PC_COLUMNS + PROSODY_COLUMNS
 
 
@@ -77,11 +75,9 @@ def feature_grid(clip: AudioClip) -> FrameGrid:
     return FrameGrid(rate_hz=FRAME_RATE_HZ, start_s=clip.start_s, n_frames=n)
 
 
-def _frame_blocks(
-    clip: AudioClip, grid: FrameGrid | None
-) -> tuple[FrameGrid, int, Iterator[tuple[int, np.ndarray]]]:
-    """The grid (the clip's feature_grid by default), the window length in
-    samples, and the grid's analysis windows in :func:`frames.row_blocks`.
+def _frame_blocks(clip: AudioClip) -> tuple[FrameGrid, int, Iterator[tuple[int, np.ndarray]]]:
+    """The clip's feature_grid, the window length in samples, and the grid's
+    analysis windows in :func:`frames.row_blocks`.
 
     The iterator yields (first frame index, block): each block is a fresh
     (CHUNK_FRAMES, win) float64 array of the samples, converted from the
@@ -89,20 +85,12 @@ def _frame_blocks(
     reaches it, so an extractor that keeps only its per-frame outputs holds
     one block at a time however long the clip is.
     """
-    if grid is None:
-        grid = feature_grid(clip)
+    grid = feature_grid(clip)
     if clip.stored.ndim != 1:
         raise ValueError("feature extraction requires a mono clip")
     sr = clip.sample_rate_hz
     win = int(round(WINDOW_S * sr))
-    rel_start = grid.start_s - clip.start_s
-    last_end = rel_start + (grid.n_frames - 1) / grid.rate_hz + WINDOW_S
-    if rel_start < -0.5 / sr or last_end > clip.duration_s + 0.5 / sr:
-        raise ClipShorterThanWindowError(
-            f"grid spans [{grid.start_s:.4f}, {last_end + clip.start_s:.4f}] s "
-            f"but clip covers {clip.duration_s:.4f} s"
-        )
-    starts = np.round((rel_start + np.arange(grid.n_frames) / grid.rate_hz) * sr)
+    starts = np.round(np.arange(grid.n_frames) / grid.rate_hz * sr)
     starts = np.clip(starts.astype(np.int64), 0, clip.n_samples - win)
     windows = np.lib.stride_tricks.sliding_window_view(clip.stored, win)
     blocks = row_blocks(0, grid.n_frames, CHUNK_FRAMES)
@@ -116,14 +104,9 @@ def _next_pow2(n: int) -> int:
     return nfft
 
 
-def f0_contour(
-    clip: AudioClip,
-    grid: FrameGrid | None = None,
-    fmin: float = 50.0,
-    fmax: float = 500.0,
-) -> FeatureTrack:
+def f0_contour(clip: AudioClip, fmin: float = 50.0, fmax: float = 500.0) -> FeatureTrack:
     """Fundamental frequency per frame in Hz; 0 marks unvoiced frames."""
-    grid, win, blocks = _frame_blocks(clip, grid)
+    grid, win, blocks = _frame_blocks(clip)
     sr = clip.sample_rate_hz
     lag_min = max(2, int(math.floor(sr / fmax)))
     lag_max = min(int(math.ceil(sr / fmin)), win - 2)
@@ -168,9 +151,9 @@ def f0_contour(
     return FeatureTrack(grid, ("f0_hz",), f0)
 
 
-def rms_energy(clip: AudioClip, grid: FrameGrid | None = None) -> FeatureTrack:
+def rms_energy(clip: AudioClip) -> FeatureTrack:
     """Root-mean-square amplitude of each analysis window."""
-    grid, _, blocks = _frame_blocks(clip, grid)
+    grid, _, blocks = _frame_blocks(clip)
     rms = np.empty(grid.n_frames)
     for lo, frames in blocks:
         rms[lo:lo + len(frames)] = np.sqrt(np.mean(frames**2, axis=1))
@@ -205,9 +188,9 @@ def _dct_matrix(n: int) -> np.ndarray:
     return d
 
 
-def mfcc(clip: AudioClip, grid: FrameGrid | None = None) -> FeatureTrack:
+def mfcc(clip: AudioClip) -> FeatureTrack:
     """Mel-frequency cepstral coefficients 1..12 (coefficient 0 dropped)."""
-    grid, win, blocks = _frame_blocks(clip, grid)
+    grid, win, blocks = _frame_blocks(clip)
     nfft = _next_pow2(win)
     taper = np.hanning(win)
     filters = _mel_filterbank(clip.sample_rate_hz, nfft, N_MEL_FILTERS).T
@@ -300,14 +283,15 @@ class PcaModel:
         return cls(doc["mean"], doc["components"], doc["explained_variance_ratio"])
 
 
-def fit_pca(track: FeatureTrack, k: int = 12) -> PcaModel:
-    """Top-k principal components of the track's column covariance.
+def fit_pca(*tracks: FeatureTrack, k: int = 12) -> PcaModel:
+    """Top-k principal components of the column covariance of the tracks'
+    stacked frames: one clip's (session scope) or a corpus's (corpus scope).
 
     Data whose rank is below k (a silent clip's spectral columns, for one)
     raises a DataError naming both: fewer components than asked for could
     only fail later.
     """
-    x = track.values
+    x = np.vstack([t.values for t in tracks])
     n, d = x.shape
     if n <= d:
         raise TrackTooShortError(f"PCA needs more frames ({n}) than columns ({d})")
@@ -341,13 +325,6 @@ def fit_pca(track: FeatureTrack, k: int = 12) -> PcaModel:
     )
 
 
-def fit_pca_pooled(tracks: list[FeatureTrack]) -> PcaModel:
-    """Fit one 12-component model on the stacked frames of several tracks (corpus scope)."""
-    stacked = np.vstack([t.values for t in tracks])
-    grid = FrameGrid(rate_hz=1.0, start_s=0.0, n_frames=stacked.shape[0])
-    return fit_pca(FeatureTrack(grid, tracks[0].columns, stacked))
-
-
 def apply_pca(model: PcaModel, track: FeatureTrack) -> FeatureTrack:
     """Project (x - mean) onto the component rows; columns become pc_1..pc_k."""
     if track.values.shape[1] != model.mean.shape[0]:
@@ -362,23 +339,6 @@ def apply_pca(model: PcaModel, track: FeatureTrack) -> FeatureTrack:
     return FeatureTrack(track.grid, names, projected)
 
 
-def assemble_speech_features(pca12: FeatureTrack, prosody: FeatureTrack) -> FeatureTrack:
-    """Concatenate 12 spectral components with the 6 prosody columns."""
-    if pca12.grid != prosody.grid:
-        raise GridMismatchError(
-            f"component grid {pca12.grid} != prosody grid {prosody.grid}"
-        )
-    if pca12.columns != PC_COLUMNS:
-        raise DimensionMismatchError(
-            f"expected columns {PC_COLUMNS}, got {pca12.columns}"
-        )
-    if prosody.columns != PROSODY_COLUMNS:
-        raise DimensionMismatchError(
-            f"expected columns {PROSODY_COLUMNS}, got {prosody.columns}"
-        )
-    return concat_columns(pca12, prosody)
-
-
 def pre_pca_tracks(clip: AudioClip, **f0_kwargs) -> tuple[FeatureTrack, FeatureTrack]:
     """A clip's six-column prosody track and 36-column spectral track.
 
@@ -391,8 +351,12 @@ def pre_pca_tracks(clip: AudioClip, **f0_kwargs) -> tuple[FeatureTrack, FeatureT
 def project_speech_features(
     prosody: FeatureTrack, spectral: FeatureTrack, pca_model: PcaModel
 ) -> FeatureTrack:
-    """The spectral track's PCA projection, assembled with the prosody columns."""
-    return assemble_speech_features(apply_pca(pca_model, spectral), prosody)
+    """The spectral track's 12-component PCA projection, then the prosody columns."""
+    if pca_model.n_components != len(PC_COLUMNS):
+        raise DimensionMismatchError(
+            f"expected a {len(PC_COLUMNS)}-component PCA model, got {pca_model.n_components}"
+        )
+    return concat_columns(apply_pca(pca_model, spectral), prosody)
 
 
 def extract_speech_features(

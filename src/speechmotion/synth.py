@@ -28,6 +28,11 @@ from .motion import CATEGORY_NAMES, MarkerTrack, RegionMap
 from .speech_features import SPEECH_FEATURE_COLUMNS
 
 
+def _finite_number(value) -> bool:
+    """A number, not a bool, and finite."""
+    return type(value) is not bool and isinstance(value, (int, float)) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class RegionCoupling:
     """Ground truth for one region: y = weights . x + offset + noise."""
@@ -42,9 +47,8 @@ class RegionCoupling:
             raise InconsistentSpecError("region weights must be a vector")
         if self.noise_sigma < 0:
             raise InconsistentSpecError("noise_sigma must be >= 0")
-        offset = self.offset  # a number, not a bool, and finite
-        if type(offset) is bool or not (isinstance(offset, (int, float)) and math.isfinite(offset)):
-            raise InconsistentSpecError(f"region offset must be a finite number; got {offset!r}")
+        if not _finite_number(self.offset):
+            raise InconsistentSpecError(f"region offset must be a finite number; got {self.offset!r}")
         object.__setattr__(self, "weights", w)
 
     @property
@@ -74,8 +78,25 @@ class SynthSpec:
     feature_names: tuple[str, ...] = SPEECH_FEATURE_COLUMNS
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise InconsistentSpecError("duration_s must be positive")
+        if type(self.seed) is not int or self.seed < 0:
+            raise InconsistentSpecError(f"seed must be an integer >= 0; got {self.seed!r}")
+        for name in ("duration_s", "rate_hz", "emotion_rate_hz", "smoothing_s", "target_turn_s",
+                     "partner_turn_s"):
+            value = getattr(self, name)
+            if not (_finite_number(value) and value > 0):
+                raise InconsistentSpecError(f"{name} must be a positive finite number; got {value!r}")
+        # a gap below zero steps the turn schedule backwards without end
+        if not (_finite_number(self.gap_s) and self.gap_s >= 0):
+            raise InconsistentSpecError(f"gap_s must be a finite number >= 0; got {self.gap_s!r}")
+        for rate in ("rate_hz", "emotion_rate_hz"):
+            if round(self.duration_s * getattr(self, rate)) < 1:
+                raise InconsistentSpecError(
+                    f"duration_s {self.duration_s!r} gives no frame at {rate} {getattr(self, rate)!r}"
+                )
+        if self.target_speaker == self.partner_speaker:
+            raise InconsistentSpecError(
+                f"target_speaker and partner_speaker must differ; both are {self.target_speaker!r}"
+            )
         if not self.regions:
             raise InconsistentSpecError("at least one region is required")
         if len(self.feature_names) != self.feature_dim:

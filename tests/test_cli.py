@@ -443,8 +443,8 @@ class TestCorpusPca:
             ingest.select_channel(ingest.load_wav(s["audio"]), "left")
             for s in doc["sessions"]
         ]
-        model = speech_features.fit_pca_pooled(
-            [speech_features.temporal_derivatives(mfcc(c)) for c in clips]
+        model = speech_features.fit_pca(
+            *(speech_features.temporal_derivatives(mfcc(c)) for c in clips)
         )
         for s, clip in zip(doc["sessions"], clips):
             expected, _ = speech_features.extract_speech_features(clip, pca_model=model)
@@ -509,6 +509,13 @@ class TestErrors:
         rc = cli.main(["--config=/does/not/exist.json", "align"])
         assert rc == 3
         assert "exist.json" in capsys.readouterr().err
+
+    def test_a_config_that_is_a_directory_exits_3(self, tmp_path, capsys):
+        assert cli.main([f"--config={tmp_path}", "align"]) == 3
+        assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
+        assert cli.main(["--error-json", f"--config={tmp_path}", "align"]) == 3
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {"error": "DataError", "message": f"{tmp_path}: Is a directory"}
 
     @pytest.mark.parametrize("command", ["stats", "report"])
     def test_a_session_without_summaries_is_named(self, cli_workspace, tmp_path, capsys, command):
@@ -808,14 +815,22 @@ class TestSynthCommand:
             ("offset", "x", "region offset must be a finite number; got 'x'"),
             ("offset", True, "region offset must be a finite number; got True"),
             ("markers_per_region", 0, "markers_per_region must be an integer >= 1; got 0"),
+            ("target_turn_s", -1, "target_turn_s must be a positive finite number; got -1"),
+            ("partner_turn_s", 0, "partner_turn_s must be a positive finite number; got 0"),
+            ("smoothing_s", 0, "smoothing_s must be a positive finite number; got 0"),
+            ("rate_hz", 0, "rate_hz must be a positive finite number; got 0"),
+            ("emotion_rate_hz", -1, "emotion_rate_hz must be a positive finite number; got -1"),
+            ("duration_s", 0.01, "duration_s 0.01 gives no frame at emotion_rate_hz 10.0"),
+            ("seed", 1.5, "seed must be an integer >= 0; got 1.5"),
+            ("seed", True, "seed must be an integer >= 0; got True"),
+            ("target_speaker", "M", "target_speaker and partner_speaker must differ; both are 'M'"),
         ],
     )
     def test_bad_spec_field_exits_2(self, tmp_path, capsys, field, value, message):
         region = {"weights": [1.0, 2.0], "offset": 0.0}
         spec = {"seed": 5, "duration_s": 5.0, "feature_dim": 2, "feature_names": ["x0", "x1"],
                 "regions": {"r": region}}
-        top_level = ("emit_tone_wav", "regions", "markers_per_region")
-        (spec if field in top_level else region)[field] = value
+        (region if field in ("noise_sigmaa", "weights", "offset") else spec)[field] = value
         p = tmp_path / "spec.json"
         p.write_text(json.dumps(spec))
         out = tmp_path / "session"
@@ -825,6 +840,12 @@ class TestSynthCommand:
         assert f"{p}: " in err and message in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_a_negative_gap_is_refused_at_construction(self):
+        # checked on the spec alone: a session generated with it never ends
+        with pytest.raises(ValidationError, match="gap_s must be a finite number >= 0; got -100"):
+            synth.SynthSpec(seed=1, regions={"r": synth.RegionCoupling([1.0], 0.0)},
+                            feature_dim=1, feature_names=("x0",), gap_s=-100)
 
 
 def _set_cell(path: Path, line: int, column: int, value: str) -> None:
@@ -1185,9 +1206,12 @@ def _bad_input_config(root: Path, tmp_path: Path, params: dict, **inputs) -> Pat
         ("align", {}, {"markers": "one_row.csv"}, 3, "need >= 2 frames to difference, got 1"),
         ("features", {"trim_head_s": 0.0}, {"audio": "silent.wav"}, 3,
          "PCA input has rank 3, below the 12 components requested"),
+        # the session directory itself, which the OS cannot open as a file
+        ("align", {}, {"markers": "s"}, 3, "s: Is a directory"),
+        ("align", {}, {"region_map": "s"}, 3, "s: Is a directory"),
     ],
     ids=["trim_past_the_clip", "region_map_marker_absent", "clip_shorter_than_pca",
-         "one_marker_row", "silent_wav"],
+         "one_marker_row", "silent_wav", "markers_a_directory", "region_map_a_directory"],
 )
 def test_a_bad_input_names_its_session(
     bad_input_dir, tmp_path, capsys, stage, params, inputs, code, message

@@ -110,6 +110,8 @@ class TestFeatureTrack:
         merged = concat_columns(t1.select(["b"]), t2)
         assert merged.columns == ("b", "c")
         assert np.array_equal(merged.column("b"), [1.0, 3.0, 5.0])
+        with pytest.raises(ValueError, match="grids differ"):
+            concat_columns(t1, FeatureTrack(FrameGrid(20.0, 0.0, 3), ("c",), np.arange(3.0)))
 
 
 class TestCsv:

@@ -7,23 +7,22 @@ from speechmotion.errors import (
     ClipShorterThanWindowError,
     DataError,
     DimensionMismatchError,
-    GridMismatchError,
     TrackTooShortError,
 )
 from speechmotion.frames import FeatureTrack, FrameGrid
 from speechmotion.ingest import AudioClip
 from speechmotion.speech_features import (
-    PC_COLUMNS,
     PROSODY_COLUMNS,
     SPEECH_FEATURE_COLUMNS,
     PcaModel,
     apply_pca,
-    assemble_speech_features,
     extract_speech_features,
     f0_contour,
     feature_grid,
     fit_pca,
     mfcc,
+    pre_pca_tracks,
+    project_speech_features,
     prosody_features,
     rms_energy,
     temporal_derivatives,
@@ -52,9 +51,8 @@ def test_feature_grid_too_short():
 def test_all_extractors_share_frame_count():
     clip = noise_clip(1, duration=0.73)
     grid = feature_grid(clip)
-    assert f0_contour(clip, grid).n_frames == grid.n_frames
-    assert rms_energy(clip, grid).n_frames == grid.n_frames
-    assert mfcc(clip, grid).n_frames == grid.n_frames
+    for extract in (f0_contour, rms_energy, mfcc):
+        assert extract(clip).grid == grid
 
 
 class TestF0:
@@ -274,6 +272,17 @@ class TestPca:
         assert np.isnan(out[1]).all()
         assert np.isfinite(out[[0, 2]]).all()
 
+    def test_tracks_fit_as_their_stacked_frames(self):
+        # the corpus scope: one model on the frames of several tracks, bit for
+        # bit the model of one track that holds them all
+        rng = np.random.default_rng(12)
+        parts = [rng.standard_normal((n, 14)) @ rng.standard_normal((14, 14)) for n in (40, 55, 23)]
+        for count in (2, 3):
+            pooled = fit_pca(*(self.make_track(x) for x in parts[:count]), k=12)
+            whole = fit_pca(self.make_track(np.vstack(parts[:count])), k=12)
+            for name in ("mean", "components", "explained_variance_ratio"):
+                assert np.array_equal(getattr(pooled, name), getattr(whole, name))
+
     def test_json_round_trip(self, tmp_path):
         rng = np.random.default_rng(11)
         model = fit_pca(self.make_track(rng.standard_normal((50, 4))), k=3)
@@ -292,23 +301,11 @@ class TestAssemble:
         assert len(track.columns) == 18
         assert model.n_components == 12
 
-    def test_grid_mismatch(self):
-        g1 = FrameGrid(120.0, 0.0, 10)
-        g2 = FrameGrid(60.0, 0.0, 10)
-        pca = FeatureTrack(g1, PC_COLUMNS, np.zeros((10, 12)))
-        pros = FeatureTrack(g2, PROSODY_COLUMNS, np.zeros((10, 6)))
-        with pytest.raises(GridMismatchError):
-            assemble_speech_features(pca, pros)
-
-    def test_values_pass_through(self):
-        g = FrameGrid(120.0, 0.0, 7)
-        rng = np.random.default_rng(13)
-        a = rng.standard_normal((7, 12))
-        b = rng.standard_normal((7, 6))
-        out = assemble_speech_features(
-            FeatureTrack(g, PC_COLUMNS, a), FeatureTrack(g, PROSODY_COLUMNS, b)
-        )
-        assert np.array_equal(out.values, np.hstack([a, b]))
+    def test_a_model_of_other_than_twelve_components_is_refused(self):
+        prosody, spectral = pre_pca_tracks(noise_clip(13))
+        model = fit_pca(spectral, k=8)
+        with pytest.raises(DimensionMismatchError, match="12-component PCA model, got 8"):
+            project_speech_features(prosody, spectral, model)
 
 
 def test_prosody_track_columns():
