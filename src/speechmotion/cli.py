@@ -211,7 +211,7 @@ def cmd_features(config: Config, jobs: int = 1) -> None:
     for group, (model, projected) in zip(groups, _for_each_session(features_for, groups, jobs)):
         for s in group:
             out = config.session_dir(s)
-            write_feature_csv(projected.pop(0), out / "features.csv")
+            write_feature_csv(projected.pop(0), out / "features.csv", memo=True)
             model.to_json(out / "pca_model.json")
     for s in sessions:
         print(f"features: wrote {config.session_dir(s) / 'features.csv'}")

@@ -13,6 +13,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,36 +159,71 @@ def format_value(x: float) -> str:
 # round-trip decimal of a float64 (its repr) and an empty cell is a NaN
 # dropout. Rows are parsed by numpy's C parser and formatted a block at a time;
 # nothing here loops over cells in Python except to name a rejected row.
+#
+# A table that one stage writes for a later one (features.csv, aligned.csv)
+# also gets a parse memo, `<csv>.memo`: the CSV's byte count and zlib.crc32,
+# then its rows as a float64 .npy array. A reader uses the rows only while both
+# match the CSV on disk, and checks them as it checks parsed rows. repr
+# round-trips and every NaN is stored as the NaN a parse makes, so the bits
+# agree. A memo is a cache, safe to delete, and not an analysis output.
 
 WRITE_BLOCK_ROWS = 512  # rows formatted per write; bounds the text held at once
+MEMO_SUFFIX = ".memo"
+_MEMO_CHECK = struct.Struct("<QI")  # the CSV's byte count and crc32
 
 
-def _write_head(fh, header, rate_hz: float | None) -> None:
-    if rate_hz is not None:
-        fh.write(f"# rate_hz={rate_hz!r}\n")
-    fh.write(",".join(header) + "\n")
+def _head(header, rate_hz: float | None) -> str:
+    rate = "" if rate_hz is None else f"# rate_hz={rate_hz!r}\n"
+    return rate + ",".join(header) + "\n"
+
+
+def _table_blocks(header, times: np.ndarray, values, rate_hz: float | None):
+    """A table's bytes in write order, each block of rows with its float64 values."""
+    yield _head(header, rate_hz).encode(), None
+    # disjoint blocks: row_blocks' overlapping last block would write rows twice
+    for lo in range(0, len(times), WRITE_BLOCK_ROWS):
+        hi = lo + WRITE_BLOCK_ROWS
+        block = np.column_stack((times[lo:hi], *(v[lo:hi] for v in values)))
+        text = "\n".join([",".join(map(repr, row)) for row in block.tolist()]) + "\n"
+        missing = np.isnan(block)
+        if missing.any():
+            # repr spells NaN "nan", and no other float's repr contains it
+            text = text.replace("nan", "")
+            block[missing] = np.nan  # the one NaN a parse of "" returns
+        yield text.encode(), block
 
 
 def write_table(
-    path, header, times: np.ndarray, *values: np.ndarray, rate_hz: float | None = None
+    path, header, times: np.ndarray, *values: np.ndarray,
+    rate_hz: float | None = None, memo: bool = False,
 ) -> None:
     """Write an optional rate comment, the header and one `time,v1,...` row per frame.
 
     `values` are 2-D arrays whose columns follow `times` in order; they are
     joined one block of rows at a time, never as a whole table. Each row's
-    bytes equal ``",".join(map(format_value, row))``.
+    bytes equal ``",".join(map(format_value, row))``. With `memo`, the same
+    blocks also go to ``<path>.memo``, whose count and checksum go in last.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        _write_head(fh, header, rate_hz)
-        # disjoint blocks: row_blocks' overlapping last block would write rows twice
-        for lo in range(0, len(times), WRITE_BLOCK_ROWS):
-            hi = lo + WRITE_BLOCK_ROWS
-            block = np.column_stack((times[lo:hi], *(v[lo:hi] for v in values)))
-            text = "\n".join([",".join(map(repr, row)) for row in block.tolist()]) + "\n"
-            if np.isnan(block).any():
-                # repr spells NaN "nan", and no other float's repr contains it
-                text = text.replace("nan", "")
-            fh.write(text)
+    path = str(path)
+    blocks = _table_blocks(header, times, values, rate_hz)
+    with open(path, "wb") as fh:
+        if not memo:
+            for text, _ in blocks:
+                fh.write(text)
+            return
+        with open(path + MEMO_SUFFIX, "wb") as cache:
+            cache.write(bytes(_MEMO_CHECK.size))  # zero until the end: a cut write never matches
+            np.lib.format.write_array_header_1_0(
+                cache, {"descr": "<f8", "fortran_order": False, "shape": (len(times), len(header))}
+            )
+            size = crc = 0
+            for text, block in blocks:
+                fh.write(text)
+                size, crc = size + len(text), zlib.crc32(text, crc)
+                if block is not None:
+                    cache.write(block.astype("<f8", copy=False))
+            cache.seek(0)
+            cache.write(_MEMO_CHECK.pack(size, crc))
 
 
 def read_rate_comment(fh, path: str) -> float:
@@ -294,6 +331,34 @@ def read_rows(fh, path: str, first_line: int, n_cells: int):
     return data, line_of
 
 
+def _checksum(path: str) -> bytes:
+    size = crc = 0
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            size, crc = size + len(chunk), zlib.crc32(chunk, crc)
+    return _MEMO_CHECK.pack(size, crc)
+
+
+def read_table_rows(fh, path: str, first_line: int, n_cells: int):
+    """:func:`read_rows`, or the same rows from ``<path>.memo`` when its count
+    and checksum match `path`'s bytes and it holds `n_cells` float64 columns;
+    any other memo is ignored. Memo rows are used only if each has a time and
+    no infinite cell: then no line was blank and the parse would reject no
+    row, so row i is on line first_line + i."""
+    try:
+        with open(path + MEMO_SUFFIX, "rb") as cache:
+            fresh = cache.read(_MEMO_CHECK.size) == _checksum(path)
+            data = np.lib.format.read_array(cache) if fresh else None
+    except (OSError, ValueError):
+        data = None
+    if (
+        data is None or data.dtype != np.float64 or data.shape[1:] != (n_cells,)
+        or len(data) == 0 or np.isnan(data[:, 0]).any() or np.isinf(data).any()
+    ):
+        return read_rows(fh, path, first_line, n_cells)
+    return data, lambda row: first_line + row
+
+
 def grid_of(times: np.ndarray, rate_hz: float, path: str, line_of) -> FrameGrid:
     """The grid a `time_s` column lies on, checked row by row.
 
@@ -330,15 +395,16 @@ def read_rated_table(path):
     with open(path, "r", encoding="utf-8") as fh:
         rate = read_rate_comment(fh, path)
         header = read_header(fh, path)
-        data, line_of = read_rows(fh, path, first_line=3, n_cells=len(header))
+        data, line_of = read_table_rows(fh, path, first_line=3, n_cells=len(header))
     return grid_of(data[:, 0], rate, path, line_of), header, data[:, 1:], line_of
 
 
-def write_feature_csv(track: FeatureTrack, path) -> None:
-    """Write `# rate_hz=` comment, `time_s,<col>,...` header, one row per frame."""
+def write_feature_csv(track: FeatureTrack, path, memo: bool = False) -> None:
+    """Write `# rate_hz=` comment, `time_s,<col>,...` header, one row per frame,
+    with a parse memo if `memo` (see :func:`write_table`)."""
     write_table(
         path, ("time_s",) + track.columns, track.grid.timestamps(), track.values,
-        rate_hz=track.grid.rate_hz,
+        rate_hz=track.grid.rate_hz, memo=memo,
     )
 
 
@@ -376,7 +442,7 @@ def _format_cell(value) -> str:
 def write_records(path, header, rows, rate_hz: float | None = None) -> None:
     """Write an optional rate comment, the header and one line per row."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        _write_head(fh, header, rate_hz)
+        fh.write(_head(header, rate_hz))
         for row in rows:
             fh.write(",".join(map(_format_cell, row)) + "\n")
 

@@ -85,6 +85,14 @@ class SynthSpec:
             value = getattr(self, name)
             if not (_finite_number(value) and value > 0):
                 raise InconsistentSpecError(f"{name} must be a positive finite number; got {value!r}")
+        # a turn under a frame advances the schedule by next to nothing, so it
+        # would take about duration_s / turn length turns to end
+        for name in ("target_turn_s", "partner_turn_s"):
+            if getattr(self, name) < 1.0 / self.rate_hz:
+                raise InconsistentSpecError(
+                    f"{name} {getattr(self, name)!r} is shorter than one frame "
+                    f"(1 / rate_hz = {1.0 / self.rate_hz!r} s)"
+                )
         # a gap below zero steps the turn schedule backwards without end
         if not (_finite_number(self.gap_s) and self.gap_s >= 0):
             raise InconsistentSpecError(f"gap_s must be a finite number >= 0; got {self.gap_s!r}")

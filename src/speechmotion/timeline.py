@@ -34,7 +34,7 @@ from .frames import (
     read_feature_csv,
     read_header,
     read_json_object,
-    read_rows,
+    read_table_rows,
     row_blocks,
     write_json,
     write_table,
@@ -273,13 +273,14 @@ def align_session(
 
 
 def write_session_csv(table: SessionTable, csv_path, meta_path) -> None:
-    """Persist a session as one CSV plus a JSON sidecar with grid metadata and
-    the table's provenance."""
+    """Persist a session as one CSV with its parse memo, plus a JSON sidecar
+    with grid metadata and the table's provenance."""
     header = ["time_s"]
     for name, track in table.blocks.items():
         header.extend(f"{name}.{col}" for col in track.columns)
     write_table(
-        csv_path, header, table.grid.timestamps(), *(t.values for t in table.blocks.values())
+        csv_path, header, table.grid.timestamps(), *(t.values for t in table.blocks.values()),
+        memo=True,
     )
     # insertion order keeps blocks aligned with the CSV
     write_json(meta_path, {
@@ -338,7 +339,7 @@ def read_session_csv(csv_path, meta_path) -> SessionTable:
             raise MalformedRowError(
                 f"{path}: header does not match the block columns in {meta_path}"
             )
-        data, line_of = read_rows(fh, path, first_line=2, n_cells=len(expected))
+        data, line_of = read_table_rows(fh, path, first_line=2, n_cells=len(expected))
     if data.shape[0] != meta["n_frames"]:
         raise MalformedRowError(
             f"{path}: {data.shape[0]} data rows, but {meta_path} gives "

@@ -1,11 +1,18 @@
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
-from speechmotion import cli
+from speechmotion import cli, frames
 from speechmotion.synth import default_spec, write_session_dir
 
 CLI_SEEDS = (101, 202)
+
+# a falsifying example prints a @reproduce_failure blob, so a case found
+# against a fresh example database can be replayed anywhere
+settings.register_profile("speechmotion", print_blob=True)
+settings.load_profile("speechmotion")
 
 
 @pytest.fixture(scope="session")
@@ -45,3 +52,17 @@ def cli_workspace(tmp_path_factory):
         rc = cli.main([f"--config={config_path}", command])
         assert rc == 0, f"{command} failed"
     return {"base": base, "config": config_path, "out": base / "out", "doc": config}
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The file names that frames.read_rows parses, in call order."""
+    calls = []
+    read_rows = frames.read_rows
+
+    def counting(fh, path, *args, **kwargs):
+        calls.append(Path(path).name)
+        return read_rows(fh, path, *args, **kwargs)
+
+    monkeypatch.setattr(frames, "read_rows", counting)
+    return calls

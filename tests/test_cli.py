@@ -841,6 +841,28 @@ class TestSynthCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "tiny", [("target_turn_s",), ("partner_turn_s",), ("target_turn_s", "partner_turn_s")],
+        ids=["target", "partner", "both"],
+    )
+    def test_a_turn_shorter_than_a_frame_exits_2(self, tmp_path, tiny):
+        # in a child process with a timeout, so a hang (both turns tiny) fails the test
+        spec = {"seed": 1, "duration_s": 5, "target_turn_s": 1.0, "partner_turn_s": 1.0,
+                "gap_s": 0, **dict.fromkeys(tiny, 1e-6)}
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(spec))
+        out = tmp_path / "session"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "speechmotion.cli", f"--out-dir={out}", "synth", str(p)],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert f"{p}: " in proc.stderr
+        assert f"{tiny[0]} 1e-06 is shorter than one frame (1 / rate_hz = " in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
     def test_a_negative_gap_is_refused_at_construction(self):
         # checked on the spec alone: a session generated with it never ends
         with pytest.raises(ValidationError, match="gap_s must be a finite number >= 0; got -100"):
@@ -1122,6 +1144,58 @@ class TestTableErrors:
         for s in ("s101", "s202"):
             written = (out / s / "activeness.csv").read_bytes()
             assert written == (cli_workspace["out"] / s / "activeness.csv").read_bytes()
+
+
+class TestParseMemo:
+    """The parse memos beside aligned.csv and features.csv: caches that no
+    output depends on."""
+
+    def test_only_stage_tables_get_a_memo(self, cli_workspace):
+        # the synth session directories under the workspace hold none
+        memos = sorted(p.relative_to(cli_workspace["base"]).as_posix()
+                       for p in cli_workspace["base"].rglob("*.memo"))
+        assert memos == [f"out/{sid}/{name}.memo"
+                         for sid in ("s101", "s202") for name in ("aligned.csv", "features.csv")]
+
+    def test_outputs_are_the_same_without_memos(self, cli_workspace, tmp_path, parses):
+        def tables(root: Path) -> dict[str, str]:
+            return {name: digest for name, digest in hash_tree(root).items()
+                    if not name.endswith(".memo")}
+
+        aligned_parses = {}
+        for memos in (True, False):
+            out = tmp_path / f"memos_{memos}"
+            shutil.copytree(cli_workspace["out"], out)
+            if not memos:
+                for memo in out.rglob("*.memo"):
+                    memo.unlink()
+            parses.clear()
+            for command in ("activeness", "map", "stats", "report"):
+                rc = cli.main([f"--config={cli_workspace['config']}", f"--out-dir={out}", command])
+                assert rc == 0
+            aligned_parses[memos] = parses.count("aligned.csv")
+            assert tables(out) == tables(cli_workspace["out"])
+        # activeness and map each read both sessions' tables
+        assert aligned_parses == {True: 0, False: 4}
+
+    @pytest.mark.parametrize("command", ["activeness", "map"])
+    def test_an_edited_sidecar_n_frames_exits_2_on_a_memo_hit(
+        self, cli_workspace, tmp_path, capsys, parses, command
+    ):
+        out = tmp_path / "o"
+        shutil.copytree(cli_workspace["out"], out)
+        meta_path = out / "s101" / "aligned.meta.json"
+        meta = json.loads(meta_path.read_text())
+        n = meta["n_frames"]
+        meta["n_frames"] = n - 1
+        meta_path.write_text(json.dumps(meta))
+        rc = cli.main([f"--config={cli_workspace['config']}", f"--out-dir={out}", command])
+        err = capsys.readouterr().err
+        assert rc == 2
+        csv_path = out / "s101" / "aligned.csv"
+        assert f"{csv_path}: {n} data rows, but {meta_path} gives n_frames={n - 1}" in err
+        assert "Traceback" not in err
+        assert "aligned.csv" not in parses
 
 
 def _wav_bytes(fmt_code: int, sample_rate: int, bits: int, body: bytes) -> bytes:

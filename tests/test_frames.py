@@ -1,7 +1,9 @@
 import json
 import math
 import re
+import struct
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +35,7 @@ from speechmotion.frames import (
     read_rate_comment,
     read_records,
     read_rows,
+    read_table_rows,
     write_feature_csv,
     write_json,
     write_records,
@@ -292,6 +295,132 @@ class TestGridCheck:
         p.write_text("# rate_hz=10.0\ntime_s,a\n0.0,1\n,2\n")
         with pytest.raises(MalformedRowError, match=rf"^{re.escape(str(p))}:4: "):
             read_feature_csv(p)
+
+
+def _negative_nan() -> float:
+    with np.errstate(invalid="ignore"):
+        return float(np.float64(np.inf) - np.float64(np.inf))  # x86 sets the sign bit
+
+
+def _read_outcome(path):
+    """(values' bit pattern, grid, columns) or (error class, message) of a read."""
+    try:
+        track = read_feature_csv(path)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return track.values.view(np.uint64).tobytes(), track.grid, track.columns
+
+
+def _memo_track(n: int = 2 * WRITE_BLOCK_ROWS + 7) -> FeatureTrack:
+    """Three blocks of rows with NaN dropouts of either sign, -0.0 and extremes."""
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal((n, 4)) * 10.0 ** rng.integers(-300, 300, (n, 4))
+    values[rng.uniform(size=values.shape) < 0.1] = np.nan
+    values[5, 0], values[6, 1], values[7, 2] = _negative_nan(), -0.0, 5e-324
+    values[10, 1] = 0.25
+    return FeatureTrack(FrameGrid(120.0, -0.5, n), ("a", "b", "c", "d"), values)
+
+
+def _memo_damage(path: Path, damage: str) -> None:
+    """Edit a memo-backed feature CSV, or its memo, in one way."""
+    memo = Path(f"{path}.memo")
+    text = path.read_text()
+    lines = text.splitlines(keepends=True)
+    if damage == "one_byte_edited":  # values[10, 1] 0.25 -> 0.35
+        path.write_text(text.replace(",0.25,", ",0.35,", 1))
+    elif damage == "row_dropped":
+        path.write_text("".join(lines[:40] + lines[41:]))
+    elif damage == "columns_swapped":
+        header = lines[1].rstrip("\n").split(",")
+        header[1], header[2] = header[2], header[1]
+        path.write_text("".join([lines[0], ",".join(header) + "\n", *lines[2:]]))
+    elif damage == "memo_missing":
+        memo.unlink()
+    elif damage == "memo_truncated":
+        memo.write_bytes(memo.read_bytes()[:-100])
+    elif damage == "memo_cut_in_its_head":
+        memo.write_bytes(memo.read_bytes()[:10])
+    elif damage == "memo_zeroed":
+        memo.write_bytes(bytes(memo.stat().st_size))
+    else:  # a memo that matches the CSV's bytes but not its shape, dtype or values
+        check = struct.pack("<QI", len(path.read_bytes()), zlib.crc32(path.read_bytes()))
+        rows = np.loadtxt(lines[2:], delimiter=",", converters=lambda c: float(c or "nan"))
+        if damage == "memo_wrong_shape":
+            rows = rows[:, 1:]
+        elif damage == "memo_float32":
+            rows = np.zeros(rows.shape, np.float32)
+        elif damage == "memo_infinite":
+            rows = np.where(np.isnan(rows), np.inf, rows)
+        else:
+            rows = rows[:0]
+        with open(memo, "wb") as fh:
+            fh.write(check)
+            np.lib.format.write_array(fh, rows)
+
+
+class TestParseMemo:
+    """`<csv>.memo` stands in for a parse only while it matches the CSV."""
+
+    def test_memo_hit_returns_the_bits_a_parse_returns(self, tmp_path, parses):
+        track = _memo_track()
+        write_feature_csv(track, tmp_path / "m.csv", memo=True)
+        write_feature_csv(track, tmp_path / "p.csv")
+        assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "p.csv").read_bytes()
+        assert not (tmp_path / "p.csv.memo").exists()
+        hit, parsed = _read_outcome(tmp_path / "m.csv"), _read_outcome(tmp_path / "p.csv")
+        assert parses == ["p.csv"]
+        assert hit == parsed
+        values = read_feature_csv(tmp_path / "m.csv").values
+        # a NaN is stored as the one NaN a parse of an empty cell makes
+        assert np.isnan(values[5, 0]) and not np.signbit(values[5, 0])
+        assert np.signbit(values[6, 1]) and values[7, 2] == 5e-324
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["one_byte_edited", "row_dropped", "columns_swapped", "memo_missing",
+         "memo_truncated", "memo_cut_in_its_head", "memo_zeroed", "memo_wrong_shape",
+         "memo_float32", "memo_infinite", "memo_no_rows"],
+    )
+    def test_a_memo_that_does_not_match_is_ignored(self, tmp_path, parses, damage):
+        path = tmp_path / "t.csv"
+        write_feature_csv(_memo_track(), path, memo=True)
+        _memo_damage(path, damage)
+        got = _read_outcome(path)
+        assert parses == ["t.csv"]
+        Path(f"{path}.memo").unlink(missing_ok=True)
+        assert got == _read_outcome(path)
+        if damage == "one_byte_edited":
+            assert read_feature_csv(path).values[10, 1] == 0.35
+        if damage == "row_dropped":
+            assert got[0] is OffGridTimeError and got[1].startswith(f"{path}:41: time_s")
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 12), st.integers(1, 6)),
+            elements=st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                st.sampled_from([0.0, -0.0, math.nan, _negative_nan(), 5e-324, 1e300]),
+            ),
+        )
+    )
+    def test_rows_from_a_memo_equal_parsed_rows(self, table):
+        header = ["time_s"] + [f"c{j}" for j in range(table.shape[1] - 1)]
+        with tempfile.TemporaryDirectory() as tmp:
+            p = str(Path(tmp) / "t.csv")
+            write_table(p, header, table[:, 0], table[:, 1:], memo=True)
+            outcomes = []
+            for read in (read_table_rows, read_rows):
+                with open(p, encoding="utf-8") as fh:
+                    fh.readline()
+                    outcomes.append(_outcome(lambda: read(fh, p, 2, len(header))[0]))
+        memo, parsed = outcomes
+        assert type(memo) is type(parsed)
+        if isinstance(parsed, tuple):  # an infinite cell, or no row with a time
+            assert memo == parsed
+        else:
+            assert memo.view(np.uint64).tobytes() == parsed.view(np.uint64).tobytes()
 
 
 RECORD_HEADER = ("label", "count", "ok", "x")

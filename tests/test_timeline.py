@@ -22,6 +22,7 @@ from speechmotion.timeline import (
     resample_nearest,
     write_session_csv,
 )
+from test_frames import _negative_nan
 
 
 def track(values, rate=120.0, start=0.0, columns=("x",)):
@@ -288,6 +289,29 @@ class TestSessionCsv:
             a, b = table.block(name).values, back.block(name).values
             assert np.array_equal(np.isnan(a), np.isnan(b))
             assert np.array_equal(a[np.isfinite(a)], b[np.isfinite(b)])
+
+
+    def test_memo_hit_returns_the_bits_a_parse_returns(self, tmp_path, parses):
+        speech, emotion, activeness, intervals = make_session_inputs()
+        table = align_session(speech, emotion, activeness, intervals, "F")
+        block = table.block("speech")
+        values = block.values.copy()
+        values[3, 0], values[::7, 1], values[4, 1] = _negative_nan(), np.nan, -0.0
+        table = SessionTable(
+            table.grid, {**table.blocks, "speech": FeatureTrack(table.grid, block.columns, values)}
+        )
+        csv_path, meta_path = tmp_path / "aligned.csv", tmp_path / "aligned.meta.json"
+        write_session_csv(table, csv_path, meta_path)
+        hit = read_session_csv(csv_path, meta_path)
+        assert parses == []
+        (tmp_path / "aligned.csv.memo").unlink()
+        parsed = read_session_csv(csv_path, meta_path)
+        assert parses == ["aligned.csv"]
+        assert hit.grid == parsed.grid and list(hit.blocks) == list(parsed.blocks)
+        for name, track in hit.blocks.items():
+            assert track.columns == parsed.block(name).columns
+            assert track.values.tobytes() == parsed.block(name).values.tobytes()
+        assert np.signbit(hit.block("speech").values[4, 1])
 
 
 def test_session_table_rejects_mixed_grids():
