@@ -270,7 +270,7 @@ def _session_summaries(config: Config) -> dict[str, list[motion.SummaryCell]]:
 
 def cmd_activeness(config: Config) -> None:
     def summarise(session: dict) -> Path:
-        cells = motion.condition_summaries(
+        [cells] = motion.condition_summaries(
             _read_table(config, session), min_frames=config.params["min_cell_frames"]
         )
         path = config.session_dir(session) / "summaries.csv"
@@ -327,12 +327,11 @@ def cmd_stats(config: Config) -> None:
     params = config.params
     # subject -> condition summaries: each session's, or each segment_s run's
     if params["anova_unit"] == "segment":
-        min_frames = params["min_cell_frames"]
-
         def segment_cells(session: dict) -> dict[str, list[motion.SummaryCell]]:
-            runs = _read_table(config, session).segments(params["segment_s"])
-            return {f"{session['id']}:seg{k}": motion.condition_summaries(run, min_frames)
-                    for k, run in enumerate(runs)}
+            runs = motion.condition_summaries(
+                _read_table(config, session), params["min_cell_frames"], params["segment_s"]
+            )
+            return {f"{session['id']}:seg{k}": cells for k, cells in enumerate(runs)}
 
         subject_cells = {}
         for cells in _for_each_session(segment_cells, config.sessions):

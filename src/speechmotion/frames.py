@@ -409,9 +409,12 @@ def write_feature_csv(track: FeatureTrack, path, memo: bool = False) -> None:
 
 
 def read_feature_csv(path) -> FeatureTrack:
-    """Load a feature CSV written by :func:`write_feature_csv`; a repeated
-    column name raises :class:`MalformedRowError` naming the header line."""
+    """Load a feature CSV written by :func:`write_feature_csv`; a header with
+    no column after `time_s` or a repeated column name raises
+    :class:`MalformedRowError` naming the header line."""
     grid, header, values, _ = read_rated_table(path)
+    if len(header) == 1:
+        raise MalformedRowError(f"{path}:2: no feature column after time_s")
     repeated = sorted({c for c in header if header.count(c) > 1})
     if repeated:
         raise MalformedRowError(f"{path}:2: column name(s) {repeated} appear more than once")

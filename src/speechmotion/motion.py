@@ -13,9 +13,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import TooFewFramesError, UnknownMarkerInMapError
+from .errors import MalformedRowError, TooFewFramesError, UnknownMarkerInMapError, ValidationError
 from .frames import (
-    FeatureTrack, FrameGrid, adopt, flag, number, read_json_object, read_records, row_blocks,
+    FeatureTrack, FrameGrid, adopt, flag, iter_records, number, read_json_object, row_blocks,
     write_json, write_records,
 )
 
@@ -32,6 +32,7 @@ ROW_BLOCK = 4096
 CATEGORY_NAMES = ("Neutral", "Happy", "Sad", "Angry")
 CONDITION_NAMES = ("overlap", "non_overlap")
 SPEECH_CONDITIONS = ("all",) + CONDITION_NAMES  # `all` is every speaking frame
+N_STRATA = len(CATEGORY_NAMES) * len(CONDITION_NAMES)
 
 REGION_ORDER = (
     "head",
@@ -252,18 +253,6 @@ def condition_mask(table: "SessionTable", condition: str) -> np.ndarray:
     return mask & overlap if condition == "overlap" else mask & ~overlap
 
 
-def condition_strata(table: "SessionTable") -> list[tuple[str, str, np.ndarray]]:
-    """``(emotion, condition, mask)`` for each emotion x condition stratum of the
-    target speaker's speaking frames, in CATEGORY_NAMES x CONDITION_NAMES order."""
-    category = table.column("emotion", "category")
-    by_condition = [(c, condition_mask(table, c)) for c in CONDITION_NAMES]
-    return [
-        (emotion, condition, mask & (category == float(code)))
-        for code, emotion in enumerate(CATEGORY_NAMES)
-        for condition, mask in by_condition
-    ]
-
-
 @dataclass(frozen=True)
 class SummaryCell:
     """Mean activeness of one region within one emotion x condition stratum."""
@@ -277,39 +266,73 @@ class SummaryCell:
     low_support: bool
 
 
-def condition_summaries(table: "SessionTable", min_frames: int = 30) -> list[SummaryCell]:
-    """Per-region mean/SEM of the table's activeness by emotion and speech condition.
+def condition_summaries(
+    table: "SessionTable", min_frames: int = 30, segment_s: float | None = None
+) -> list[list[SummaryCell]]:
+    """Per-region mean/SEM of activeness by emotion and speech condition, one
+    list of cells per run of the session, in run order.
 
-    Only frames where the target speaker is speaking contribute. Strata are
-    the four emotion categories crossed with overlap vs non-overlap speech.
-    Cells with fewer than `min_frames` frames are flagged low-support; empty
-    cells are reported with NaN statistics.
+    `segment_s` None makes the session one run; otherwise frame i goes to run
+    int(i / (segment_s * rate_hz)), and runs too short to hold a frame in
+    each of the N_STRATA cells raise ValidationError. Only speaking frames
+    with a finite activeness and a category code of CATEGORY_NAMES count.
+    A run's cells are regions x CATEGORY_NAMES x CONDITION_NAMES in that
+    order; a cell under `min_frames` frames is low-support, an empty one NaN.
+    Frames are sorted stably by (run, stratum) label, so a cell's values are
+    one slice, in frame order, and sum to the bits a boolean mask's would.
     """
-    activeness = table.block("activeness")
-    strata = condition_strata(table)
-    cells: list[SummaryCell] = []
-    for region in activeness.columns:
-        series = activeness.column(region)
-        for emotion, condition, mask in strata:
-            vals = series[mask]
-            vals = vals[np.isfinite(vals)]
-            n = len(vals)
-            cells.append(
-                SummaryCell(
-                    region=region,
-                    emotion=emotion,
-                    condition=condition,
-                    mean=float(np.mean(vals)) if n else math.nan,
-                    sem=sem_of(vals),
-                    n_frames=n,
-                    low_support=n < min_frames,
-                )
+    n, rate = table.grid.n_frames, table.grid.rate_hz
+    run = np.zeros(n, dtype=np.intp)
+    if segment_s is not None:
+        frames = segment_s * rate  # a run's length; the longest run has ceil(frames)
+        if not frames > N_STRATA - 1:
+            raise ValidationError(
+                f"params.segment_s {segment_s!r} s makes runs of at most {math.ceil(frames)} "
+                f"frame(s) on the {rate!r} Hz session grid, fewer than the {N_STRATA} "
+                "emotion x condition cells a run must cover"
             )
-    return cells
+        run = (np.arange(n) / frames).astype(np.intp)
+    category = table.column("emotion", "category")
+    code = np.full(n, -1)
+    for c in range(len(CATEGORY_NAMES)):
+        code[category == c] = c
+    non_overlap = table.column("labels", "overlap") != 1.0  # its index in CONDITION_NAMES
+    label = (run * len(CATEGORY_NAMES) + code) * len(CONDITION_NAMES) + non_overlap
+    counted = np.flatnonzero(condition_mask(table, "all") & (code >= 0))
+    order = counted[np.argsort(label[counted], kind="stable")]
+    label = label[order]
+    strata = [(e, c) for e in CATEGORY_NAMES for c in CONDITION_NAMES]
+    runs: list[list[SummaryCell]] = [[] for _ in range(int(run[-1]) + 1 if n else 1)]
+    activeness = table.block("activeness")
+    for region in activeness.columns:
+        values = activeness.column(region)[order]
+        finite = np.isfinite(values)
+        values = values[finite]
+        bounds = np.searchsorted(label[finite], np.arange(len(runs) * N_STRATA + 1)).tolist()
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):  # cell i is label i
+            vals = values[lo:hi]
+            mean = float(np.mean(vals)) if hi > lo else math.nan
+            runs[i // N_STRATA].append(SummaryCell(
+                region, *strata[i % N_STRATA], mean, sem_of(vals), hi - lo, hi - lo < min_frames
+            ))
+    return runs
+
+
+def _level_of(factor: str, levels: tuple[str, ...]):
+    """Converter for a column that must hold one of a factor's levels."""
+    def convert(cell: str) -> str:
+        if cell not in levels:
+            raise ValidationError(f"unknown {factor} {cell!r}; expected one of {levels}")
+        return cell
+
+    return convert
 
 
 SUMMARY_HEADER = ("region", "emotion", "condition", "mean", "sem", "n_frames", "low_support")
-_SUMMARY_CONVERTERS = (str, str, str, number, number, int, flag)
+_SUMMARY_CONVERTERS = (
+    str, _level_of("emotion", CATEGORY_NAMES), _level_of("condition", CONDITION_NAMES),
+    number, number, int, flag,
+)
 
 
 def write_summary_csv(cells: list[SummaryCell], path) -> None:
@@ -317,4 +340,17 @@ def write_summary_csv(cells: list[SummaryCell], path) -> None:
 
 
 def read_summary_csv(path) -> list[SummaryCell]:
-    return [SummaryCell(*row) for row in read_records(path, SUMMARY_HEADER, _SUMMARY_CONVERTERS)]
+    """The cells of a summaries.csv; an unknown emotion or condition, or a
+    repeated (region, emotion, condition) cell, raises naming `path:line`."""
+    path = str(path)
+    cells, line_of = [], {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for line, row in iter_records(fh, path, 1, SUMMARY_HEADER, _SUMMARY_CONVERTERS):
+            key = tuple(row[:3])
+            if key in line_of:
+                raise MalformedRowError(
+                    f"{path}:{line}: repeats the cell {key} of line {line_of[key]}"
+                )
+            line_of[key] = line
+            cells.append(SummaryCell(*row))
+    return cells

@@ -270,8 +270,8 @@ def design_from_summaries(
 ) -> RmDesign:
     """Assemble a design from each subject's condition summaries.
 
-    A subject is a speaker-session, or one fixed-length segment of a session
-    (see SessionTable.segments); each contributes one mean activeness value
+    A subject is a speaker-session, or one fixed-length run of a session
+    (see motion.condition_summaries); each contributes one mean activeness value
     per emotion x condition cell for the region, and a subject with no
     summary of the region contributes nothing.
     """

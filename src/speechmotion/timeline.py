@@ -189,25 +189,6 @@ class SessionTable:
     def column(self, block: str, name: str) -> np.ndarray:
         return self.block(block).column(name)
 
-    def segments(self, segment_s: float) -> list["SessionTable"]:
-        """The table cut into consecutive runs of `segment_s` seconds, frame i
-        going to run int(i / (segment_s * rate_hz)); each run views this
-        table's arrays. A run shorter than one frame raises ValidationError."""
-        frames = segment_s * self.grid.rate_hz  # a run's length in frames
-        if not frames >= 1.0:
-            raise ValidationError(
-                f"params.segment_s {segment_s!r} s is shorter than one frame of the "
-                f"{self.grid.rate_hz!r} Hz session grid"
-            )
-        run = (np.arange(self.grid.n_frames) / frames).astype(int)
-        edges = [0, *(np.flatnonzero(np.diff(run)) + 1).tolist(), self.grid.n_frames]
-        tables = []
-        for lo, hi in zip(edges, edges[1:]):
-            grid = FrameGrid(self.grid.rate_hz, self.grid.timestamp(lo), hi - lo)
-            blocks = {n: FeatureTrack(grid, t.columns, t.values[lo:hi]) for n, t in self.blocks.items()}
-            tables.append(SessionTable(grid, blocks, self.provenance))
-        return tables
-
 
 def align_session(
     speech: FeatureTrack,

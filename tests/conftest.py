@@ -15,10 +15,8 @@ settings.register_profile("speechmotion", print_blob=True)
 settings.load_profile("speechmotion")
 
 
-@pytest.fixture(scope="session")
-def cli_workspace(tmp_path_factory):
-    """Two synthetic sessions, a config, and one full pipeline run."""
-    base = tmp_path_factory.mktemp("cli_workspace")
+def build_cli_workspace(base: Path) -> dict:
+    """Two synthetic sessions and a config under `base`, and one full pipeline run."""
     for seed in CLI_SEEDS:
         spec = default_spec(
             seed=seed,
@@ -52,6 +50,12 @@ def cli_workspace(tmp_path_factory):
         rc = cli.main([f"--config={config_path}", command])
         assert rc == 0, f"{command} failed"
     return {"base": base, "config": config_path, "out": base / "out", "doc": config}
+
+
+@pytest.fixture(scope="session")
+def cli_workspace(tmp_path_factory):
+    """Two synthetic sessions, a config, and one full pipeline run."""
+    return build_cli_workspace(tmp_path_factory.mktemp("cli_workspace"))
 
 
 @pytest.fixture

@@ -251,7 +251,26 @@ class TestStatsCommand:
         out = copy_aligned_tables(cli_workspace, tmp_path / "o")
         rc = cli.main([f"--config={p}", f"--out-dir={out}", "stats"])
         assert rc == 2
-        assert "params.segment_s 1e-300 s is shorter than one frame" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "params.segment_s 1e-300 s makes runs of at most 1 frame(s)" in err
+        assert not (out / "anova.csv").exists()
+
+    @pytest.mark.parametrize("segment_s, frames", [(0.0167, 2), (0.1, 7)])
+    def test_runs_too_short_for_every_cell_exit_2_naming_segment_s(
+        self, cli_workspace, tmp_path, capsys, segment_s, frames
+    ):
+        # a run of fewer than 8 frames cannot hold all 8 emotion x condition cells
+        doc = {
+            "params": {"anova_unit": "segment", "segment_s": segment_s},
+            "sessions": absolute_sessions(cli_workspace),
+        }
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        out = copy_aligned_tables(cli_workspace, tmp_path / "o")
+        rc = cli.main([f"--config={p}", f"--out-dir={out}", "stats"])
+        assert rc == 2
+        assert (f"error: session 's101': params.segment_s {segment_s} s makes runs of at most "
+                f"{frames} frame(s) on the 60.24 Hz session grid") in capsys.readouterr().err
         assert not (out / "anova.csv").exists()
 
     def test_incomplete_subject_without_listwise_deletion_names_the_config_key(
@@ -932,17 +951,30 @@ class TestTableErrors:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "table, command, damage, line",
+        "table, command, damage, line, message",
         [
-            ("coupling_report.csv", "report", (1, 5, "r_mean"), 1),
-            ("s101/summaries.csv", "stats", (3, None, None), 3),
-            ("anova.csv", "report", (2, 3, "x"), 2),
-            ("s101/summaries.csv", "report", (2, 6, "zz"), 2),
+            ("coupling_report.csv", "report", (1, 5, "r_mean"), 1, "header must be"),
+            ("s101/summaries.csv", "stats", (3, None, None), 3, "expected 7 cells, got 6"),
+            ("anova.csv", "report", (2, 3, "x"), 2, "cannot parse 'x' as df1"),
+            ("s101/summaries.csv", "report", (2, 6, "zz"), 2, "cannot parse 'zz' as low_support"),
+            *[
+                ("s101/summaries.csv", command, damage, 3, message)
+                for command in ("stats", "report")
+                for damage, message in (
+                    ((3, 1, "Bored"), "unknown emotion 'Bored'"),
+                    ((3, 2, "crosstalk"), "unknown condition 'crosstalk'"),
+                    # line 2 is (head, Neutral, overlap) and line 3 (head, Neutral, non_overlap)
+                    ((3, 2, "overlap"),
+                     "repeats the cell ('head', 'Neutral', 'overlap') of line 2"),
+                )
+            ],
         ],
-        ids=["coupling_header", "summary_short_row", "anova_bad_df1", "summary_bad_flag"],
+        ids=["coupling_header", "summary_short_row", "anova_bad_df1", "summary_bad_flag",
+             *[f"summary_{damage}_{command}" for command in ("stats", "report")
+               for damage in ("unknown_emotion", "unknown_condition", "repeated_row")]],
     )
     def test_malformed_result_table_names_its_line(
-        self, cli_workspace, tmp_path, capsys, table, command, damage, line
+        self, cli_workspace, tmp_path, capsys, table, command, damage, line, message
     ):
         out = tmp_path / "o"
         shutil.copytree(cli_workspace["out"], out)
@@ -957,7 +989,7 @@ class TestTableErrors:
         rc = cli.main([f"--config={cli_workspace['config']}", f"--out-dir={out}", command])
         err = capsys.readouterr().err
         assert rc == 2
-        assert f"{path}:{line}: " in err
+        assert f"{path}:{line}: {message}" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("damage", ["last_rows_dropped", "columns_swapped"])
@@ -1255,6 +1287,10 @@ def bad_input_dir(tmp_path_factory):
     (root / "nope_map.json").write_text(json.dumps(region_map))
     markers = (root / "s" / "markers.csv").read_text().splitlines(keepends=True)
     (root / "one_row.csv").write_text("".join(markers[:3]))  # rate comment, header, one row
+    speech = (root / "s" / "speech_features.csv").read_text().splitlines(keepends=True)
+    (root / "time_only.csv").write_text(
+        "".join([speech[0]] + [line.split(",", 1)[0].rstrip("\n") + "\n" for line in speech[1:]])
+    )
     rng = np.random.default_rng(0)
     ingest.write_wav(root / "short.wav", ingest.AudioClip(0.1 * rng.standard_normal(1600), 16000))
     ingest.write_wav(root / "silent.wav", ingest.AudioClip(np.zeros(6 * 16000), 16000))
@@ -1283,9 +1319,12 @@ def _bad_input_config(root: Path, tmp_path: Path, params: dict, **inputs) -> Pat
         # the session directory itself, which the OS cannot open as a file
         ("align", {}, {"markers": "s"}, 3, "s: Is a directory"),
         ("align", {}, {"region_map": "s"}, 3, "s: Is a directory"),
+        ("align", {"feature_sets": ["all"]}, {"speech_features": "time_only.csv"}, 2,
+         "time_only.csv:2: no feature column after time_s"),
     ],
     ids=["trim_past_the_clip", "region_map_marker_absent", "clip_shorter_than_pca",
-         "one_marker_row", "silent_wav", "markers_a_directory", "region_map_a_directory"],
+         "one_marker_row", "silent_wav", "markers_a_directory", "region_map_a_directory",
+         "speech_without_a_feature_column"],
 )
 def test_a_bad_input_names_its_session(
     bad_input_dir, tmp_path, capsys, stage, params, inputs, code, message

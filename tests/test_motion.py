@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from speechmotion.errors import TooFewFramesError, UnknownMarkerInMapError
+from speechmotion.errors import TooFewFramesError, UnknownMarkerInMapError, ValidationError
 from speechmotion.frames import FeatureTrack, FrameGrid
 from speechmotion.ingest import Interval, SpeechIntervals
 from speechmotion.motion import (
+    CATEGORY_NAMES,
     MarkerTrack,
     RegionMap,
     condition_summaries,
@@ -14,6 +17,7 @@ from speechmotion.motion import (
     displacement_magnitudes,
     read_summary_csv,
     region_activeness,
+    sem_of,
     write_summary_csv,
 )
 from speechmotion.timeline import SessionTable, rasterize_intervals
@@ -177,7 +181,7 @@ def make_table(activeness_value=None, n=100, rate=10.0):
 class TestConditionSummaries:
     def test_constant_mean_sem(self):
         table, act = make_table(activeness_value=np.full(100, 1.5))
-        cells = condition_summaries(table, min_frames=5)
+        [cells] = condition_summaries(table, min_frames=5)
         filled = [c for c in cells if c.n_frames > 0]
         assert filled
         for c in filled:
@@ -196,7 +200,7 @@ class TestConditionSummaries:
         table2 = SessionTable(
             g, {"emotion": table.block("emotion"), "activeness": act, "labels": labels}
         )
-        cells = condition_summaries(table2)
+        [cells] = condition_summaries(table2)
         cell = next(
             c for c in cells if c.emotion == "Neutral" and c.condition == "non_overlap"
         )
@@ -207,7 +211,7 @@ class TestConditionSummaries:
 
     def test_non_speaking_frames_excluded(self):
         table, act = make_table()
-        cells = condition_summaries(table)
+        [cells] = condition_summaries(table)
         # speaking covers [0,6) at 10 Hz = 60 frames; lose none to dropout
         assert sum(c.n_frames for c in cells) == 60
 
@@ -215,7 +219,7 @@ class TestConditionSummaries:
         table, act = make_table()
         cells = {
             (c.condition): c
-            for c in condition_summaries(table)
+            for c in condition_summaries(table)[0]
             if c.emotion == "Neutral"
         }
         assert cells["overlap"].n_frames == 20  # [2,4) at 10 Hz
@@ -223,13 +227,13 @@ class TestConditionSummaries:
 
     def test_empty_cells_reported(self):
         table, act = make_table()
-        cells = condition_summaries(table)
+        [cells] = condition_summaries(table)
         angry = [c for c in cells if c.emotion == "Angry"]
         assert angry and all(c.n_frames == 0 and math.isnan(c.mean) for c in angry)
 
     def test_csv_round_trip(self, tmp_path):
         table, act = make_table()
-        cells = condition_summaries(table)
+        [cells] = condition_summaries(table)
         write_summary_csv(cells, tmp_path / "s.csv")
         back = read_summary_csv(tmp_path / "s.csv")
         assert len(back) == len(cells)
@@ -242,6 +246,90 @@ class TestConditionSummaries:
             )
             if not math.isnan(a.mean):
                 assert a.mean == b.mean
+
+
+def one_stratum_table(n: int) -> SessionTable:
+    """Every frame speaking, Neutral and without overlap; activeness 0, 1, 2, ..."""
+    g = FrameGrid(10.0, 1.0, n)
+    return SessionTable(g, {
+        "emotion": FeatureTrack(g, ("arousal", "valence", "category"), np.zeros((n, 3))),
+        "activeness": FeatureTrack(g, ("regionA",), np.arange(float(n))),
+        "labels": FeatureTrack(g, ("speaking", "overlap"),
+                               np.column_stack([np.ones(n), np.zeros(n)])),
+    })
+
+
+class TestRuns:
+    @pytest.mark.parametrize("n, segment_s, lengths", [
+        (30, 0.9, [9, 9, 9, 3]), (30, 0.85, [9, 8, 9, 4]), (30, 0.75, [8, 7, 8, 7]),
+        (5, 9.0, [5]), (30, None, [30]),
+    ])
+    def test_runs_of_segment_s_cover_the_table_in_order(self, n, segment_s, lengths):
+        runs = condition_summaries(one_stratum_table(n), segment_s=segment_s)
+        assert [[c.n_frames for c in cells] for cells in runs] == [
+            [0, k] + [0] * 6 for k in lengths
+        ]
+        starts = np.cumsum([0] + lengths[:-1])
+        assert [cells[1].mean for cells in runs] == [
+            float(np.mean(np.arange(lo, lo + k, dtype=float))) for lo, k in zip(starts, lengths)
+        ]
+
+    @pytest.mark.parametrize("segment_s", [0.099, 1e-300, 0.7])
+    def test_a_run_too_short_for_every_cell_is_rejected(self, segment_s):
+        # 0.7 s is 7 frames at 10 Hz, one fewer than the 8 emotion x condition cells
+        with pytest.raises(ValidationError, match="params.segment_s"):
+            condition_summaries(one_stratum_table(10), segment_s=segment_s)
+
+
+def masked_summaries(table: SessionTable, segment_s: float) -> list[list[tuple]]:
+    """Each run's cells from one boolean mask per run and stratum, as
+    (region, emotion, condition, mean, sem, n_frames) tuples, the floats
+    as bytes so that NaN equals NaN."""
+    run = (np.arange(table.grid.n_frames) / (segment_s * table.grid.rate_hz)).astype(int)
+    speaking = table.column("labels", "speaking") == 1.0
+    overlap = table.column("labels", "overlap") == 1.0
+    category = table.column("emotion", "category")
+    activeness = table.block("activeness")
+    runs = []
+    for k in range(run[-1] + 1):
+        cells = []
+        for region in activeness.columns:
+            series = activeness.column(region)
+            for code, emotion in enumerate(CATEGORY_NAMES):
+                for condition, mask in (("overlap", overlap), ("non_overlap", ~overlap)):
+                    vals = series[(run == k) & speaking & mask & (category == float(code))]
+                    vals = vals[np.isfinite(vals)]
+                    mean = float(np.mean(vals)) if len(vals) else math.nan
+                    cells.append((region, emotion, condition, np.float64(mean).tobytes(),
+                                  np.float64(sem_of(vals)).tobytes(), len(vals)))
+        runs.append(cells)
+    return runs
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 400), frames=st.floats(7.01, 500.0), seed=st.integers(0, 2**32 - 1))
+def test_one_sorted_pass_matches_a_mask_per_cell_bit_for_bit(n, frames, seed):
+    # NaN activeness, NaN and out-of-range categories and silent frames are
+    # all excluded, exactly as a mask per run and stratum excludes them
+    rng = np.random.default_rng(seed)
+    g = FrameGrid(10.0, 0.0, n)
+    act = rng.lognormal(size=(n, 3))
+    act[rng.random((n, 3)) < 0.1] = np.nan
+    category = rng.choice([0.0, 1.0, 2.0, 3.0, 4.0, -1.0, 1.5, np.nan], size=n,
+                          p=[0.22, 0.22, 0.22, 0.22, 0.03, 0.03, 0.03, 0.03])
+    table = SessionTable(g, {
+        "emotion": FeatureTrack(g, ("arousal", "valence", "category"),
+                                np.column_stack([np.zeros(n), np.zeros(n), category])),
+        "activeness": FeatureTrack(g, ("a", "b", "c"), act),
+        "labels": FeatureTrack(g, ("speaking", "overlap"),
+                               (rng.random((n, 2)) < [0.7, 0.3]).astype(float)),
+    })
+    got = condition_summaries(table, segment_s=frames / 10.0)
+    assert [
+        [(c.region, c.emotion, c.condition, np.float64(c.mean).tobytes(),
+          np.float64(c.sem).tobytes(), c.n_frames) for c in cells]
+        for cells in got
+    ] == masked_summaries(table, frames / 10.0)
 
 
 def test_marker_track_plausibility_bound():

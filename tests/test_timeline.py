@@ -8,7 +8,6 @@ from speechmotion.errors import (
     NoTemporalOverlapError,
     RateMismatchError,
     UnknownSpeakerWarning,
-    ValidationError,
 )
 from speechmotion.frames import FeatureTrack, FrameGrid, grid_over_span
 from speechmotion.ingest import Interval, SpeechIntervals
@@ -331,26 +330,3 @@ def test_session_table_rejects_non_binary_labels():
     g = FrameGrid(10.0, 0.0, 3)
     with pytest.raises(ValueError):
         SessionTable(g, {"labels": FeatureTrack(g, ("speaking", "overlap"), np.full((3, 2), 0.5))})
-
-
-class TestSegments:
-    def table(self, n: int) -> SessionTable:
-        grid = FrameGrid(10.0, 1.0, n)
-        return SessionTable(grid, {"a": FeatureTrack(grid, ("x", "y"), np.arange(2.0 * n).reshape(n, 2))})
-
-    @pytest.mark.parametrize("n, segment_s, lengths", [
-        (10, 0.3, [3, 3, 3, 1]), (10, 0.25, [3, 2, 3, 2]), (10, 0.1, [1] * 10), (5, 9.0, [5]),
-    ])
-    def test_runs_of_segment_s_cover_the_table_in_order(self, n, segment_s, lengths):
-        table = self.table(n)
-        runs = table.segments(segment_s)
-        assert [run.grid.n_frames for run in runs] == lengths
-        assert [run.grid.start_s for run in runs] == [
-            table.grid.timestamp(lo) for lo in np.cumsum([0] + lengths[:-1])
-        ]
-        assert np.array_equal(np.vstack([run.block("a").values for run in runs]), table.block("a").values)
-
-    @pytest.mark.parametrize("segment_s", [0.099, 1e-300])
-    def test_a_run_shorter_than_one_frame_is_rejected(self, segment_s):
-        with pytest.raises(ValidationError, match="params.segment_s"):
-            self.table(10).segments(segment_s)
