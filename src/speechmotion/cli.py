@@ -289,7 +289,10 @@ def cmd_map(config: Config) -> None:
     # every table must exist before any is read, and nothing is written until all fit
     list(_for_each_session(lambda s: _table_paths(config, s), config.sessions))
     maps = []  # (path, AffineMap) for every session and feature set it can fit
-    stale = []  # the affine_<set>.json of every session and feature set it cannot
+    # the affine_<set>.json of every session and feature set it cannot fit or
+    # this run does not fit
+    stale = [config.out_dir / s["id"] / f"affine_{fs}.json" for s in config.sessions
+             for fs in coupling_mod.FEATURE_SETS if fs not in params["feature_sets"]]
 
     def evaluate_one(session: dict) -> dict:
         evaluations = coupling_mod.evaluate_session(_read_table(config, session), **options)
@@ -450,6 +453,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise ValidationError(f"--jobs must be an integer >= 1; got {args.jobs}")
         if args.command == "synth":
             out_dir = args.out_dir or "synth_session"
             cmd_synth(args.spec, out_dir, seed_override=args.seed)

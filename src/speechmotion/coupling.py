@@ -129,19 +129,21 @@ def _solve(moments: tuple, d_x: int, ridge_eps: float) -> tuple[np.ndarray, np.n
     return a, mu[d_x:] - a @ mu[:d_x]
 
 
-def _k_fold_predictions(x: np.ndarray, y: np.ndarray, n_folds: int, ridge_eps: float):
+def _k_fold_predictions(z: np.ndarray, d_x: int, n_folds: int, ridge_eps: float):
     """Each contiguous fold's predictions from a fit on the merged moments of
-    the other folds (none are ever subtracted), and all folds' merged moments."""
-    z = np.hstack([x, y])
-    moments = [_moments(b) for b in np.array_split(z, n_folds)]
+    the other folds (none are ever subtracted), written into one array, and
+    all folds' merged moments; z holds [x | y] rows, x being the first d_x columns."""
+    moments = [_moments(block) for block in np.array_split(z, n_folds)]
     before = list(accumulate(moments, _merge, initial=_moments(z[:0])))
     after = list(accumulate(moments[::-1], lambda acc, m: _merge(m, acc), initial=before[0]))
     after.reverse()  # after[k]: the merge of folds k onwards
-    y_hat = []
-    for k, x_held in enumerate(np.array_split(x, n_folds)):
-        a, b = _solve(_merge(before[k], after[k + 1]), x.shape[1], ridge_eps)
-        y_hat.append(x_held @ a.T + b)
-    return np.concatenate(y_hat), before[-1]
+    y_hat = np.empty((len(z), z.shape[1] - d_x))
+    folds = zip(np.array_split(z, n_folds), np.array_split(y_hat, n_folds))
+    for k, (held, out) in enumerate(folds):
+        a, b = _solve(_merge(before[k], after[k + 1]), d_x, ridge_eps)
+        np.matmul(held[:, :d_x], a.T, out=out)
+        out += b
+    return y_hat, before[-1]
 
 
 def fit_ammse(x: FeatureTrack, y: FeatureTrack, ridge_eps: float = 1e-8) -> AffineMap:
@@ -229,15 +231,26 @@ def bin_affect(
     return high, low
 
 
+def _adjacent(track: FeatureTrack, names: tuple[str, ...]) -> FeatureTrack:
+    """`track.select(names)`, as a view of `track`'s values rather than a copy
+    when the names are adjacent columns in order (as in the standard speech layout)."""
+    first = track.column_index(names[0])
+    if track.columns[first:first + len(names)] != names:
+        return track.select(names)
+    return FeatureTrack(track.grid, names, track.values[:, first:first + len(names)])
+
+
 def feature_set_track(
     table: SessionTable, feature_set: str, affect_derivatives: bool = True
 ) -> FeatureTrack:
-    """Resolve a named feature set to its columns within a session table."""
+    """Resolve a named feature set to its columns within a session table. A
+    speech set views the speech block's columns where they are adjacent; an
+    affect set's derivatives are computed over the whole session."""
     try:
         if feature_set == "prosody":
-            return table.block("speech").select(PROSODY_COLUMNS)
+            return _adjacent(table.block("speech"), PROSODY_COLUMNS)
         if feature_set == "mfcc":
-            return table.block("speech").select(PC_COLUMNS)
+            return _adjacent(table.block("speech"), PC_COLUMNS)
     except KeyError as exc:
         raise FeatureNameMismatchError(
             f"feature set {feature_set!r} needs the standard speech columns "
@@ -324,25 +337,31 @@ def evaluate_mapping(
     x_track = feature_set_track(table, feature_set, affect_derivatives)
     activeness = table.block("activeness")
     targets = activeness.columns if region is None else (region,)
-    y_all = activeness.select(list(targets))
+    columns = [(x_track.values, j) for j in range(len(x_track.columns))]
+    columns += [(activeness.values, activeness.column_index(t)) for t in targets]
 
     mask = _selection_mask(table, condition, affect_bin, affect_dimension, bin_policy)
     idx = np.flatnonzero(mask)
-    x = x_track.values[idx]
-    y = y_all.values[idx]
+    # the selected rows of every x and y column, gathered a column at a time
+    # into one [x | y] matrix; x and y are views of it
+    z = np.empty((len(idx), len(columns)))
+    for k, (values, j) in enumerate(columns):
+        z[:, k] = values[idx, j]
+    d_x = len(x_track.columns)
+    x, y = z[:, :d_x], z[:, d_x:]
 
     if protocol == "in_sample":
-        moments = _moments(np.hstack([x, y]), x.shape[1])
-        a, b = _solve(moments, x.shape[1], ridge_eps)
+        moments = _moments(z, d_x)
+        a, b = _solve(moments, d_x, ridge_eps)
         y_hat = x @ a.T + b
     else:
         if len(idx) < n_folds:
             raise InsufficientFramesError(
                 f"{len(idx)} selected frames cannot form {n_folds} folds"
             )
-        y_hat, moments = _k_fold_predictions(x, y, n_folds, ridge_eps)
+        y_hat, moments = _k_fold_predictions(z, d_x, n_folds, ridge_eps)
         y_hat[np.isnan(x).any(axis=1)] = np.nan
-        a, b = _solve(moments, x.shape[1], ridge_eps)
+        a, b = _solve(moments, d_x, ridge_eps)
 
     per_target = {}
     for j, name in enumerate(targets):

@@ -435,6 +435,26 @@ class TestMapCommand:
             assert (out / name).read_bytes() == (cli_workspace["out"] / name).read_bytes()
 
 
+    def test_a_feature_set_this_run_does_not_fit_loses_its_earlier_maps(
+        self, cli_workspace, tmp_path
+    ):
+        out = tmp_path / "o"
+        shutil.copytree(cli_workspace["out"], out)
+        for sid in ("s101", "s202"):  # as if an earlier run had also fitted `all`
+            (out / sid / "affine_all.json").write_text("{}")
+        doc = {**cli_workspace["doc"], "sessions": absolute_sessions(cli_workspace)}
+        doc["params"] = {**doc["params"], "feature_sets": ["prosody"]}
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        assert cli.main([f"--config={p}", f"--out-dir={out}", "map"]) == 0
+        for sid in ("s101", "s202"):
+            assert [f.name for f in (out / sid).glob("affine_*.json")] == ["affine_prosody.json"]
+            name = f"{sid}/affine_prosody.json"
+            assert (out / name).read_bytes() == (cli_workspace["out"] / name).read_bytes()
+        cells = coupling.read_coupling_csv(out / "coupling_report.csv")
+        assert {c.feature_set for c in cells} == {"prosody"}
+
+
 class TestCorpusPca:
     def test_each_clip_analysed_once_and_projected_with_pooled_model(
         self, cli_workspace, tmp_path, monkeypatch
@@ -517,6 +537,18 @@ class TestErrors:
         assert rc == 3
         payload = json.loads(capsys.readouterr().err)
         assert payload["error"] == "MissingUpstreamOutputError"
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_exits_2_naming_jobs(self, cli_workspace, tmp_path, capsys, jobs):
+        argv = [f"--config={cli_workspace['config']}", f"--out-dir={tmp_path / 'o'}",
+                f"--jobs={jobs}", "features"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: --jobs must be an integer >= 1; got {jobs}\n"
+        assert cli.main(["--error-json", *argv]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValidationError", "message": f"--jobs must be an integer >= 1; got {jobs}",
+        }
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_profile_is_validation_error(self, tmp_path, capsys):
         p = tmp_path / "c.json"

@@ -1,21 +1,29 @@
 import math
+import tracemalloc
 import weakref
 from dataclasses import astuple
+from itertools import accumulate
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from speechmotion import motion, synth, timeline
 from speechmotion.coupling import (
     AFFECT_BINS,
     CONDITIONS,
     FEATURE_SETS,
+    PROTOCOLS,
     AffineMap,
+    _merge,
+    _moments,
     _selection_mask,
+    _solve,
     bin_affect,
     coupling_report,
     evaluate_mapping,
+    evaluate_session,
     feature_set_track,
     fit_ammse,
     pearson_r,
@@ -34,6 +42,7 @@ from speechmotion.errors import (
 )
 from speechmotion.frames import FeatureTrack, FrameGrid
 from speechmotion.ingest import Interval, SpeechIntervals
+from speechmotion.speech_features import PC_COLUMNS, PROSODY_COLUMNS, temporal_derivatives
 from speechmotion.timeline import SessionTable, rasterize_intervals
 
 
@@ -554,3 +563,183 @@ class TestFoldsFromMoments:
         fitted = fit_ammse(track(x), track(y, columns=("y0", "y1", "y2")), ridge_eps=ridge_eps)
         a, b = _reference_fit(x, y, ridge_eps)
         assert np.array_equal(fitted.a, a) and np.array_equal(fitted.b, b)
+
+
+def _copied_feature_set(table, feature_set, affect_derivatives):
+    """Feature set columns as copies, as `map` selected them before it gathered cells."""
+    speech = table.block("speech")
+    if feature_set in ("prosody", "mfcc"):
+        names = PROSODY_COLUMNS if feature_set == "prosody" else PC_COLUMNS
+        try:
+            return speech.select(names)
+        except KeyError:
+            raise FeatureNameMismatchError("needs the standard speech columns") from None
+    if feature_set == "all":
+        return speech
+    base = table.block("emotion").select([feature_set])
+    return temporal_derivatives(base) if affect_derivatives else base
+
+
+def _copy_based_evaluation(table, feature_set, region, protocol, n_folds, condition,
+                           affect_bin, ridge_eps, affect_derivatives):
+    """`evaluate_mapping` as it was before it gathered one [x | y] matrix per
+    cell: whole-session column copies, copied rows, and a stacked copy of both."""
+    dimension = None
+    if affect_bin != "all":
+        dimension = feature_set if feature_set in ("arousal", "valence") else "arousal"
+    x_track = _copied_feature_set(table, feature_set, affect_derivatives)
+    activeness = table.block("activeness")
+    targets = activeness.columns if region is None else (region,)
+    y_all = activeness.select(list(targets))
+    idx = np.flatnonzero(_selection_mask(table, condition, affect_bin, dimension, "median_split"))
+    x = x_track.values[idx]
+    y = y_all.values[idx]
+    d_x = x.shape[1]
+    if protocol == "in_sample":
+        moments = _moments(np.hstack([x, y]), d_x)
+        a, b = _solve(moments, d_x, ridge_eps)
+        y_hat = x @ a.T + b
+    else:
+        if len(idx) < n_folds:
+            raise InsufficientFramesError("fewer frames than folds")
+        z = np.hstack([x, y])
+        moments = [_moments(block) for block in np.array_split(z, n_folds)]
+        before = list(accumulate(moments, _merge, initial=_moments(z[:0])))
+        after = list(accumulate(moments[::-1], lambda acc, m: _merge(m, acc), initial=before[0]))
+        after.reverse()
+        y_hat = []
+        for k, x_held in enumerate(np.array_split(x, n_folds)):
+            a, b = _solve(_merge(before[k], after[k + 1]), d_x, ridge_eps)
+            y_hat.append(x_held @ a.T + b)
+        y_hat = np.concatenate(y_hat)
+        y_hat[np.isnan(x).any(axis=1)] = np.nan
+        moments = before[-1]
+        a, b = _solve(moments, d_x, ridge_eps)
+    per_target = {}
+    for j, name in enumerate(targets):
+        try:
+            per_target[name] = pearson_r(y[:, j], y_hat[:, j])
+        except TooFewPairsError:
+            per_target[name] = math.nan
+    return per_target, len(idx), a, b, moments[0], x_track.columns, targets
+
+
+def _one_matrix(table, speech_order):
+    """`table` as read from aligned.csv: every block a column slice of one
+    matrix, the speech columns in `speech_order` (a permutation, so the named
+    sets may not be adjacent)."""
+    speech = table.block("speech").select([table.block("speech").columns[i] for i in speech_order])
+    blocks = {**table.blocks, "speech": speech}
+    data = np.hstack([table.grid.timestamps()[:, None]] + [t.values for t in blocks.values()])
+    views, col = {}, 1
+    for name, block in blocks.items():
+        views[name] = FeatureTrack(table.grid, block.columns, data[:, col:col + len(block.columns)])
+        col += len(block.columns)
+    return SessionTable(table.grid, views)
+
+
+def _same(a, b):
+    return np.array_equal(a, b, equal_nan=True)
+
+
+class TestGatheredCells:
+    """`evaluate_mapping` against the copy-based cell it replaced, kept here."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(60, 700),
+        n_folds=st.integers(2, 10),
+        feature_set=st.sampled_from(FEATURE_SETS),
+        condition=st.sampled_from(CONDITIONS),
+        affect_bin=st.sampled_from(AFFECT_BINS),
+        region=st.sampled_from([None, "r1"]),
+        x_share=st.sampled_from([0.0, 0.05, 0.3]),
+        y_share=st.sampled_from([0.0, 0.05, 0.3]),
+        layout=st.sampled_from(["blocks", "one_matrix", "shuffled", "custom"]),
+        ridge_eps=st.sampled_from([0.0, 1e-8]),
+        affect_derivatives=st.booleans(),
+    )
+    def test_bit_for_bit_against_copied_columns(
+        self, seed, n, n_folds, feature_set, condition, affect_bin, region, x_share, y_share,
+        layout, ridge_eps, affect_derivatives,
+    ):
+        rng = np.random.default_rng(seed)
+        table = _with_dropouts(
+            build_table(seed=seed, n=n, noise=0.5, a0=rng.standard_normal((3, 18)) * 0.3)[0],
+            rng, x_share, y_share, constant_column=False, blank_fold=None,
+        )
+        if layout == "one_matrix":
+            table = _one_matrix(table, range(18))
+        elif layout == "shuffled":
+            table = _one_matrix(table, rng.permutation(18))
+        elif layout == "custom":  # 7 speech columns of other names: only `all` resolves
+            speech = table.block("speech")
+            custom = FeatureTrack(table.grid, tuple(f"u{i}" for i in range(7)), speech.values[:, 4:11])
+            table = _one_matrix(SessionTable(table.grid, {**table.blocks, "speech": custom}), range(7))
+        for protocol in PROTOCOLS:
+            args = (feature_set, region, protocol, n_folds, condition, affect_bin, ridge_eps,
+                    affect_derivatives)
+            try:
+                expected = _copy_based_evaluation(table, *args)
+            except (InsufficientFramesError, DegenerateInputError, FeatureNameMismatchError) as exc:
+                with pytest.raises(type(exc)):
+                    evaluate_mapping(
+                        table, feature_set, region=region, protocol=protocol, n_folds=n_folds,
+                        condition=condition, affect_bin=affect_bin, ridge_eps=ridge_eps,
+                        affect_derivatives=affect_derivatives,
+                    )
+                continue
+            ev = evaluate_mapping(
+                table, feature_set, region=region, protocol=protocol, n_folds=n_folds,
+                condition=condition, affect_bin=affect_bin, ridge_eps=ridge_eps,
+                affect_derivatives=affect_derivatives,
+            )
+            per_target, n_frames, a, b, n_fit, features, targets = expected
+            assert ev.per_target.keys() == per_target.keys()
+            assert _same(list(ev.per_target.values()), list(per_target.values()))
+            assert (ev.n_frames, ev.fit.n_frames) == (n_frames, n_fit)
+            assert (ev.fit.feature_names, ev.fit.target_names) == (features, targets)
+            assert _same(ev.fit.a, a) and _same(ev.fit.b, b)
+
+
+def _aligned_session(tmp_path, duration_s):
+    """A synthetic session as `map` reads it: through aligned.csv, every block a
+    column slice of one parsed matrix."""
+    spec = synth.default_spec(
+        seed=3, duration_s=duration_s, target_r=0.5, markers_per_region=3, signal_scale=0.25
+    )
+    s = synth.generate_coupled_session(spec)
+    activeness = motion.region_activeness(motion.displacement_magnitudes(s.markers), s.region_map)
+    table = timeline.align_session(s.speech, s.emotion, activeness, s.intervals, "F")
+    csv_path, meta_path = tmp_path / f"{duration_s}.csv", tmp_path / f"{duration_s}.meta.json"
+    timeline.write_session_csv(table, csv_path, meta_path)
+    return timeline.read_session_csv(csv_path, meta_path)
+
+
+def test_a_session_peaks_under_twice_its_largest_cell_matrix(tmp_path):
+    """Bound: tracemalloc's peak over `evaluate_session` on a 300 s session,
+    above what was held before the call, is under twice the largest cell's
+    [x | y] matrix, n_selected * (d_x + d_y) * 8 bytes. A cell holds that
+    matrix, its held-out predictions (n_selected * d_y, 8/20 of the matrix
+    for mfcc) and one fold's complete and centred rows (2/5 of it under the
+    default 5 folds); nothing it holds has the whole session's row count but
+    the selection masks and an affect set's three derivative columns. The
+    cells that copied the feature set's and the targets' whole-session
+    columns, then their selected rows, then stacked both, peaked at 4.6 times
+    the matrix."""
+    evaluate_session(_aligned_session(tmp_path, 20.0))  # numpy's lazy imports, once
+    table = _aligned_session(tmp_path, 300.0)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        cells = evaluate_session(table)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    largest = max(
+        ev.n_frames * (len(ev.fit.feature_names) + len(ev.fit.target_names)) * 8
+        for ev in cells.values()
+    )
+    assert largest > 2**20  # about 10,700 speaking frames of 12 + 8 columns
+    assert peak < 2 * largest, f"peak {peak / 2**20:.2f} MiB, matrix {largest / 2**20:.2f} MiB"

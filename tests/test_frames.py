@@ -5,6 +5,7 @@ import struct
 import tempfile
 import zlib
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from speechmotion import frames
 from speechmotion.errors import (
     MalformedRowError,
     NonMonotoneTimeError,
@@ -264,6 +266,74 @@ class TestTableCodec:
         p.write_text("# rate_hz=10.0\ntime_s,a\n0.0,1\n\n0.1,-inf\n0.2,inf\n")
         with pytest.raises(MalformedRowError, match=rf"^{re.escape(str(p))}:5: .*infinite"):
             read_feature_csv(p)
+
+
+_CELLS = st.one_of(
+    st.just(""),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["-0.0", "5e-324", "1e300", "7", "x", "inf", "nan", " "]),
+)
+
+
+@st.composite
+def table_text(draw):
+    """The rest of a 3-cell table: rows with empty cells anywhere in a line,
+    blank lines, now and then a row of the wrong length or a cell that is
+    not a number, and zero to two last newlines."""
+    lines = draw(st.lists(
+        st.one_of(st.lists(_CELLS, min_size=3, max_size=3), st.lists(_CELLS, max_size=4)),
+        max_size=8,
+    ))
+    text = "\n".join(",".join(cells) for cells in lines)
+    return text + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+def _rows_outcome(path):
+    """(rows' bit pattern, each row's line) or (error class, message) of read_rows."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            read_header(fh, str(path))
+            data, line_of = read_rows(fh, str(path), first_line=2, n_cells=3)
+    except MalformedRowError as exc:
+        return type(exc), str(exc)
+    return data.view(np.uint64).tobytes(), data.shape, [line_of(i) for i in range(len(data))]
+
+
+class TestDenseReader:
+    """A rest with no empty cell and no blank line goes to numpy as the open
+    file; it must read as each line through `_filled_lines` does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=table_text(), scan_chars=st.integers(1, 24))
+    def test_open_file_and_filled_lines_read_alike(self, text, scan_chars):
+        lines = text.split("\n")
+        if lines[-1] == "":
+            lines.pop()  # the last newline ends a line, it does not start one
+        expect_dense = bool(lines) and all(all(line.split(",")) for line in lines)
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "t.csv"
+            p.write_text("time_s,a,b\n" + text, encoding="utf-8")
+            with mock.patch.object(frames, "SCAN_CHARS", scan_chars):
+                with open(p, encoding="utf-8") as fh:
+                    fh.readline()
+                    start = fh.tell()
+                    assert frames._dense(fh) is expect_dense
+                    assert fh.tell() == start
+                got = _rows_outcome(p)
+            with mock.patch.object(frames, "_dense", lambda fh: False):
+                expected = _rows_outcome(p)
+        assert got == expected
+
+    @pytest.mark.parametrize("scan_chars", [7, 8, 9])
+    def test_an_empty_cell_across_a_chunk_boundary_is_found(self, tmp_path, scan_chars):
+        # the rest "1,2,3\n4,,6\n" has its `,,` at characters 7 and 8
+        p = tmp_path / "t.csv"
+        p.write_text("time_s,a,b\n1,2,3\n4,,6\n")
+        with mock.patch.object(frames, "SCAN_CHARS", scan_chars), open(p) as fh:
+            fh.readline()
+            assert not frames._dense(fh)
+        data = codec_rows(p, 3)
+        assert np.array_equal(data, [[1, 2, 3], [4, np.nan, 6]], equal_nan=True)
 
 
 class TestGridCheck:

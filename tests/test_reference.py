@@ -1,8 +1,9 @@
 """The `cli_workspace` chain against its committed reference outputs.
 
-tests/reference/ holds each session's summaries.csv and anova.csv under the
-session and the segment ANOVA unit, as the chain wrote them; its README
-gives the command that regenerates them. Labels and integer cells must match
+tests/reference/ holds each session's summaries.csv, coupling_report.csv,
+report/reference_comparison.csv and anova.csv under the session and the
+segment ANOVA unit, as the chain wrote them; its README gives the command
+that regenerates them. Labels and integer cells must match
 exactly and empty cells must stay empty; a float cell may move by 1e-9 of its
 magnitude, far above BLAS and SIMD rounding (about 1e-15 relative) and far
 below what any change to the analysis moves.
@@ -33,6 +34,8 @@ def chain_outputs(workspace: dict, scratch: Path) -> dict[str, Path]:
     outputs = {f"{s['id']}_summaries.csv": out / s["id"] / "summaries.csv"
                for s in workspace["doc"]["sessions"]}
     outputs["anova.csv"] = out / "anova.csv"
+    outputs["coupling_report.csv"] = out / "coupling_report.csv"
+    outputs["reference_comparison.csv"] = out / "report" / "reference_comparison.csv"
     segment_out = scratch / "segment_out"
     shutil.copytree(out, segment_out)
     doc = {**workspace["doc"], "params": {**workspace["doc"]["params"], **SEGMENT_PARAMS}}
