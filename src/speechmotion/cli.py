@@ -415,7 +415,13 @@ def cmd_report(config: Config) -> None:
 
     anova_path = config.out_dir / "anova.csv"
     anova_results = stats.read_anova_csv(anova_path) if anova_path.exists() else None
-    protocol = coupling_mod.protocol_label(config.params["protocol"], config.params["n_folds"])
+    if coupling_cells is None:
+        protocol = coupling_mod.protocol_label(config.params["protocol"], config.params["n_folds"])
+    else:  # the protocol `map` recorded beside its report, whatever the config says now
+        meta_path = config.out_dir / "coupling_report.meta.json"
+        protocol = read_json_object(meta_path).get("protocol")
+        if type(protocol) is not str:
+            raise ValidationError(f"{meta_path}: protocol must be a string; got {protocol!r}")
     rows = report.reference_comparison_rows(coupling_cells, anova_results, protocol)
     report.write_comparison_csv(rows, out / "reference_comparison.csv")
     print(f"report: wrote grids and comparison tables to {out}")
@@ -427,8 +433,20 @@ STAGES = {  # every stage command; `features` also takes the --jobs count
 }
 
 
+class _ArgumentError(Exception):
+    """An argument error: (the parser or subparser that met it, argparse's message)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose argument errors `main` words (its subparsers
+    are of this class too)."""
+
+    def error(self, message: str):
+        raise _ArgumentError(self, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="speechmotion",
         description="Speech-to-motion coupling analysis pipeline.",
     )
@@ -449,9 +467,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report_error(error: PipelineError, error_json: bool) -> int:
+    """Print `error` on stderr, as text or as one JSON line; return its exit code."""
+    if error_json:
+        print(json.dumps({"error": type(error).__name__, "message": str(error)}), file=sys.stderr)
+    else:
+        print(f"error: {error}", file=sys.stderr)
+    return error.exit_code
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        args = build_parser().parse_args(argv)
+    except _ArgumentError as exc:
+        if "--error-json" not in argv:
+            argparse.ArgumentParser.error(*exc.args)  # argparse's usage text, and exit 2
+        return _report_error(ValidationError(exc.args[1]), error_json=True)
     try:
         if args.jobs < 1:
             raise ValidationError(f"--jobs must be an integer >= 1; got {args.jobs}")
@@ -472,12 +504,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except (PipelineError, OSError) as exc:  # OSError: a config, spec or output path
         error = _unopenable(exc) if isinstance(exc, OSError) else exc
-        if args.error_json:
-            payload = {"error": type(error).__name__, "message": str(error)}
-            print(json.dumps(payload), file=sys.stderr)
-        else:
-            print(f"error: {error}", file=sys.stderr)
-        return error.exit_code
+        return _report_error(error, args.error_json)
 
 
 if __name__ == "__main__":

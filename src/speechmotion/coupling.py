@@ -28,7 +28,8 @@ from .errors import (
     ValidationError,
 )
 from .frames import (
-    FeatureTrack, adopt, number, read_json_object, read_records, write_json, write_records,
+    FeatureTrack, adopt, merge_moments, moments, number, read_json_object, read_records,
+    write_json, write_records,
 )
 from .motion import SPEECH_CONDITIONS as CONDITIONS, condition_mask, sem_of
 from .speech_features import PC_COLUMNS, PROSODY_COLUMNS, temporal_derivatives
@@ -81,33 +82,9 @@ class AffineMap:
         return cls(**read_json_object(path))  # __post_init__ makes the arrays and tuples
 
 
-def _moments(z: np.ndarray, d_x: int | None = None) -> tuple[int, np.ndarray, np.ndarray]:
-    """Count, mean and centred cross-product matrix of the complete rows of z:
-    one symmetric product for a fold; for a direct fit (`d_x` given), only the
-    x-x and y-x blocks, each its own product, which round as a fit on copied rows."""
-    z = z[np.isfinite(z).all(axis=1)]
-    if len(z) == 0:
-        return 0, 0.0, 0.0  # merges as the identity
-    mu = z.mean(axis=0)
-    if d_x is None:
-        zc = z - mu
-        return len(z), mu, zc.T @ zc
-    xc, yc = z[:, :d_x] - mu[:d_x], z[:, d_x:] - mu[d_x:]
-    return len(z), mu, np.vstack([xc.T @ xc, yc.T @ xc])
-
-
-def _merge(a: tuple, b: tuple) -> tuple[int, np.ndarray, np.ndarray]:
-    """Moments of two disjoint row sets (Chan, Golub & LeVeque 1979)."""
-    (n_a, mu_a, m_a), (n_b, mu_b, m_b) = a, b
-    if n_a == 0 or n_b == 0:
-        return b if n_a == 0 else a
-    n, delta = n_a + n_b, mu_b - mu_a
-    return n, mu_a + delta * (n_b / n), m_a + m_b + np.outer(delta, delta) * (n_a * n_b / n)
-
-
-def _solve(moments: tuple, d_x: int, ridge_eps: float) -> tuple[np.ndarray, np.ndarray]:
+def _solve(totals: tuple, d_x: int, ridge_eps: float) -> tuple[np.ndarray, np.ndarray]:
     """a and b from the moments of complete [x, y] rows, x being the first d_x columns."""
-    n, mu, m = moments
+    n, mu, m = totals
     if n <= d_x + 1:
         raise InsufficientFramesError(
             f"{n} complete frames cannot identify {d_x} inputs plus offsets"
@@ -133,14 +110,15 @@ def _k_fold_predictions(z: np.ndarray, d_x: int, n_folds: int, ridge_eps: float)
     """Each contiguous fold's predictions from a fit on the merged moments of
     the other folds (none are ever subtracted), written into one array, and
     all folds' merged moments; z holds [x | y] rows, x being the first d_x columns."""
-    moments = [_moments(block) for block in np.array_split(z, n_folds)]
-    before = list(accumulate(moments, _merge, initial=_moments(z[:0])))
-    after = list(accumulate(moments[::-1], lambda acc, m: _merge(m, acc), initial=before[0]))
+    per_fold = [moments(block) for block in np.array_split(z, n_folds)]
+    before = list(accumulate(per_fold, merge_moments, initial=moments(z[:0])))
+    after = list(accumulate(per_fold[::-1], lambda acc, m: merge_moments(m, acc),
+                            initial=before[0]))
     after.reverse()  # after[k]: the merge of folds k onwards
     y_hat = np.empty((len(z), z.shape[1] - d_x))
     folds = zip(np.array_split(z, n_folds), np.array_split(y_hat, n_folds))
     for k, (held, out) in enumerate(folds):
-        a, b = _solve(_merge(before[k], after[k + 1]), d_x, ridge_eps)
+        a, b = _solve(merge_moments(before[k], after[k + 1]), d_x, ridge_eps)
         np.matmul(held[:, :d_x], a.T, out=out)
         out += b
     return y_hat, before[-1]
@@ -155,9 +133,9 @@ def fit_ammse(x: FeatureTrack, y: FeatureTrack, ridge_eps: float = 1e-8) -> Affi
     """
     if x.grid != y.grid:
         raise GridMismatchError("x and y must share one frame grid")
-    moments = _moments(np.hstack([x.values, y.values]), len(x.columns))
-    a, b = _solve(moments, len(x.columns), ridge_eps)
-    return AffineMap(a, b, x.columns, y.columns, moments[0], ridge_eps)
+    totals = moments(np.hstack([x.values, y.values]), len(x.columns))
+    a, b = _solve(totals, len(x.columns), ridge_eps)
+    return AffineMap(a, b, x.columns, y.columns, totals[0], ridge_eps)
 
 
 def predict(mapping: AffineMap, x: FeatureTrack) -> FeatureTrack:
@@ -267,12 +245,9 @@ def feature_set_track(
 
 @dataclass(frozen=True)
 class MappingEvaluation:
-    """Per-session mapping quality: Pearson r per target column, and the full fit."""
+    """One cell's mapping quality, keyed by the cell in `evaluate_session`:
+    Pearson r per target column, and the full fit."""
 
-    feature_set: str
-    protocol: str
-    condition: str
-    affect_bin: str
     bin_dimension: str | None
     per_target: dict[str, float]
     n_frames: int
@@ -351,17 +326,17 @@ def evaluate_mapping(
     x, y = z[:, :d_x], z[:, d_x:]
 
     if protocol == "in_sample":
-        moments = _moments(z, d_x)
-        a, b = _solve(moments, d_x, ridge_eps)
+        totals = moments(z, d_x)
+        a, b = _solve(totals, d_x, ridge_eps)
         y_hat = x @ a.T + b
     else:
         if len(idx) < n_folds:
             raise InsufficientFramesError(
                 f"{len(idx)} selected frames cannot form {n_folds} folds"
             )
-        y_hat, moments = _k_fold_predictions(z, d_x, n_folds, ridge_eps)
+        y_hat, totals = _k_fold_predictions(z, d_x, n_folds, ridge_eps)
         y_hat[np.isnan(x).any(axis=1)] = np.nan
-        a, b = _solve(moments, d_x, ridge_eps)
+        a, b = _solve(totals, d_x, ridge_eps)
 
     per_target = {}
     for j, name in enumerate(targets):
@@ -370,14 +345,10 @@ def evaluate_mapping(
         except TooFewPairsError:
             per_target[name] = math.nan
     return MappingEvaluation(
-        feature_set=feature_set,
-        protocol=protocol_label(protocol, n_folds),
-        condition=condition,
-        affect_bin=affect_bin,
         bin_dimension=affect_dimension,
         per_target=per_target,
         n_frames=len(idx),
-        fit=AffineMap(a, b, x_track.columns, targets, moments[0], ridge_eps),
+        fit=AffineMap(a, b, x_track.columns, targets, totals[0], ridge_eps),
     )
 
 

@@ -144,6 +144,33 @@ def concat_columns(*tracks: FeatureTrack) -> FeatureTrack:
     return FeatureTrack(first.grid, names, values)
 
 
+def moments(z: np.ndarray, d_x: int | None = None) -> tuple[int, np.ndarray, np.ndarray]:
+    """Count, mean and centred cross-products of z's complete rows (copied only
+    if one is not), for every AMMSE fit, fold and PCA: one symmetric product, or
+    for a direct fit (`d_x` given) only the x-x and y-x blocks, each its own
+    product, which round as a fit on copied rows."""
+    complete = np.isfinite(z).all(axis=1)
+    if not complete.all():
+        z = z[complete]
+    if len(z) == 0:
+        return 0, 0.0, 0.0  # merges as the identity
+    mu = z.mean(axis=0)
+    if d_x is None:
+        zc = z - mu
+        return len(z), mu, zc.T @ zc
+    xc, yc = z[:, :d_x] - mu[:d_x], z[:, d_x:] - mu[d_x:]
+    return len(z), mu, np.vstack([xc.T @ xc, yc.T @ xc])
+
+
+def merge_moments(a: tuple, b: tuple) -> tuple[int, np.ndarray, np.ndarray]:
+    """Moments of two disjoint row sets (Chan, Golub & LeVeque 1979)."""
+    (n_a, mu_a, m_a), (n_b, mu_b, m_b) = a, b
+    if n_a == 0 or n_b == 0:
+        return b if n_a == 0 else a
+    n, delta = n_a + n_b, mu_b - mu_a
+    return n, mu_a + delta * (n_b / n), m_a + m_b + np.outer(delta, delta) * (n_a * n_b / n)
+
+
 def format_value(x: float) -> str:
     """Shortest round-trip decimal for CSV cells; NaN becomes an empty cell."""
     if math.isnan(x):

@@ -116,6 +116,16 @@ class MarkerTrack:
         return self.grid.n_frames
 
 
+def _repeat_in(regions: dict[str, tuple[str, ...]]) -> str | None:
+    """What is wrong with the first region that lists a marker twice (its mean
+    would count that marker twice), or None when no region does."""
+    for region, markers in regions.items():
+        for i, marker in enumerate(markers):
+            if marker in markers[:i]:
+                return f"region {region!r} lists marker {marker!r} more than once"
+    return None
+
+
 @dataclass(frozen=True)
 class RegionMap:
     """Region name -> marker identifiers, with the structural region invariants."""
@@ -131,6 +141,8 @@ class RegionMap:
         empty = [r for r, markers in regions.items() if not markers]
         if empty:
             raise ValueError(f"region(s) {empty} have no markers")
+        if repeat := _repeat_in(regions):
+            raise ValueError(repeat)
         upper = set(regions["upper_face"])
         middle = set(regions["middle_face"])
         lower = set(regions["lower_face"])
@@ -212,6 +224,8 @@ def region_activeness(
         items = {r: region_map[r] for r in region_map.names()}
     else:
         items = {r: tuple(ms) for r, ms in region_map.items()}
+        if repeat := _repeat_in(items):
+            raise ValidationError(repeat)
     available = set(displacements.columns)
     for region, markers in items.items():
         unknown = [m for m in markers if m not in available]

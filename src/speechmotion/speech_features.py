@@ -37,7 +37,8 @@ from .errors import (
     ValidationError,
 )
 from .frames import (
-    FeatureTrack, FrameGrid, adopt, concat_columns, read_json_object, row_blocks, write_json,
+    FeatureTrack, FrameGrid, adopt, concat_columns, moments, read_json_object, row_blocks,
+    write_json,
 )
 from .ingest import AudioClip, unit_samples
 
@@ -285,21 +286,21 @@ class PcaModel:
 
 def fit_pca(*tracks: FeatureTrack, k: int = 12) -> PcaModel:
     """Top-k principal components of the column covariance of the tracks'
-    stacked frames: one clip's (session scope) or a corpus's (corpus scope).
+    stacked frames (one clip's in session scope, a corpus's in corpus scope),
+    from :func:`frames.moments` of the one track's own array or of the stack.
 
     Data whose rank is below k (a silent clip's spectral columns, for one)
     raises a DataError naming both: fewer components than asked for could
     only fail later.
     """
-    x = np.vstack([t.values for t in tracks])
+    x = tracks[0].values if len(tracks) == 1 else np.vstack([t.values for t in tracks])
     n, d = x.shape
     if n <= d:
         raise TrackTooShortError(f"PCA needs more frames ({n}) than columns ({d})")
-    if np.isnan(x).any():
+    n_complete, mean, scatter = moments(x)
+    if n_complete < n:
         raise DataError("PCA input contains dropout values")
-    mean = x.mean(axis=0)
-    centered = x - mean
-    cov = centered.T @ centered / (n - 1)
+    cov = scatter / (n - 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1]
     eigvals = np.maximum(eigvals[order], 0.0)

@@ -85,6 +85,28 @@ class TestOutputs:
         assert sum(ln.startswith("coupling,") for ln in lines[1:]) == 12
 
 
+    def test_comparison_takes_the_protocol_map_recorded(self, cli_workspace, tmp_path, capsys):
+        # `map` ran under n_folds 3; a config now saying 5 must not relabel its r
+        out = tmp_path / "o"
+        shutil.copytree(cli_workspace["out"], out)
+        doc = {**cli_workspace["doc"], "params": {"n_folds": 5, "trim_head_s": 0.0}}
+        doc["sessions"] = absolute_sessions(cli_workspace)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        argv = [f"--config={p}", f"--out-dir={out}", "report"]
+        assert cli.main(argv) == 0
+        lines = (out / "report" / "reference_comparison.csv").read_text().splitlines()
+        assert len(lines) > 1 and all(ln.endswith(",k_fold(3)") for ln in lines[1:])
+        meta = out / "coupling_report.meta.json"
+        meta.write_text(json.dumps({"protocol": 3}))
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {meta}: protocol must be a string; got 3\n"
+        meta.unlink()
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == f"error: {meta}: No such file or directory\n"
+
+
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, cli_workspace):
         before = hash_tree(cli_workspace["out"])
@@ -549,6 +571,27 @@ class TestErrors:
             "error": "ValidationError", "message": f"--jobs must be an integer >= 1; got {jobs}",
         }
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--jobs", "abc", "--config", "c.json", "features"],
+             "argument --jobs: invalid int value: 'abc'"),
+            (["bogus"], "argument command: invalid choice: 'bogus'"),
+            (["synth"], "the following arguments are required: spec"),
+        ],
+        ids=["bad_jobs", "unknown_command", "synth_without_spec"],
+    )
+    def test_argument_errors_exit_2_as_text_or_json(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        err = capsys.readouterr().err
+        assert info.value.code == 2
+        assert err.startswith("usage: speechmotion") and f"error: {message}" in err
+        assert cli.main(["--error-json", *argv]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "ValidationError" and payload["message"].startswith(message)
 
     def test_unknown_profile_is_validation_error(self, tmp_path, capsys):
         p = tmp_path / "c.json"
@@ -1317,6 +1360,8 @@ def bad_input_dir(tmp_path_factory):
     region_map = json.loads((root / "s" / "region_map.json").read_text())
     region_map["hands"].append("NOPE")
     (root / "nope_map.json").write_text(json.dumps(region_map))
+    region_map["hands"][-1] = region_map["hands"][0]
+    (root / "twice_map.json").write_text(json.dumps(region_map))
     markers = (root / "s" / "markers.csv").read_text().splitlines(keepends=True)
     (root / "one_row.csv").write_text("".join(markers[:3]))  # rate comment, header, one row
     speech = (root / "s" / "speech_features.csv").read_text().splitlines(keepends=True)
@@ -1343,6 +1388,8 @@ def _bad_input_config(root: Path, tmp_path: Path, params: dict, **inputs) -> Pat
         ("features", {"trim_head_s": 5.0}, {}, 3, "tone.wav: cannot trim 5.0 s from a 2.000 s clip"),
         ("align", {}, {"region_map": "nope_map.json"}, 2,
          "region 'hands' references markers absent from the displacement track: ['NOPE']"),
+        ("align", {}, {"region_map": "twice_map.json"}, 2,
+         "twice_map.json: region 'hands' lists marker 'region_8_m1' more than once"),
         ("features", {"trim_head_s": 0.0}, {"audio": "short.wav"}, 3,
          "PCA needs more frames (10) than columns (36)"),
         ("align", {}, {"markers": "one_row.csv"}, 3, "need >= 2 frames to difference, got 1"),
@@ -1354,7 +1401,8 @@ def _bad_input_config(root: Path, tmp_path: Path, params: dict, **inputs) -> Pat
         ("align", {"feature_sets": ["all"]}, {"speech_features": "time_only.csv"}, 2,
          "time_only.csv:2: no feature column after time_s"),
     ],
-    ids=["trim_past_the_clip", "region_map_marker_absent", "clip_shorter_than_pca",
+    ids=["trim_past_the_clip", "region_map_marker_absent", "region_map_marker_twice",
+         "clip_shorter_than_pca",
          "one_marker_row", "silent_wav", "markers_a_directory", "region_map_a_directory",
          "speech_without_a_feature_column"],
 )

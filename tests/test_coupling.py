@@ -10,14 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speechmotion import motion, synth, timeline
+from speechmotion.frames import merge_moments, moments
 from speechmotion.coupling import (
     AFFECT_BINS,
     CONDITIONS,
     FEATURE_SETS,
     PROTOCOLS,
     AffineMap,
-    _merge,
-    _moments,
     _selection_mask,
     _solve,
     bin_affect,
@@ -596,32 +595,33 @@ def _copy_based_evaluation(table, feature_set, region, protocol, n_folds, condit
     y = y_all.values[idx]
     d_x = x.shape[1]
     if protocol == "in_sample":
-        moments = _moments(np.hstack([x, y]), d_x)
-        a, b = _solve(moments, d_x, ridge_eps)
+        totals = moments(np.hstack([x, y]), d_x)
+        a, b = _solve(totals, d_x, ridge_eps)
         y_hat = x @ a.T + b
     else:
         if len(idx) < n_folds:
             raise InsufficientFramesError("fewer frames than folds")
         z = np.hstack([x, y])
-        moments = [_moments(block) for block in np.array_split(z, n_folds)]
-        before = list(accumulate(moments, _merge, initial=_moments(z[:0])))
-        after = list(accumulate(moments[::-1], lambda acc, m: _merge(m, acc), initial=before[0]))
+        per_fold = [moments(block) for block in np.array_split(z, n_folds)]
+        before = list(accumulate(per_fold, merge_moments, initial=moments(z[:0])))
+        after = list(accumulate(per_fold[::-1], lambda acc, m: merge_moments(m, acc),
+                                initial=before[0]))
         after.reverse()
         y_hat = []
         for k, x_held in enumerate(np.array_split(x, n_folds)):
-            a, b = _solve(_merge(before[k], after[k + 1]), d_x, ridge_eps)
+            a, b = _solve(merge_moments(before[k], after[k + 1]), d_x, ridge_eps)
             y_hat.append(x_held @ a.T + b)
         y_hat = np.concatenate(y_hat)
         y_hat[np.isnan(x).any(axis=1)] = np.nan
-        moments = before[-1]
-        a, b = _solve(moments, d_x, ridge_eps)
+        totals = before[-1]
+        a, b = _solve(totals, d_x, ridge_eps)
     per_target = {}
     for j, name in enumerate(targets):
         try:
             per_target[name] = pearson_r(y[:, j], y_hat[:, j])
         except TooFewPairsError:
             per_target[name] = math.nan
-    return per_target, len(idx), a, b, moments[0], x_track.columns, targets
+    return per_target, len(idx), a, b, totals[0], x_track.columns, targets
 
 
 def _one_matrix(table, speech_order):
@@ -743,3 +743,28 @@ def test_a_session_peaks_under_twice_its_largest_cell_matrix(tmp_path):
     )
     assert largest > 2**20  # about 10,700 speaking frames of 12 + 8 columns
     assert peak < 2 * largest, f"peak {peak / 2**20:.2f} MiB, matrix {largest / 2**20:.2f} MiB"
+
+
+def test_an_in_sample_session_peaks_under_two_and_a_half_cell_matrices(tmp_path):
+    """Bound: under `protocol="in_sample"`, tracemalloc's peak over
+    `evaluate_session` on the 300 s session above is under 2.5 times its
+    largest cell's [x | y] matrix. A cell holds that matrix, its centred x and
+    y blocks (about one more matrix) and its predictions (n_selected * d_y, at
+    most 8/20 of the matrix for mfcc); the complete rows are not copied when
+    every row is complete. Copying them first peaked at 3.14 times the
+    matrix."""
+    evaluate_session(_aligned_session(tmp_path, 20.0), protocol="in_sample")
+    table = _aligned_session(tmp_path, 300.0)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        cells = evaluate_session(table, protocol="in_sample")
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    largest = max(
+        ev.n_frames * (len(ev.fit.feature_names) + len(ev.fit.target_names)) * 8
+        for ev in cells.values()
+    )
+    assert largest > 2**20
+    assert peak < 2.5 * largest, f"peak {peak / 2**20:.2f} MiB, matrix {largest / 2**20:.2f} MiB"

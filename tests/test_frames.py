@@ -634,3 +634,47 @@ class TestJsonCodec:
         with pytest.raises(ValidationError) as info:
             read_json_object(p)
         assert str(info.value).startswith(f"{p}{where}")
+
+
+def _moments_of_copied_rows(z, d_x=None):
+    """The rule `moments` replaced, kept here: copy the complete rows, then reduce."""
+    z = z[np.isfinite(z).all(axis=1)]
+    if len(z) == 0:
+        return 0, 0.0, 0.0
+    mu = z.mean(axis=0)
+    if d_x is None:
+        zc = z - mu
+        return len(z), mu, zc.T @ zc
+    xc, yc = z[:, :d_x] - mu[:d_x], z[:, d_x:] - mu[d_x:]
+    return len(z), mu, np.vstack([xc.T @ xc, yc.T @ xc])
+
+
+class TestMoments:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(1, 200),
+        d=st.integers(1, 9),
+        shift=st.integers(0, 7),
+        incomplete=st.sampled_from([0.0, 0.1, 0.5]),
+        direct=st.booleans(),
+    )
+    def test_row_slice_views_reduce_as_their_copied_rows(
+        self, seed, n, d, shift, incomplete, direct
+    ):
+        # `shift` float64s into a fresh buffer moves every row's start by
+        # 8-byte steps, so starts that are 8- but not 16-byte aligned occur
+        # (as in a fold of an odd-width [x | y] matrix)
+        rng = np.random.default_rng(seed)
+        buffer = np.empty(shift + n * d)
+        z = buffer[shift:].reshape(n, d)
+        z[...] = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4, size=d)
+        z[rng.random((n, d)) < incomplete / d] = np.nan
+        d_x = int(rng.integers(1, d)) if direct and d > 1 else None
+        for lo in range(n):
+            hi = int(rng.integers(lo, n + 1))
+            got = frames.moments(z[lo:hi], d_x)
+            expected = _moments_of_copied_rows(np.array(z[lo:hi]), d_x)
+            assert got[0] == expected[0]
+            for a, b in zip(got[1:], expected[1:]):
+                assert np.array_equal(a, b)

@@ -122,6 +122,11 @@ class TestRegionActiveness:
         with pytest.raises(UnknownMarkerInMapError):
             region_activeness(self.displacement_fixture(), {"bad": ("A", "ZZ")})
 
+    def test_a_marker_listed_twice_is_rejected(self):
+        # counted twice, A (1.0 mm) and B (3.0 mm) would read 1.667 mm, not 2.0
+        with pytest.raises(ValidationError, match="region 'pair' lists marker 'A' more than once"):
+            region_activeness(self.displacement_fixture(), {"pair": ("A", "B", "A")})
+
 
 class TestDefaultRegionMap:
     def test_required_regions_and_sizes(self):
@@ -148,6 +153,10 @@ class TestDefaultRegionMap:
         broken = dict(rmap.regions)
         broken["head"] = ()
         with pytest.raises(ValueError, match=r"region\(s\) \['head'\] have no markers"):
+            RegionMap(broken)
+        broken = dict(rmap.regions)
+        broken["mouth"] = broken["mouth"] + broken["mouth"][:1]
+        with pytest.raises(ValueError, match="region 'mouth' lists marker 'MOU1' more than once"):
             RegionMap(broken)
 
     def test_json_round_trip(self, tmp_path):

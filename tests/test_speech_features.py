@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -282,6 +284,40 @@ class TestPca:
             whole = fit_pca(self.make_track(np.vstack(parts[:count])), k=12)
             for name in ("mean", "components", "explained_variance_ratio"):
                 assert np.array_equal(getattr(pooled, name), getattr(whole, name))
+
+    def test_dropout_is_a_data_error(self):
+        data = np.random.default_rng(13).standard_normal((50, 4))
+        data[7, 2] = np.nan
+        with pytest.raises(DataError, match="dropout"):
+            fit_pca(self.make_track(data), k=2)
+
+    def test_a_view_fits_as_its_copy(self):
+        # one track is reduced in place: a row slice that starts 8 bytes past
+        # a 16-byte boundary fits bit for bit as a fresh copy of its rows
+        data = np.random.default_rng(14).standard_normal((301, 9)) @ np.diag(np.arange(1.0, 10.0))
+        view = data[1:]
+        assert view.ctypes.data % 16 == 8
+        viewed = fit_pca(self.make_track(view), k=5)
+        copied = fit_pca(self.make_track(view.copy()), k=5)
+        for name in ("mean", "components", "explained_variance_ratio"):
+            assert np.array_equal(getattr(viewed, name), getattr(copied, name))
+
+    def test_one_track_peaks_under_a_quarter_more_than_its_bytes(self):
+        """Bound: fitting one 300 s spectral track (36 columns at 120 Hz) takes
+        under 1.25 times the track's bytes above what was held: the centred
+        copy is the one array of the track's size. Stacking the track before
+        centring it peaked at about twice its bytes."""
+        rng = np.random.default_rng(15)
+        fit_pca(self.make_track(rng.standard_normal((500, 36))), k=12)  # lazy imports, once
+        track = self.make_track(rng.standard_normal((36000, 36)))
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            fit_pca(track, k=12)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * track.values.nbytes, f"peak {peak / 2**20:.2f} MiB"
 
     def test_json_round_trip(self, tmp_path):
         rng = np.random.default_rng(11)
