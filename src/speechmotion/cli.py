@@ -449,6 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="speechmotion",
         description="Speech-to-motion coupling analysis pipeline.",
+        allow_abbrev=False,  # one spelling per flag, as main's `--error-json` check reads it
     )
     parser.add_argument("--config", help="session config JSON")
     parser.add_argument("--out-dir", help="override the config's output directory")

@@ -248,7 +248,6 @@ class MappingEvaluation:
     """One cell's mapping quality, keyed by the cell in `evaluate_session`:
     Pearson r per target column, and the full fit."""
 
-    bin_dimension: str | None
     per_target: dict[str, float]
     n_frames: int
     fit: AffineMap
@@ -345,7 +344,6 @@ def evaluate_mapping(
         except TooFewPairsError:
             per_target[name] = math.nan
     return MappingEvaluation(
-        bin_dimension=affect_dimension,
         per_target=per_target,
         n_frames=len(idx),
         fit=AffineMap(a, b, x_track.columns, targets, totals[0], ridge_eps),

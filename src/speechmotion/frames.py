@@ -445,14 +445,15 @@ def grid_of(times: np.ndarray, rate_hz: float, path: str, line_of) -> FrameGrid:
     return grid
 
 
-def read_rated_table(path):
+def read_rated_table(path, rate_hz: float | None = None):
     """Read a rated table: its grid, its header, the values after `time_s` and
-    the function mapping a row index to its file line."""
+    the function mapping a row index to its file line. A table whose caller
+    gives its `rate_hz` has no rate comment."""
     path = str(path)
     with open(path, "r", encoding="utf-8") as fh:
-        rate = read_rate_comment(fh, path)
+        rate, first_line = (read_rate_comment(fh, path), 3) if rate_hz is None else (rate_hz, 2)
         header = read_header(fh, path)
-        data, line_of = read_table_rows(fh, path, first_line=3, n_cells=len(header))
+        data, line_of = read_table_rows(fh, path, first_line, n_cells=len(header))
     return grid_of(data[:, 0], rate, path, line_of), header, data[:, 1:], line_of
 
 

@@ -45,24 +45,6 @@ REGION_ORDER = (
     "hands",
 )
 
-_UPPER_FACE = (
-    "FH1", "FH2", "FH3",
-    "LBM0", "LBM1", "LBM2", "LBM3",
-    "RBM0", "RBM1", "RBM2", "RBM3",
-    "LBRO1", "LBRO2", "LBRO3", "LBRO4",
-    "RBRO1", "RBRO2", "RBRO3", "RBRO4",
-    "LLID", "RRID",
-)
-_MIDDLE_FACE = (
-    "LC2", "LC3", "LC4", "LC5", "LC6", "LC7", "LC8",
-    "RC2", "RC3", "RC4", "RC5", "RC6", "RC7", "RC8",
-    "MNOSE", "TNOSE", "LNSTRL", "RNSTRL",
-)
-_LOWER_FACE = (
-    "MOU1", "MOU2", "MOU3", "MOU4", "MOU5", "MOU6", "MOU7", "MOU8",
-    "CH1", "CH2", "CH3",
-    "LC1", "RC1",
-)
 _EYEBROWS = (
     "LBM0", "LBM1", "LBM2", "LBM3",
     "RBM0", "RBM1", "RBM2", "RBM3",
@@ -70,6 +52,13 @@ _EYEBROWS = (
     "RBRO1", "RBRO2", "RBRO3", "RBRO4",
 )
 _MOUTH = ("MOU1", "MOU2", "MOU3", "MOU4", "MOU5", "MOU6", "MOU7", "MOU8")
+_UPPER_FACE = ("FH1", "FH2", "FH3") + _EYEBROWS + ("LLID", "RRID")
+_MIDDLE_FACE = (
+    "LC2", "LC3", "LC4", "LC5", "LC6", "LC7", "LC8",
+    "RC2", "RC3", "RC4", "RC5", "RC6", "RC7", "RC8",
+    "MNOSE", "TNOSE", "LNSTRL", "RNSTRL",
+)
+_LOWER_FACE = _MOUTH + ("CH1", "CH2", "CH3", "LC1", "RC1")
 _HEAD = ("LHD", "RHD")
 _HANDS = ("RH1", "RH2", "RH3", "LH1", "LH2", "LH3")
 

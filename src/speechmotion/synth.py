@@ -43,10 +43,12 @@ class RegionCoupling:
 
     def __post_init__(self) -> None:
         w = adopt(self.weights)
-        if w.ndim != 1:
-            raise InconsistentSpecError("region weights must be a vector")
-        if self.noise_sigma < 0:
-            raise InconsistentSpecError("noise_sigma must be >= 0")
+        if w.ndim != 1 or not np.isfinite(w).all():
+            raise InconsistentSpecError("region weights must be a vector of finite numbers")
+        if not (_finite_number(self.noise_sigma) and self.noise_sigma >= 0):
+            raise InconsistentSpecError(
+                f"noise_sigma must be a finite number >= 0; got {self.noise_sigma!r}"
+            )
         if not _finite_number(self.offset):
             raise InconsistentSpecError(f"region offset must be a finite number; got {self.offset!r}")
         object.__setattr__(self, "weights", w)
@@ -80,8 +82,8 @@ class SynthSpec:
     def __post_init__(self) -> None:
         if type(self.seed) is not int or self.seed < 0:
             raise InconsistentSpecError(f"seed must be an integer >= 0; got {self.seed!r}")
-        for name in ("duration_s", "rate_hz", "emotion_rate_hz", "smoothing_s", "target_turn_s",
-                     "partner_turn_s"):
+        for name in ("duration_s", "rate_hz", "emotion_rate_hz", "emotion_segment_s", "smoothing_s",
+                     "target_turn_s", "partner_turn_s"):
             value = getattr(self, name)
             if not (_finite_number(value) and value > 0):
                 raise InconsistentSpecError(f"{name} must be a positive finite number; got {value!r}")
@@ -101,6 +103,10 @@ class SynthSpec:
                 raise InconsistentSpecError(
                     f"duration_s {self.duration_s!r} gives no frame at {rate} {getattr(self, rate)!r}"
                 )
+        for name in ("target_speaker", "partner_speaker"):
+            value = getattr(self, name)
+            if type(value) is not str or not value:
+                raise InconsistentSpecError(f"{name} must be a non-empty string; got {value!r}")
         if self.target_speaker == self.partner_speaker:
             raise InconsistentSpecError(
                 f"target_speaker and partner_speaker must differ; both are {self.target_speaker!r}"

@@ -1,8 +1,9 @@
 """Resampling onto the common session grid and binary speaking/overlap labels.
 
-The session rate defaults to 60.24 Hz. Feature streams at the 120 Hz native
-rate are first halved by keeping every other frame, then linearly resampled
-the rest of the way so every block shares one exact grid. Interval labels use
+The session rate defaults to 60.24 Hz. A speech stream at the 120 Hz native
+rate is first halved by keeping every other frame, then linearly resampled
+the rest of the way; emotion and activeness are interpolated from their own
+rates, so every block shares one exact grid. Interval labels use
 the half-open convention [start, end): a frame exactly at an interval's end
 is outside it.
 """
@@ -29,12 +30,10 @@ from .frames import (
     FrameGrid,
     check_fields,
     concat_columns,
-    grid_of,
     grid_over_span,
     read_feature_csv,
-    read_header,
     read_json_object,
-    read_table_rows,
+    read_rated_table,
     row_blocks,
     write_json,
     write_table,
@@ -303,9 +302,9 @@ def read_session_csv(csv_path, meta_path) -> SessionTable:
     column name within a block, has an emotion block without EMOTION_COLUMNS
     or has an unknown key raises :class:`ValidationError`. A CSV whose header
     or row count does not match it, whose `time_s` column is not the sidecar's
-    grid (checked by :func:`grid_of` from the sidecar's `start_s`), or with a
-    label cell other than 0 or 1 raises a :class:`ValidationError` naming
-    ``path:line`` where it has one.
+    grid (read by :func:`read_rated_table` at the sidecar's rate, then held
+    to its `start_s`), or with a label cell other than 0 or 1 raises a
+    :class:`ValidationError` naming ``path:line`` where it has one.
     """
     meta = read_json_object(meta_path)
     try:
@@ -315,30 +314,26 @@ def read_session_csv(csv_path, meta_path) -> SessionTable:
     columns = {name: tuple(info["columns"]) for name, info in meta["blocks"].items()}
     expected = ["time_s"] + [f"{name}.{c}" for name, cols in columns.items() for c in cols]
     path = str(csv_path)
-    with open(path, "r", encoding="utf-8") as fh:
-        if read_header(fh, path) != expected:
-            raise MalformedRowError(
-                f"{path}: header does not match the block columns in {meta_path}"
-            )
-        data, line_of = read_table_rows(fh, path, first_line=2, n_cells=len(expected))
-    if data.shape[0] != meta["n_frames"]:
+    grid, header, data, line_of = read_rated_table(path, meta["rate_hz"])
+    if header != expected:
+        raise MalformedRowError(f"{path}: header does not match the block columns in {meta_path}")
+    if grid.n_frames != meta["n_frames"]:
         raise MalformedRowError(
-            f"{path}: {data.shape[0]} data rows, but {meta_path} gives "
+            f"{path}: {grid.n_frames} data rows, but {meta_path} gives "
             f"n_frames={meta['n_frames']}"
         )
-    grid = grid_of(data[:, 0], meta["rate_hz"], path, line_of)
     if grid.start_s != meta["start_s"]:
         raise OffGridTimeError(
             f"{path}:{line_of(0)}: time_s {grid.start_s!r} is not the start_s "
             f"{meta['start_s']!r} that {meta_path} gives"
         )
-    not_binary = _not_binary(data[:, [expected.index(f"labels.{c}") for c in LABEL_COLUMNS]])
+    not_binary = _not_binary(data[:, [header.index(f"labels.{c}") - 1 for c in LABEL_COLUMNS]])
     if not_binary.any():
         raise MalformedRowError(
             f"{path}:{line_of(int(np.argmax(not_binary)))}: label cells must be 0 or 1"
         )
     blocks: dict[str, FeatureTrack] = {}
-    col = 1
+    col = 0
     for name, cols in columns.items():
         blocks[name] = FeatureTrack(grid, cols, data[:, col:col + len(cols)])
         col += len(cols)

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import json
+import math
 import os
 import shutil
 import struct
@@ -593,6 +594,20 @@ class TestErrors:
         payload = json.loads(line)
         assert payload["error"] == "ValidationError" and payload["message"].startswith(message)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--error", "bogus"], ["--error", "--config", "/nonexistent.json", "align"]],
+        ids=["unknown_command", "missing_config"],
+    )
+    def test_an_abbreviated_flag_is_not_a_flag(self, capsys, argv):
+        # every flag has one spelling, so `--error` never stands for `--error-json`
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        err = capsys.readouterr().err
+        assert info.value.code == 2
+        assert err.startswith("usage: speechmotion") and "speechmotion: error: " in err
+        assert not any(line.startswith("{") for line in err.splitlines())
+
     def test_unknown_profile_is_validation_error(self, tmp_path, capsys):
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"profile": "nope", "sessions": []}))
@@ -918,13 +933,23 @@ class TestSynthCommand:
             ("seed", 1.5, "seed must be an integer >= 0; got 1.5"),
             ("seed", True, "seed must be an integer >= 0; got True"),
             ("target_speaker", "M", "target_speaker and partner_speaker must differ; both are 'M'"),
+            ("noise_sigma", math.nan, "noise_sigma must be a finite number >= 0; got nan"),
+            ("noise_sigma", math.inf, "noise_sigma must be a finite number >= 0; got inf"),
+            ("weights", [math.nan, 2.0], "region weights must be a vector of finite numbers"),
+            ("emotion_segment_s", math.nan, "emotion_segment_s must be a positive finite number; got nan"),
+            ("emotion_segment_s", math.inf, "emotion_segment_s must be a positive finite number; got inf"),
+            ("emotion_segment_s", 0, "emotion_segment_s must be a positive finite number; got 0"),
+            ("emotion_segment_s", -3, "emotion_segment_s must be a positive finite number; got -3"),
+            ("target_speaker", 5, "target_speaker must be a non-empty string; got 5"),
+            ("partner_speaker", "", "partner_speaker must be a non-empty string; got ''"),
         ],
     )
     def test_bad_spec_field_exits_2(self, tmp_path, capsys, field, value, message):
         region = {"weights": [1.0, 2.0], "offset": 0.0}
         spec = {"seed": 5, "duration_s": 5.0, "feature_dim": 2, "feature_names": ["x0", "x1"],
                 "regions": {"r": region}}
-        (region if field in ("noise_sigmaa", "weights", "offset") else spec)[field] = value
+        region_keys = ("noise_sigmaa", "noise_sigma", "weights", "offset")
+        (region if field in region_keys else spec)[field] = value
         p = tmp_path / "spec.json"
         p.write_text(json.dumps(spec))
         out = tmp_path / "session"
@@ -1088,7 +1113,7 @@ class TestTableErrors:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["activeness", "map"])
-    @pytest.mark.parametrize("damage", ["second_half_reversed", "start_s_moved"])
+    @pytest.mark.parametrize("damage", ["second_half_reversed", "middle_rows_cut", "start_s_moved"])
     def test_aligned_time_column_off_the_sidecar_grid_names_its_line(
         self, cli_workspace, tmp_path, capsys, command, damage
     ):
@@ -1101,6 +1126,12 @@ class TestTableErrors:
             lines[half:] = lines[half:][::-1]
             csv_path.write_text("".join(lines))
             line = half + 2  # file line half + 1 now holds the last time
+        elif damage == "middle_rows_cut":
+            lines = csv_path.read_text().splitlines(keepends=True)
+            half = len(lines) // 2
+            del lines[half:half + 5]
+            csv_path.write_text("".join(lines))
+            line = half + 1  # the first row past the cut, five frames late
         else:
             meta_path = out / "s101" / "aligned.meta.json"
             meta = json.loads(meta_path.read_text())

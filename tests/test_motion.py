@@ -140,6 +140,34 @@ class TestDefaultRegionMap:
         assert rmap["head"] == ("LHD", "RHD")
         assert len(rmap["hands"]) == 6
 
+    def test_every_region_lists_its_markers_in_order(self):
+        # the order is the summation order of each region's mean displacement
+        upper = (
+            "FH1", "FH2", "FH3",
+            "LBM0", "LBM1", "LBM2", "LBM3", "RBM0", "RBM1", "RBM2", "RBM3",
+            "LBRO1", "LBRO2", "LBRO3", "LBRO4", "RBRO1", "RBRO2", "RBRO3", "RBRO4",
+            "LLID", "RRID",
+        )
+        middle = (
+            "LC2", "LC3", "LC4", "LC5", "LC6", "LC7", "LC8",
+            "RC2", "RC3", "RC4", "RC5", "RC6", "RC7", "RC8",
+            "MNOSE", "TNOSE", "LNSTRL", "RNSTRL",
+        )
+        lower = (
+            "MOU1", "MOU2", "MOU3", "MOU4", "MOU5", "MOU6", "MOU7", "MOU8",
+            "CH1", "CH2", "CH3", "LC1", "RC1",
+        )
+        assert list(default_region_map().regions.items()) == [
+            ("head", ("LHD", "RHD")),
+            ("eyebrows", upper[3:19]),
+            ("mouth", lower[:8]),
+            ("upper_face", upper),
+            ("middle_face", middle),
+            ("lower_face", lower),
+            ("total_face", upper + middle + lower),
+            ("hands", ("RH1", "RH2", "RH3", "LH1", "LH2", "LH3")),
+        ]
+
     def test_structural_invariants_enforced(self):
         rmap = default_region_map()
         broken = dict(rmap.regions)
