@@ -21,7 +21,6 @@ from .ingest import (
     trim_head,
 )
 from .motion import (
-    MarkerTrack,
     RegionMap,
     condition_summaries,
     default_region_map,
@@ -54,7 +53,6 @@ __all__ = [
     "AudioClip",
     "FeatureTrack",
     "FrameGrid",
-    "MarkerTrack",
     "PcaModel",
     "RegionMap",
     "RmDesign",

@@ -80,10 +80,10 @@ CONFIG_FIELDS = {
 }
 SESSION_FIELDS = {
     **dict.fromkeys(
-        ("id", "audio", "speech_features", "markers", "transcript", "emotion", "region_map",
-         "speaker"),
+        ("id", "audio", "speech_features", "markers", "transcript", "emotion", "region_map"),
         TEXT,
     ),
+    "speaker": (ingest.is_speaker, ingest.SPEAKER_WORDING),
     "channel": _one_of((ingest.CHANNEL_LEFT, ingest.CHANNEL_RIGHT)),
     "session_index": (lambda v: type(v) is int and v in IEMOCAP_CHANNELS, "an integer 1 to 5"),
 }
@@ -378,9 +378,9 @@ def cmd_synth(spec_path: str, out_dir: str, seed_override: int | None = None) ->
             )
         else:
             spec = synth.default_spec(**doc)
+        synth.write_session_dir(spec, out_dir, emit_tone_wav=emit_tone)
     except (TypeError, ValueError, ValidationError) as exc:
         raise ValidationError(f"{p}: bad synthesis spec: {exc}") from exc
-    synth.write_session_dir(spec, out_dir, emit_tone_wav=emit_tone)
     print(f"synth: wrote session to {out_dir}")
 
 

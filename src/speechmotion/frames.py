@@ -230,8 +230,12 @@ def write_table(
     joined one block of rows at a time, never as a whole table. Each row's
     bytes equal ``",".join(map(format_value, row))``. With `memo`, the same
     blocks also go to ``<path>.memo``, whose count and checksum go in last.
+    A column name holding a comma or a line break, which no reader could
+    split back out, raises :class:`ValidationError` before the file is opened.
     """
     path = str(path)
+    if bad := [name for name in header if any(c in name for c in ",\r\n")]:
+        raise ValidationError(f"{path}: column name {bad[0]!r} holds a comma or a line break")
     blocks = _table_blocks(header, times, values, rate_hz)
     with open(path, "wb") as fh:
         if not memo:

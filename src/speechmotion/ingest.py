@@ -36,9 +36,8 @@ from .frames import (
     read_rate_comment,
     read_rated_table,
     write_records,
-    write_table,
 )
-from .motion import CATEGORY_NAMES, DEFAULT_MAX_ABS_MM, MarkerTrack, max_abs_mm
+from .motion import CATEGORY_NAMES, DEFAULT_MAX_ABS_MM, marker_names, max_abs_mm
 
 CHANNEL_LEFT = "left"
 CHANNEL_RIGHT = "right"
@@ -331,6 +330,15 @@ class SpeechIntervals:
         return tuple(e for e in self.entries if e.speaker == speaker)
 
 
+SPEAKER_WORDING = "a non-empty string with no whitespace and no '#'"
+
+
+def is_speaker(value) -> bool:
+    """Whether a transcript line can hold `value` as its speaker: the format
+    splits on whitespace and drops what follows `#` (see SPEAKER_WORDING)."""
+    return type(value) is str and value.split() == [value] and "#" not in value
+
+
 def load_transcript_intervals(path) -> SpeechIntervals:
     """Parse whitespace-separated `start_s end_s speaker_id` lines.
 
@@ -432,51 +440,25 @@ def write_emotion_csv(track: FeatureTrack, path) -> None:
     write_records(path, EMOTION_HEADER, rows, rate_hz=track.grid.rate_hz)
 
 
-def _marker_names_from_header(header: list[str], path: str) -> list[str]:
-    coords = header[1:]
-    if len(coords) % 3 != 0:
-        raise InconsistentMarkerSetError(
-            f"{path}: coordinate columns must come in _x,_y,_z triples"
-        )
-    names = []
-    for k in range(0, len(coords), 3):
-        triple = coords[k:k + 3]
-        suffixes = [c.rsplit("_", 1)[-1] for c in triple]
-        bases = {c.rsplit("_", 1)[0] for c in triple}
-        if suffixes != ["x", "y", "z"] or len(bases) != 1:
-            raise InconsistentMarkerSetError(
-                f"{path}: expected <marker>_x,<marker>_y,<marker>_z, got {triple}"
-            )
-        names.append(triple[0].rsplit("_", 1)[0])
-    if len(set(names)) != len(names):
-        raise InconsistentMarkerSetError(f"{path}: duplicate marker names")
-    return names
-
-
-def load_markers(path) -> MarkerTrack:
-    """Load a marker-trajectory CSV; empty cells become NaN dropouts.
+def load_markers(path) -> FeatureTrack:
+    """Load a marker-trajectory CSV: a `# rate_hz=` comment, then `time_s` and
+    one ``<marker>_x,<marker>_y,<marker>_z`` column triple per marker (see
+    :func:`motion.marker_names`), positions in mm. The track's columns are the
+    header's; empty cells become NaN dropouts.
 
     A coordinate beyond DEFAULT_MAX_ABS_MM raises :class:`ValueOutOfRangeError`
     naming ``path:line``.
     """
     path = str(path)
     grid, header, values, line_of = read_rated_table(path)
-    names = _marker_names_from_header(header, path)
+    try:
+        marker_names(header[1:])
+    except InconsistentMarkerSetError as exc:
+        raise InconsistentMarkerSetError(f"{path}: {exc}") from None
     if max_abs_mm(values) > DEFAULT_MAX_ABS_MM:
         row, col = np.argwhere(np.abs(values) > DEFAULT_MAX_ABS_MM)[0]
         raise ValueOutOfRangeError(
             f"{path}:{line_of(int(row))}: {header[col + 1]} {float(values[row, col])!r} "
             f"mm exceeds the plausibility bound {DEFAULT_MAX_ABS_MM} mm"
         )
-    return MarkerTrack(grid, tuple(names), values.reshape(grid.n_frames, len(names), 3))
-
-
-def write_marker_csv(markers: MarkerTrack, path) -> None:
-    """Write a marker track in the CSV format accepted by :func:`load_markers`."""
-    header = ["time_s"]
-    for m in markers.markers:
-        header.extend((f"{m}_x", f"{m}_y", f"{m}_z"))
-    write_table(
-        path, header, markers.grid.timestamps(),
-        markers.positions.reshape(markers.n_frames, -1), rate_hz=markers.grid.rate_hz,
-    )
+    return FeatureTrack(grid, tuple(header[1:]), values)

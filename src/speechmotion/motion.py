@@ -13,9 +13,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import MalformedRowError, TooFewFramesError, UnknownMarkerInMapError, ValidationError
+from .errors import (
+    InconsistentMarkerSetError, MalformedRowError, TooFewFramesError, UnknownMarkerInMapError,
+    ValidationError,
+)
 from .frames import (
-    FeatureTrack, FrameGrid, adopt, flag, iter_records, number, read_json_object, row_blocks,
+    FeatureTrack, FrameGrid, flag, iter_records, number, read_json_object, row_blocks,
     write_json, write_records,
 )
 
@@ -75,34 +78,25 @@ def max_abs_mm(values: np.ndarray) -> float:
     return 0.0 if math.isnan(magnitude) else float(magnitude)
 
 
-@dataclass(frozen=True)
-class MarkerTrack:
-    """3D marker trajectories in millimeters; NaN coordinates mark dropouts."""
-
-    grid: FrameGrid
-    markers: tuple[str, ...]
-    positions: np.ndarray
-
-    def __post_init__(self) -> None:
-        markers = tuple(self.markers)
-        object.__setattr__(self, "markers", markers)
-        if len(set(markers)) != len(markers):
-            raise ValueError(f"duplicate marker names: {markers}")
-        pos = adopt(self.positions)
-        expected = (self.grid.n_frames, len(markers), 3)
-        if pos.shape != expected:
-            raise ValueError(f"positions shape {pos.shape}, expected {expected}")
-        magnitude = max_abs_mm(pos)
-        if magnitude > DEFAULT_MAX_ABS_MM:
-            raise ValueError(
-                f"coordinate magnitude {magnitude:.1f} mm exceeds "
-                f"plausibility bound {DEFAULT_MAX_ABS_MM} mm"
+def marker_names(columns) -> tuple[str, ...]:
+    """The marker names of a marker table's coordinate columns, which must be
+    ``<marker>_x,<marker>_y,<marker>_z`` triples of distinct markers;
+    anything else raises :class:`InconsistentMarkerSetError`."""
+    if len(columns) % 3 != 0:
+        raise InconsistentMarkerSetError("coordinate columns must come in _x,_y,_z triples")
+    names = []
+    for k in range(0, len(columns), 3):
+        triple = list(columns[k:k + 3])
+        suffixes = [c.rsplit("_", 1)[-1] for c in triple]
+        bases = {c.rsplit("_", 1)[0] for c in triple}
+        if suffixes != ["x", "y", "z"] or len(bases) != 1:
+            raise InconsistentMarkerSetError(
+                f"expected <marker>_x,<marker>_y,<marker>_z, got {triple}"
             )
-        object.__setattr__(self, "positions", pos)
-
-    @property
-    def n_frames(self) -> int:
-        return self.grid.n_frames
+        names.append(triple[0].rsplit("_", 1)[0])
+    if len(set(names)) != len(names):
+        raise InconsistentMarkerSetError("duplicate marker names")
+    return tuple(names)
 
 
 def _repeat_in(regions: dict[str, tuple[str, ...]]) -> str | None:
@@ -155,7 +149,11 @@ class RegionMap:
 
     @classmethod
     def from_json(cls, path) -> "RegionMap":
-        return cls({k: tuple(v) for k, v in read_json_object(path).items()})
+        regions = read_json_object(path)
+        for region, markers in regions.items():
+            if type(markers) is not list or not all(type(m) is str for m in markers):
+                raise ValueError(f"region {region!r} must list marker names; got {markers!r}")
+        return cls(regions)
 
 
 def default_region_map() -> RegionMap:
@@ -174,28 +172,32 @@ def default_region_map() -> RegionMap:
     )
 
 
-def displacement_magnitudes(markers: MarkerTrack) -> FeatureTrack:
+def displacement_magnitudes(markers: FeatureTrack) -> FeatureTrack:
     """Framewise 3D displacement magnitude per marker, mm per native frame.
 
-    Frame 0 is defined as 0 so the output shares the marker grid. A dropout
-    at frame k makes both difference endpoints unusable, so frames k and k+1
-    are dropouts in the output. The output is filled ROW_BLOCK frames at a
-    time (see frames.row_blocks), so the differences and their squares are
-    (ROW_BLOCK, markers, 3) temporaries however long the track is; each
-    value is computed as a whole-track pass computes it.
+    `markers` holds positions in mm, one ``<marker>_x,<marker>_y,<marker>_z``
+    column triple per marker (see :func:`marker_names`); the output has one
+    column per marker, named after it. Frame 0 is defined as 0 so the output
+    shares the marker grid. A dropout at frame k makes both difference
+    endpoints unusable, so frames k and k+1 are dropouts in the output. The
+    output is filled ROW_BLOCK frames at a time (see frames.row_blocks), so
+    the differences and their squares are (ROW_BLOCK, markers, 3) temporaries
+    however long the track is; each value is computed as a whole-track pass
+    computes it.
     """
+    names = marker_names(markers.columns)
     if markers.n_frames < 2:
         raise TooFewFramesError(
             f"need >= 2 frames to difference, got {markers.n_frames}"
         )
-    pos = markers.positions
-    values = np.empty((markers.n_frames, len(markers.markers)))
+    pos = markers.values.reshape(markers.n_frames, len(names), 3)
+    values = np.empty((markers.n_frames, len(names)))
     values[0] = np.where(np.isfinite(pos[0]).all(axis=1), 0.0, np.nan)
     for lo, hi in row_blocks(1, markers.n_frames, ROW_BLOCK):
         diffs = pos[lo:hi] - pos[lo - 1:hi - 1]
         diffs *= diffs
         np.sqrt(np.sum(diffs, axis=2), out=values[lo:hi])
-    return FeatureTrack(markers.grid, markers.markers, values)
+    return FeatureTrack(markers.grid, names, values)
 
 
 def region_activeness(

@@ -23,8 +23,9 @@ import numpy as np
 
 from .errors import InconsistentSpecError, ZeroSignalVarianceError
 from .frames import FeatureTrack, FrameGrid, adopt, write_json
-from .ingest import AudioClip, EMOTION_COLUMNS, Interval, SpeechIntervals
-from .motion import CATEGORY_NAMES, MarkerTrack, RegionMap
+from .ingest import EMOTION_COLUMNS, SPEAKER_WORDING, AudioClip, Interval, SpeechIntervals
+from .ingest import is_speaker
+from .motion import CATEGORY_NAMES, DEFAULT_MAX_ABS_MM, RegionMap, max_abs_mm
 from .speech_features import SPEECH_FEATURE_COLUMNS
 
 
@@ -107,6 +108,8 @@ class SynthSpec:
             value = getattr(self, name)
             if type(value) is not str or not value:
                 raise InconsistentSpecError(f"{name} must be a non-empty string; got {value!r}")
+            if not is_speaker(value):
+                raise InconsistentSpecError(f"{name} must be {SPEAKER_WORDING}; got {value!r}")
         if self.target_speaker == self.partner_speaker:
             raise InconsistentSpecError(
                 f"target_speaker and partner_speaker must differ; both are {self.target_speaker!r}"
@@ -201,7 +204,7 @@ class SynthSession:
     """Generated session streams plus the bookkeeping needed to verify them."""
 
     speech: FeatureTrack
-    markers: MarkerTrack
+    markers: FeatureTrack  # <marker>_x,<marker>_y,<marker>_z columns, in mm
     intervals: SpeechIntervals
     emotion: FeatureTrack
     region_map: dict[str, tuple[str, ...]]
@@ -305,10 +308,17 @@ def generate_coupled_session(spec: SynthSpec) -> SynthSession:
             steps = direction * targets[:, j][:, None]
             positions[1:, col] = np.cumsum(steps, axis=0)
             col += 1
+    reach = max_abs_mm(positions)
+    if reach > DEFAULT_MAX_ABS_MM:
+        raise InconsistentSpecError(
+            f"markers reach {reach:.1f} mm, past the plausibility bound "
+            f"{DEFAULT_MAX_ABS_MM} mm; lower signal_scale or duration_s"
+        )
     marker_grid = FrameGrid(
         rate_hz=spec.rate_hz, start_s=-1.0 / spec.rate_hz, n_frames=n + 1
     )
-    markers = MarkerTrack(marker_grid, marker_names, positions)
+    columns = tuple(f"{m}_{axis}" for m in marker_names for axis in "xyz")
+    markers = FeatureTrack(marker_grid, columns, positions.reshape(n + 1, -1))
 
     emotion = _emotion_script(rng_emotion, spec)
     return SynthSession(
@@ -374,14 +384,14 @@ def write_session_dir(spec: SynthSpec, out_dir, emit_tone_wav: bool = False) -> 
     from pathlib import Path
 
     from .frames import write_feature_csv
-    from .ingest import write_emotion_csv, write_marker_csv, write_transcript_intervals, write_wav
+    from .ingest import write_emotion_csv, write_transcript_intervals, write_wav
 
+    session = generate_coupled_session(spec)  # a spec it rejects leaves no directory
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    session = generate_coupled_session(spec)
 
     write_feature_csv(session.speech, out / "speech_features.csv")
-    write_marker_csv(session.markers, out / "markers.csv")
+    write_feature_csv(session.markers, out / "markers.csv")
     write_transcript_intervals(session.intervals, out / "transcript.txt")
     write_emotion_csv(session.emotion, out / "emotion.csv")
     synth_region_map(spec).to_json(out / "region_map.json")

@@ -16,7 +16,6 @@ from speechmotion import frames, ingest, motion, timeline
 from speechmotion import speech_features as sf
 from speechmotion.frames import FeatureTrack, FrameGrid
 from speechmotion.ingest import AudioClip
-from speechmotion.motion import MarkerTrack
 
 
 def fm_clip(duration_s: float, sr: int, seed: int = 0) -> AudioClip:
@@ -86,19 +85,19 @@ def test_front_end_peak_memory_does_not_grow_with_clip_length():
     assert growth <= extra_rows * per_frame + allowance, (growth, extra_rows)
 
 
-def marker_track(duration_s: float, n_markers: int = 24, seed: int = 0) -> MarkerTrack:
+def marker_track(duration_s: float, n_markers: int = 24, seed: int = 0) -> FeatureTrack:
     """Random-walk markers at 120 Hz with 1 % dropouts."""
     rng = np.random.default_rng(seed)
     n = int(duration_s * 120)
     pos = np.cumsum(rng.standard_normal((n, n_markers, 3)), axis=0)
     pos[rng.random((n, n_markers)) < 0.01] = np.nan
-    names = tuple(f"M{i}" for i in range(n_markers))
-    return MarkerTrack(FrameGrid(120.0, 0.0, n), names, pos)
+    columns = tuple(f"M{i}_{axis}" for i in range(n_markers) for axis in "xyz")
+    return FeatureTrack(FrameGrid(120.0, 0.0, n), columns, pos.reshape(n, 3 * n_markers))
 
 
 def test_marker_kinematics_peak_memory_does_not_grow_with_track_length():
     short, long = marker_track(30.0), marker_track(120.0)
-    names = short.markers
+    names = motion.marker_names(short.columns)
     regions = {"a": names[:8], "b": names[8:], "c": names}
 
     def peak(markers):

@@ -752,6 +752,9 @@ class TestErrors:
             ("sessions", [5], "align"),
             ("params", 7, "align"),
             ("id", 5, "align"),
+            # a speaker the transcript format cannot hold matches no line
+            ("speaker", "A B", "align"),
+            ("speaker", "F#1", "align"),
         ],
     )
     def test_bad_param_value_exits_2_and_writes_nothing(
@@ -761,9 +764,12 @@ class TestErrors:
         shutil.copytree(cli_workspace["out"], out)
         before = hash_tree(out)
         doc = {"params": {"trim_head_s": 0.0}, "sessions": absolute_sessions(cli_workspace)}
-        # a params key unless it names a top-level key or the first session's id
-        target = {"sessions": doc, "params": doc, "id": doc["sessions"][0]}.get(key, doc["params"])
-        where = {"sessions": "'sessions'", "params": "'params'", "id": "sessions[0].id"}
+        # a params key unless it names a top-level key or a key of the first session
+        session_keys = ("id", "speaker")
+        target = {"sessions": doc, "params": doc, **dict.fromkeys(session_keys, doc["sessions"][0])}
+        target = target.get(key, doc["params"])
+        where = {"sessions": "'sessions'", "params": "'params'",
+                 **{k: f"sessions[0].{k}" for k in session_keys}}
         target[key] = value
         p = tmp_path / "c.json"
         p.write_text(json.dumps(doc))
@@ -835,6 +841,42 @@ class TestErrors:
         assert rc == 2
         assert f"{bad}: region(s) ['region_2'] have no markers" in err
         assert "Traceback" not in err
+
+    def test_region_given_as_a_string_names_the_region_map(self, cli_workspace, tmp_path, capsys):
+        sessions = absolute_sessions(cli_workspace)[:1]
+        regions = json.loads(Path(sessions[0]["region_map"]).read_text())
+        regions["head"] = "LHD"
+        bad = tmp_path / "region_map.json"
+        bad.write_text(json.dumps(regions))
+        sessions[0]["region_map"] = str(bad)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"sessions": sessions}))
+        rc = cli.main([f"--config={p}", f"--out-dir={tmp_path / 'o'}", "align"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{bad}: region 'head' must list marker names; got 'LHD'" in err
+        assert "Traceback" not in err
+
+    def test_region_name_holding_a_comma_exits_2_and_writes_no_table(
+        self, cli_workspace, tmp_path, capsys
+    ):
+        sessions = absolute_sessions(cli_workspace)[:1]
+        regions = json.loads(Path(sessions[0]["region_map"]).read_text())
+        last = [r for r in regions if r not in motion.REGION_ORDER][-1]
+        regions["x,y"] = regions.pop(last)
+        bad = tmp_path / "region_map.json"
+        bad.write_text(json.dumps(regions))
+        sessions[0]["region_map"] = str(bad)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"sessions": sessions}))
+        out = tmp_path / "o"
+        rc = cli.main([f"--config={p}", f"--out-dir={out}", "align"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        table = out / sessions[0]["id"] / "activeness.csv"
+        assert f"{table}: column name 'x,y' holds a comma or a line break" in err
+        assert "Traceback" not in err
+        assert not table.exists() and not table.with_name("aligned.csv").exists()
 
     @pytest.mark.parametrize("damage", ["inverted", "overlap"])
     def test_bad_transcript_interval_names_its_line(self, cli_workspace, tmp_path, capsys, damage):
@@ -942,6 +984,11 @@ class TestSynthCommand:
             ("emotion_segment_s", -3, "emotion_segment_s must be a positive finite number; got -3"),
             ("target_speaker", 5, "target_speaker must be a non-empty string; got 5"),
             ("partner_speaker", "", "partner_speaker must be a non-empty string; got ''"),
+            # the transcript format splits on whitespace and drops what follows '#'
+            ("target_speaker", "A B", "target_speaker must be a non-empty string with no "
+             "whitespace and no '#'; got 'A B'"),
+            ("partner_speaker", "F#1", "partner_speaker must be a non-empty string with no "
+             "whitespace and no '#'; got 'F#1'"),
         ],
     )
     def test_bad_spec_field_exits_2(self, tmp_path, capsys, field, value, message):
@@ -980,6 +1027,19 @@ class TestSynthCommand:
         assert f"{p}: " in proc.stderr
         assert f"{tiny[0]} 1e-06 is shorter than one frame (1 / rate_hz = " in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_markers_past_the_plausibility_bound_exit_2_and_write_nothing(self, tmp_path, capsys):
+        # random-walk markers at 20x the default step reach ~14 m in a minute
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps({"seed": 0, "duration_s": 60.0, "signal_scale": 20.0}))
+        out = tmp_path / "session"
+        rc = cli.main([f"--out-dir={out}", "synth", str(p)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{p}: bad synthesis spec: markers reach " in err
+        assert "past the plausibility bound 2000.0 mm; lower signal_scale or duration_s" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_a_negative_gap_is_refused_at_construction(self):

@@ -44,7 +44,6 @@ from speechmotion.frames import (
     write_table,
 )
 from speechmotion.ingest import AudioClip
-from speechmotion.motion import MarkerTrack
 
 
 class TestFrameGrid:
@@ -82,6 +81,14 @@ class TestFeatureTrack:
         with pytest.raises(ValueError):
             FeatureTrack(FrameGrid(10.0, 0.0, 1), ("a",), np.array([[np.inf]]))
 
+    @pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb"])
+    def test_a_column_name_no_reader_can_split_is_refused_before_writing(self, tmp_path, name):
+        track = FeatureTrack(FrameGrid(10.0, 0.0, 2), ("ok", name), np.zeros((2, 2)))
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: column name {name!r}")):
+            frames.write_feature_csv(track, path)
+        assert not path.exists()
+
     def test_values_read_only(self):
         track = FeatureTrack(FrameGrid(10.0, 0.0, 2), ("a",), np.zeros(2))
         with pytest.raises(ValueError):
@@ -89,9 +96,8 @@ class TestFeatureTrack:
 
     @pytest.mark.parametrize("make, shape", [
         (lambda v: FeatureTrack(FrameGrid(10.0, 0.0, 4), ("a", "b"), v).values, (4, 2)),
-        (lambda v: MarkerTrack(FrameGrid(10.0, 0.0, 4), ("m",), v).positions, (4, 1, 3)),
         (lambda v: AudioClip(v, 16000).stored, (4, 2)),
-    ], ids=["FeatureTrack", "MarkerTrack", "AudioClip"])
+    ], ids=["FeatureTrack", "AudioClip"])
     def test_value_adopts_and_freezes_its_array(self, make, shape):
         """A float64 array is held as it is, strides and all, and frozen;
         a list or an integer array is converted to a new float64 array."""

@@ -31,7 +31,6 @@ from speechmotion.ingest import (
     load_wav,
     select_channel,
     trim_head,
-    write_marker_csv,
     write_wav,
 )
 
@@ -296,16 +295,16 @@ class TestLoadMarkers:
         p = tmp_path / "m.csv"
         p.write_text(MARKER_CSV)
         track = load_markers(p)
-        assert track.markers == ("M1",)
+        assert track.columns == ("M1_x", "M1_y", "M1_z")
         assert track.n_frames == 2
-        assert track.positions[1, 0, 0] == 1.5
+        assert track.values[1, 0] == 1.5
 
     def test_blank_cell_is_dropout(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text(MARKER_CSV.replace("1.5,2.0", ",2.0"))
         track = load_markers(p)
-        assert math.isnan(track.positions[1, 0, 0])
-        assert track.positions[1, 0, 1] == 2.0
+        assert math.isnan(track.values[1, 0])
+        assert track.values[1, 1] == 2.0
 
     def test_row_count_oracle(self, tmp_path):
         # 120 rows at 120 Hz span 1.0 s within one frame period
@@ -336,19 +335,19 @@ class TestLoadMarkers:
 
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(7)
-        pos = rng.uniform(-100, 100, (40, 3, 3))
+        pos = rng.uniform(-100, 100, (40, 9))
         pos[rng.uniform(size=pos.shape) < 0.1] = np.nan
-        from speechmotion.frames import FrameGrid
-        from speechmotion.motion import MarkerTrack
+        from speechmotion.frames import FeatureTrack, FrameGrid, write_feature_csv
 
-        track = MarkerTrack(FrameGrid(120.0, 0.0, 40), ("A", "B", "C"), pos)
-        write_marker_csv(track, tmp_path / "rt.csv")
+        columns = tuple(f"{m}_{axis}" for m in "ABC" for axis in "xyz")
+        track = FeatureTrack(FrameGrid(120.0, 0.0, 40), columns, pos)
+        write_feature_csv(track, tmp_path / "rt.csv")
         back = load_markers(tmp_path / "rt.csv")
-        assert back.markers == track.markers
+        assert back.columns == track.columns
         assert back.grid == track.grid
         finite = np.isfinite(pos)
-        assert np.array_equal(np.isfinite(back.positions), finite)
-        assert np.array_equal(back.positions[finite], pos[finite])
+        assert np.array_equal(np.isfinite(back.values), finite)
+        assert np.array_equal(back.values[finite], pos[finite])
 
 
 class TestTranscript:

@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speechmotion.errors import TooFewFramesError, UnknownMarkerInMapError, ValidationError
+from speechmotion.errors import (
+    InconsistentMarkerSetError, TooFewFramesError, UnknownMarkerInMapError, ValidationError,
+)
 from speechmotion.frames import FeatureTrack, FrameGrid
 from speechmotion.ingest import Interval, SpeechIntervals
 from speechmotion.motion import (
     CATEGORY_NAMES,
-    MarkerTrack,
     RegionMap,
     condition_summaries,
     default_region_map,
     displacement_magnitudes,
+    marker_names,
     read_summary_csv,
     region_activeness,
     sem_of,
@@ -27,7 +29,8 @@ def marker_track(positions, markers=None, rate=120.0):
     positions = np.asarray(positions, dtype=float)
     n, m, _ = positions.shape
     markers = markers or tuple(f"M{i}" for i in range(m))
-    return MarkerTrack(FrameGrid(rate, 0.0, n), tuple(markers), positions)
+    columns = tuple(f"{name}_{axis}" for name in markers for axis in "xyz")
+    return FeatureTrack(FrameGrid(rate, 0.0, n), columns, positions.reshape(n, 3 * m))
 
 
 class TestDisplacement:
@@ -74,6 +77,31 @@ class TestDisplacement:
         a = displacement_magnitudes(marker_track(pos)).values
         b = displacement_magnitudes(marker_track(2.5 * pos)).values
         assert np.allclose(b, 2.5 * a, atol=1e-9)
+
+
+    @pytest.mark.parametrize("columns", [
+        ("M0_x", "M0_y"),
+        ("M0_x", "M0_z", "M0_y"),
+        ("M0_x", "M1_y", "M1_z"),
+        ("M0_x", "M0_y", "M0_z", "a", "b", "c"),
+    ], ids=["not_triples", "axes_out_of_order", "mixed_markers", "not_coordinates"])
+    def test_columns_that_are_not_coordinate_triples_are_rejected(self, columns):
+        with pytest.raises(InconsistentMarkerSetError, match="triples|expected <marker>_x"):
+            marker_names(columns)
+        track = FeatureTrack(FrameGrid(120.0, 0.0, 3), columns, np.zeros((3, len(columns))))
+        with pytest.raises(InconsistentMarkerSetError):
+            displacement_magnitudes(track)
+
+    def test_repeated_marker_names_are_rejected(self):
+        # a track cannot repeat a column, but a marker file's header can
+        with pytest.raises(InconsistentMarkerSetError, match="duplicate marker names"):
+            marker_names(("M0_x", "M0_y", "M0_z") * 2)
+
+    def test_marker_names_are_the_triples_bases(self):
+        columns = ("LBM0_x", "LBM0_y", "LBM0_z", "RH_1_x", "RH_1_y", "RH_1_z")
+        assert marker_names(columns) == ("LBM0", "RH_1")
+        track = marker_track(np.zeros((3, 2, 3)), markers=("LBM0", "RH_1"))
+        assert displacement_magnitudes(track).columns == ("LBM0", "RH_1")
 
 
 class TestRegionActiveness:
@@ -369,8 +397,3 @@ def test_one_sorted_pass_matches_a_mask_per_cell_bit_for_bit(n, frames, seed):
     ] == masked_summaries(table, frames / 10.0)
 
 
-def test_marker_track_plausibility_bound():
-    pos = np.zeros((2, 1, 3))
-    pos[1, 0, 0] = 5000.0
-    with pytest.raises(ValueError):
-        marker_track(pos)

@@ -6,7 +6,7 @@ import pytest
 
 from speechmotion.coupling import evaluate_mapping, fit_ammse
 from speechmotion.errors import InconsistentSpecError, ZeroSignalVarianceError
-from speechmotion.frames import FeatureTrack, read_feature_csv
+from speechmotion.frames import FeatureTrack, format_value, read_feature_csv
 from speechmotion.ingest import (
     load_emotion_frames,
     load_markers,
@@ -41,7 +41,7 @@ class TestDeterminism:
         a = generate_coupled_session(small_spec(seed=5))
         b = generate_coupled_session(small_spec(seed=5))
         assert np.array_equal(a.speech.values, b.speech.values)
-        assert np.array_equal(a.markers.positions, b.markers.positions)
+        assert np.array_equal(a.markers.values, b.markers.values)
         assert np.array_equal(a.emotion.values, b.emotion.values)
         assert a.intervals.entries == b.intervals.entries
 
@@ -177,14 +177,25 @@ class TestSessionDir:
         session = generate_coupled_session(spec)
         assert np.allclose(speech.values, session.speech.values, atol=0)
         markers = load_markers(tmp_path / config["markers"])
-        assert markers.markers == session.markers.markers
-        assert np.allclose(markers.positions, session.markers.positions, atol=0)
+        assert markers.columns == session.markers.columns
+        assert np.allclose(markers.values, session.markers.values, atol=0)
         intervals = load_transcript_intervals(tmp_path / config["transcript"])
         assert intervals.entries == session.intervals.entries
         emotion = load_emotion_frames(tmp_path / config["emotion"])
         assert np.allclose(emotion.values, session.emotion.values, atol=0)
         truth = json.loads((tmp_path / "ground_truth.json").read_text())
         assert truth["regions"]["region_1"]["theoretical_r"] == pytest.approx(0.7)
+
+    def test_markers_csv_renders_the_marker_track(self, tmp_path):
+        spec = small_spec(seed=12)
+        write_session_dir(spec, tmp_path)
+        markers = generate_coupled_session(spec).markers
+        assert markers.columns[:4] == ("region_1_m1_x", "region_1_m1_y", "region_1_m1_z",
+                                       "region_1_m2_x")
+        rows = np.column_stack([markers.grid.timestamps(), markers.values]).tolist()
+        expected = [f"# rate_hz={markers.grid.rate_hz!r}", ",".join(("time_s",) + markers.columns)]
+        expected += [",".join(format_value(v) for v in row) for row in rows]
+        assert (tmp_path / "markers.csv").read_text() == "\n".join(expected) + "\n"
 
     def test_pipeline_closure_through_files(self, tmp_path):
         spec = small_spec(seed=11)
