@@ -14,6 +14,7 @@ from .ingest import (
     AudioClip,
     SpeechIntervals,
     load_emotion_frames,
+    load_marker_activeness,
     load_markers,
     load_transcript_intervals,
     load_wav,
@@ -74,6 +75,7 @@ __all__ = [
     "fit_pca",
     "generate_coupled_session",
     "load_emotion_frames",
+    "load_marker_activeness",
     "load_markers",
     "load_transcript_intervals",
     "load_wav",

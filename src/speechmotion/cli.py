@@ -224,9 +224,9 @@ def _speech_track_for(config: Config, session: dict):
 
 
 def _native_activeness(config: Config, session: dict):
-    markers = ingest.load_markers(config.path(session, "markers"))
-    displacements = motion.displacement_magnitudes(markers)
-    return motion.region_activeness(displacements, config.region_map_for(session))
+    return ingest.load_marker_activeness(
+        config.path(session, "markers"), config.region_map_for(session)
+    )
 
 
 def _align_one(config: Config, session: dict) -> Path:

@@ -10,9 +10,9 @@ writes goes through one of the three codecs below.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -184,8 +184,12 @@ def format_value(x: float) -> str:
 # text: an optional `# rate_hz=<float>` comment, a header that starts with
 # `time_s`, then one row of numbers per frame. A cell holds the shortest
 # round-trip decimal of a float64 (its repr) and an empty cell is a NaN
-# dropout. Rows are parsed by numpy's C parser and formatted a block at a time;
-# nothing here loops over cells in Python except to name a rejected row.
+# dropout. Rows are formatted a block at a time and parsed in one pass over
+# the file, a chunk of whole lines at a time (:func:`row_chunks`), each chunk by
+# numpy's C parser; nothing here loops over cells in Python except to fill a
+# chunk's empty cells or to name a rejected row. :func:`read_rows` writes the
+# chunks into one array; a reader that needs less than the whole table (the
+# marker path of `align`) consumes them as they come.
 #
 # A table that one stage writes for a later one (features.csv, aligned.csv)
 # also gets a parse memo, `<csv>.memo`: the CSV's byte count and zlib.crc32,
@@ -280,101 +284,67 @@ def read_header(fh, path: str) -> list[str]:
     return header
 
 
-# characters searched at a time for an empty cell; the scan's copies of a
-# chunk add to the parse's RSS: 1 MiB chunks raised `align`'s peak on
-# oracle_many by about 3 MiB, 64 KiB ones by about 0.3 MiB
+# characters of whole lines parsed at a time: SCAN_CHARS, then the rest of
+# the line they end in. A chunk's text, its lines and its rows are what the
+# parse holds beyond its output: with 1 MiB chunks `align` peaks on
+# oracle_many at 43.6 MiB RSS, with 64 KiB ones at 38.2 MiB, and 16 KiB
+# ones save another 0.1 MiB at more calls into numpy
 SCAN_CHARS = 1 << 16
 
 
-def _dense(fh) -> bool:
-    """Whether the rest of an open table has a line, and neither an empty cell
-    nor a blank line: no two separators (comma or newline) in a row, counting
-    the line start before it, and no comma at its end. It is searched
-    SCAN_CHARS characters at a time, each chunk with the last character of
-    the one before, and the file is left where it was."""
-    start, last = fh.tell(), "\n"  # the rest starts a line
-    try:
-        while chunk := fh.read(SCAN_CHARS):
-            codes = np.frombuffer(chunk.encode(), np.uint8)
-            separator = codes == ord(",")
-            separator |= codes == ord("\n")
-            if (last in ",\n" and separator[0]) or (separator[1:] & separator[:-1]).any():
-                return False
-            last = chunk[-1]
-        # an empty rest has no line; a comma at its end ends in an empty cell
-        return fh.tell() != start and last != ","
-    finally:
-        fh.seek(start)
+def _dense(text: str) -> bool:
+    """Whether `text`, whole lines of a table, has a line, and neither an
+    empty cell nor a blank line: no two separators (comma or newline) in a
+    row, counting the line start before it, and no comma at its end."""
+    if not text:
+        return False
+    codes = np.frombuffer(text.encode(), np.uint8)
+    separator = codes == ord(",")
+    separator |= codes == ord("\n")
+    return not (separator[0] or (separator[1:] & separator[:-1]).any() or text[-1] == ",")
 
 
-def _filled_lines(fh, first_line: int, blank_lines: list[int]):
-    """Data lines of `fh` with each empty cell spelled ``nan``; blank lines are
-    skipped and their numbers appended to `blank_lines`."""
-    for line_no, line in enumerate(fh, start=first_line):
-        if line == "\n":
+def _filled_lines(lines, first_line: int, blank_lines: list[int]):
+    """`lines` with each empty cell spelled ``nan``; blank lines are skipped
+    and their numbers appended to `blank_lines`."""
+    for line_no, line in enumerate(lines, start=first_line):
+        if not line:
             blank_lines.append(line_no)
             continue
-        if ",," in line or line[0] == "," or line[-1] == "," or line.endswith(",\n"):
-            line = ",".join([cell or "nan" for cell in line.rstrip("\n").split(",")])
+        if ",," in line or line[0] == "," or line[-1] == ",":
+            line = ",".join([cell or "nan" for cell in line.split(",")])
         yield line
 
 
-def _bad_row(fh, start, path: str, first_line: int, n_cells: int) -> MalformedRowError | None:
-    """The error for the first row from `start` on that has the wrong cell
-    count or a cell that is not a number, or None if there is no such row."""
-    fh.seek(start)
-    for line_no, line in enumerate(fh, start=first_line):
-        if line == "\n":
+def _bad_row(lines, path: str, first_line: int, n_cells: int) -> MalformedRowError | None:
+    """The error for the first of `lines` that has the wrong cell count, a
+    cell that is not a number or an infinite cell, or None if there is no
+    such line."""
+    for line_no, line in enumerate(lines, start=first_line):
+        if not line:
             continue
-        cells = line.rstrip("\n").split(",")
+        cells = line.split(",")
         if len(cells) != n_cells:
             return MalformedRowError(
                 f"{path}:{line_no}: expected {n_cells} cells, got {len(cells)}"
             )
         for cell in cells:
             try:
-                if cell:
-                    float(cell)
+                value = float(cell) if cell else 0.0
             except ValueError:
                 return MalformedRowError(
                     f"{path}:{line_no}: cannot parse {cell!r} as a number"
                 )
+            if math.isinf(value):
+                return MalformedRowError(
+                    f"{path}:{line_no}: a cell is infinite; cells must be finite numbers or empty"
+                )
     return None
 
 
-def read_rows(fh, path: str, first_line: int, n_cells: int):
-    """Parse the rest of an open table into an ``(n_rows, n_cells)`` float64 array.
-
-    `first_line` is the file line number of the next line. Empty cells become
-    NaN and blank lines are skipped. A rest with neither goes to numpy's
-    parser as the open file; otherwise each line goes through
-    :func:`_filled_lines` first. Returns the array and a function mapping
-    a row index to its file line number. A row with the wrong cell count, a
-    non-numeric cell or an infinite cell raises :class:`MalformedRowError`
-    naming ``path:line``.
-    """
-    start = fh.tell()
-    blank_lines: list[int] = []
-    if _dense(fh):  # numpy reads the file itself
-        lines = fh
-    else:
-        lines = _filled_lines(fh, first_line, blank_lines)
-        first = next(lines, None)
-        if first is None:
-            raise MalformedRowError(f"{path}: no data rows")
-        lines = itertools.chain((first,), lines)
-    try:
-        data = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
-    except ValueError as exc:
-        # numpy's message counts rows from 0 and skips blank lines; rescan
-        # to name the file line of the first rejected row
-        raise _bad_row(fh, start, path, first_line, n_cells) or MalformedRowError(
-            f"{path}: {exc}"
-        ) from None
-    if data.shape[1] != n_cells:
-        # every row has the same wrong cell count, so the first one is named
-        raise _bad_row(fh, start, path, first_line, n_cells)
-
+def line_map(first_line: int, blank_lines: list[int]):
+    """The function mapping a row index to its file line, for rows that start
+    at `first_line` with the blank lines `blank_lines` (ascending) skipped."""
     def line_of(row: int) -> int:
         line = first_line + row
         for blank in blank_lines:
@@ -383,13 +353,104 @@ def read_rows(fh, path: str, first_line: int, n_cells: int):
             line += 1
         return line
 
-    infinite = np.isinf(data).any(axis=1)
-    if infinite.any():
-        raise MalformedRowError(
-            f"{path}:{line_of(int(np.argmax(infinite)))}: a cell is infinite; "
-            "cells must be finite numbers or empty"
-        )
-    return data, line_of
+    return line_of
+
+
+def row_chunks(fh, path: str, first_line: int, n_cells: int, blank_lines: list[int]):
+    """Parse the rest of an open table in one pass, a chunk of whole lines at
+    a time (SCAN_CHARS characters, then the rest of the last line), yielding
+    each chunk's rows as an ``(n, n_cells)`` float64 array.
+
+    `first_line` is the file line number of the next line; the numbers of
+    blank lines, which are skipped, are appended to `blank_lines`, so
+    ``line_map(first_line, blank_lines)`` names the line of every row yielded
+    so far. Empty cells become NaN. A chunk with neither an empty cell nor a
+    blank line goes to numpy's parser as its lines; any other chunk goes
+    through :func:`_filled_lines` first. The first row in the file with the wrong cell count, a
+    non-numeric cell or an infinite cell raises :class:`MalformedRowError`
+    naming ``path:line``, whatever the chunks; so does a rest with no row.
+    """
+    line, n_rows = first_line, 0
+    while text := fh.read(SCAN_CHARS):
+        if text[-1] != "\n":
+            text += fh.readline()
+        lines = text.split("\n")
+        if not lines[-1]:
+            lines.pop()  # the last newline ends a line, it does not start one
+        filled = lines if _dense(text) else list(_filled_lines(lines, line, blank_lines))
+        if filled:
+            try:
+                data = np.loadtxt(filled, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+            except ValueError as exc:
+                # numpy's message counts the chunk's rows from 0 and skips
+                # blank lines; rescan to name the file line of the first
+                # bad row, which may be an infinite one before the rejected
+                raise _bad_row(lines, path, line, n_cells) or MalformedRowError(
+                    f"{path}: {exc}"
+                ) from None
+            if data.shape[1] != n_cells or np.isinf(data).any():
+                # every row has the same wrong cell count, or one is infinite
+                raise _bad_row(lines, path, line, n_cells)
+            n_rows += len(data)
+            yield data
+        line += len(lines)
+    if n_rows == 0:
+        raise MalformedRowError(f"{path}: no data rows")
+
+
+class GrowingRows:
+    """Rows appended, chunk by chunk, to one float64 array that grows in place.
+
+    :meth:`reserve` allocates room for a caller's estimate of the row count
+    (see :func:`rows_estimate`) before the first append; an append that
+    overflows the room grows the array by a quarter (numpy's resize
+    zero-fills the new rows), and :meth:`take` shrinks it to the rows
+    appended. No list of chunks is held, and no second copy of the rows.
+    """
+
+    def __init__(self, row_shape=()):
+        self.array = np.empty((0, *row_shape))
+        self.n = 0
+
+    def reserve(self, n_rows: int) -> None:
+        if self.n == 0 and n_rows > len(self.array):
+            self.array = np.empty((n_rows, *self.array.shape[1:]))
+
+    def append(self, rows: np.ndarray) -> None:
+        end = self.n + len(rows)
+        if end > len(self.array):
+            self.array.resize((max(end, len(self.array) * 5 // 4), *self.array.shape[1:]),
+                              refcheck=False)
+        self.array[self.n:end] = rows
+        self.n = end
+
+    def take(self) -> np.ndarray:
+        self.array.resize((self.n, *self.array.shape[1:]), refcheck=False)
+        return self.array
+
+
+def rows_estimate(fh, first_chunk: np.ndarray) -> int:
+    """The rows of an open table's rest, guessed from the rows of the first
+    chunk :func:`row_chunks` yields: that many for each of the SCAN_CHARS
+    chunks the file's bytes could hold, about the row count when rows are
+    of one length."""
+    return len(first_chunk) * -(-os.fstat(fh.fileno()).st_size // SCAN_CHARS)
+
+
+def read_rows(fh, path: str, first_line: int, n_cells: int):
+    """Parse the rest of an open table into an ``(n_rows, n_cells)`` float64 array.
+
+    The chunks of :func:`row_chunks` are written into one array as they
+    come. Returns the array and a function mapping a row index to its file
+    line; raises what :func:`row_chunks` raises.
+    """
+    blank_lines: list[int] = []
+    data = GrowingRows((n_cells,))
+    for rows in row_chunks(fh, path, first_line, n_cells, blank_lines):
+        if not data.n:
+            data.reserve(rows_estimate(fh, rows))
+        data.append(rows)
+    return data.take(), line_map(first_line, blank_lines)
 
 
 def _checksum(path: str) -> bytes:

@@ -8,6 +8,7 @@ NaN and never interpolated here.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -28,16 +29,23 @@ from .errors import (
 )
 from .frames import (
     FeatureTrack,
+    GrowingRows,
     adopt,
     format_value,
     grid_of,
     iter_records,
+    line_map,
     number,
+    read_header,
     read_rate_comment,
     read_rated_table,
+    row_chunks,
+    rows_estimate,
     write_records,
 )
-from .motion import CATEGORY_NAMES, DEFAULT_MAX_ABS_MM, marker_names, max_abs_mm
+from .motion import (
+    CATEGORY_NAMES, DEFAULT_MAX_ABS_MM, ActivenessStream, marker_names, max_abs_mm,
+)
 
 CHANNEL_LEFT = "left"
 CHANNEL_RIGHT = "right"
@@ -138,57 +146,79 @@ def unit_samples(stored: np.ndarray) -> np.ndarray:
     return x
 
 
-def _read_chunks(data: bytes, path: str) -> dict[bytes, memoryview]:
-    if len(data) < 12:
+def _read_chunks(fh, path: str) -> dict[bytes, tuple[int, int]]:
+    """The (body offset, size) of the first chunk of each id in an open
+    RIFF/WAVE file, found from the chunk headers alone."""
+    file_size = os.fstat(fh.fileno()).st_size
+    head = fh.read(12)
+    if len(head) < 12:
         raise CorruptHeaderError(f"{path}: file too short for a RIFF header")
-    if data[0:4] != b"RIFF" or data[8:12] != b"WAVE":
+    if head[0:4] != b"RIFF" or head[8:12] != b"WAVE":
         raise CorruptHeaderError(f"{path}: not a RIFF/WAVE file")
-    chunks: dict[bytes, memoryview] = {}
-    view = memoryview(data)  # chunk bodies are views, not copies, of the file bytes
+    chunks: dict[bytes, tuple[int, int]] = {}
     offset = 12
-    while offset + 8 <= len(data):
-        cid = data[offset:offset + 4]
-        (size,) = struct.unpack_from("<I", data, offset + 4)
-        body = view[offset + 8:offset + 8 + size]
-        if len(body) < size:
+    while offset + 8 <= file_size:
+        fh.seek(offset)
+        cid, size = struct.unpack("<4sI", fh.read(8))
+        if offset + 8 + size > file_size:
             raise CorruptHeaderError(f"{path}: truncated {cid!r} chunk")
-        chunks.setdefault(cid, body)
+        chunks.setdefault(cid, (offset + 8, size))
         offset += 8 + size + (size & 1)  # chunks are word-aligned
     return chunks
 
 
 # sample dtype per (format code, bits): integer PCM, or 32-bit float
 _PCM_DTYPES = {(1, 8): "u1", (1, 16): "<i2", (1, 24): "3u1", (1, 32): "<i4", (3, 32): "<f4"}
+WAV_BLOCK_BYTES = 1 << 20  # bytes of the data chunk read at a time
 
 
 def _stored_pcm(
-    body, fmt_code: int, bits: int, n_channels: int, index: int | None, path: str
+    fh, data: tuple[int, int], fmt_code: int, bits: int, n_channels: int, index: int | None,
+    path: str,
 ) -> np.ndarray:
     """Samples of channel `index`, or of every channel if it is None, at
     their stored width; a mono file gives a 1-D array.
 
-    The samples stay a view of `body` where they can. Taking one channel of
-    a stereo file copies it (at the stored width), and 24-bit samples are
-    copied into the top three bytes of an <i4, which is exact.
+    `data` is the data chunk's (body offset, size) in the open file `fh`. It
+    is read WAV_BLOCK_BYTES at a time (in whole frames) into one reused
+    buffer and copied into the output, so only the kept channel is held,
+    plus one block of the file.
+    24-bit samples are placed in the top three bytes of an <i4, which is
+    exact.
     """
     if (fmt_code, bits) not in _PCM_DTYPES:
         kind = "float WAV must be 32-bit" if fmt_code == 3 else f"unsupported bit depth {bits}"
         raise UnsupportedFormatError(f"{path}: {kind}")
-    n_frames = len(body) // (bits // 8 * n_channels)
+    dtype = np.dtype(_PCM_DTYPES[fmt_code, bits])
+    frame_bytes = bits // 8 * n_channels
+    n_frames = data[1] // frame_bytes
     if n_frames == 0:
         raise EmptyAudioError(f"{path}: no audio frames")
-    raw = np.frombuffer(body, dtype=_PCM_DTYPES[fmt_code, bits], count=n_frames * n_channels)
-    raw = raw.reshape((n_frames, n_channels) + raw.shape[1:])
-    if index is not None or n_channels == 1:
-        raw = raw[:, index or 0]
-    if bits == 24:
-        wide = np.zeros(raw.shape[:-1] + (4,), dtype=np.uint8)
-        wide[..., 1:] = raw
-        raw = wide.view("<i4")[..., 0]
+    one_channel = index is not None or n_channels == 1
+    out = np.empty(
+        (n_frames,) if one_channel else (n_frames, n_channels),
+        "<i4" if bits == 24 else dtype.base,
+    )
+    block = max(1, WAV_BLOCK_BYTES // frame_bytes)
+    buffer = np.empty(min(block, n_frames) * frame_bytes, np.uint8)  # reused by every block
+    fh.seek(data[0])
+    for lo in range(0, n_frames, block):
+        hi = min(lo + block, n_frames)
+        fh.readinto(buffer[:(hi - lo) * frame_bytes])
+        raw = np.frombuffer(buffer[:(hi - lo) * frame_bytes], dtype=dtype)
+        raw = raw.reshape((hi - lo, n_channels) + raw.shape[1:])
+        if one_channel:
+            raw = raw[:, index or 0]
+        if bits == 24:
+            wide = out[lo:hi, ..., None].view(np.uint8)
+            wide[..., 0] = 0
+            wide[..., 1:] = raw
+        else:
+            out[lo:hi] = raw
     # min and max are NaN if any sample is, and reach any infinity
-    if fmt_code == 3 and not (math.isfinite(raw.min()) and math.isfinite(raw.max())):
+    if fmt_code == 3 and not (math.isfinite(out.min()) and math.isfinite(out.max())):
         raise ValueOutOfRangeError(f"{path}: float samples must be finite")
-    return raw
+    return out
 
 
 def _channel_index(channel: str, n_channels: int) -> int:
@@ -216,29 +246,29 @@ def load_wav(path, channel: str | None = None) -> AudioClip:
     """
     path = str(path)
     with open(path, "rb") as fh:
-        data = fh.read()
-    chunks = _read_chunks(data, path)
-    if b"fmt " not in chunks:
-        raise CorruptHeaderError(f"{path}: missing fmt chunk")
-    fmt = chunks[b"fmt "]
-    if len(fmt) < 16:
-        raise CorruptHeaderError(f"{path}: fmt chunk too short")
-    fmt_code, n_channels, sample_rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt)
-    if sample_rate == 0:
-        raise CorruptHeaderError(f"{path}: sample rate is 0")
-    if fmt_code not in (1, 3):
-        raise UnsupportedFormatError(
-            f"{path}: unsupported WAV format code {fmt_code} (PCM required)"
-        )
-    if n_channels not in (1, 2):
-        raise UnsupportedFormatError(f"{path}: expected 1-2 channels, got {n_channels}")
-    if b"data" not in chunks:
-        raise CorruptHeaderError(f"{path}: missing data chunk")
-    try:
-        index = None if channel is None else _channel_index(channel, n_channels)
-    except ChannelOutOfRangeError as exc:
-        raise ChannelOutOfRangeError(f"{path}: {exc}") from None
-    stored = _stored_pcm(chunks[b"data"], fmt_code, bits, n_channels, index, path)
+        chunks = _read_chunks(fh, path)
+        if b"fmt " not in chunks:
+            raise CorruptHeaderError(f"{path}: missing fmt chunk")
+        fmt_offset, fmt_size = chunks[b"fmt "]
+        if fmt_size < 16:
+            raise CorruptHeaderError(f"{path}: fmt chunk too short")
+        fh.seek(fmt_offset)
+        fmt_code, n_channels, sample_rate, _, _, bits = struct.unpack("<HHIIHH", fh.read(16))
+        if sample_rate == 0:
+            raise CorruptHeaderError(f"{path}: sample rate is 0")
+        if fmt_code not in (1, 3):
+            raise UnsupportedFormatError(
+                f"{path}: unsupported WAV format code {fmt_code} (PCM required)"
+            )
+        if n_channels not in (1, 2):
+            raise UnsupportedFormatError(f"{path}: expected 1-2 channels, got {n_channels}")
+        if b"data" not in chunks:
+            raise CorruptHeaderError(f"{path}: missing data chunk")
+        try:
+            index = None if channel is None else _channel_index(channel, n_channels)
+        except ChannelOutOfRangeError as exc:
+            raise ChannelOutOfRangeError(f"{path}: {exc}") from None
+        stored = _stored_pcm(fh, chunks[b"data"], fmt_code, bits, n_channels, index, path)
     return AudioClip._of_stored(stored, int(sample_rate))
 
 
@@ -455,10 +485,59 @@ def load_markers(path) -> FeatureTrack:
         marker_names(header[1:])
     except InconsistentMarkerSetError as exc:
         raise InconsistentMarkerSetError(f"{path}: {exc}") from None
-    if max_abs_mm(values) > DEFAULT_MAX_ABS_MM:
-        row, col = np.argwhere(np.abs(values) > DEFAULT_MAX_ABS_MM)[0]
-        raise ValueOutOfRangeError(
-            f"{path}:{line_of(int(row))}: {header[col + 1]} {float(values[row, col])!r} "
-            f"mm exceeds the plausibility bound {DEFAULT_MAX_ABS_MM} mm"
-        )
+    if beyond := _beyond_bound(path, header, values, line_of):
+        raise beyond
     return FeatureTrack(grid, tuple(header[1:]), values)
+
+
+def _beyond_bound(path: str, header, values: np.ndarray, line_of) -> ValueOutOfRangeError | None:
+    """The error for the first coordinate in `values` (rows of a marker
+    table's coordinate columns, `line_of` naming their lines) beyond
+    DEFAULT_MAX_ABS_MM, or None."""
+    if max_abs_mm(values) <= DEFAULT_MAX_ABS_MM:
+        return None
+    row, col = np.argwhere(np.abs(values) > DEFAULT_MAX_ABS_MM)[0]
+    return ValueOutOfRangeError(
+        f"{path}:{line_of(int(row))}: {header[col + 1]} {float(values[row, col])!r} "
+        f"mm exceeds the plausibility bound {DEFAULT_MAX_ABS_MM} mm"
+    )
+
+
+def load_marker_activeness(path, region_map) -> FeatureTrack:
+    """``region_activeness(displacement_magnitudes(load_markers(path)), region_map)``
+    bit for bit, from one pass over the marker CSV that never holds its
+    positions: each chunk of rows :func:`frames.row_chunks` parses goes
+    straight into a :class:`motion.ActivenessStream`, and only the time
+    column and the activeness are kept.
+
+    The header's marker set and the region map are checked before any row.
+    The rows are then checked as :func:`load_markers` checks them: a
+    malformed or infinite cell, then the times (:func:`frames.grid_of`),
+    then the first coordinate beyond DEFAULT_MAX_ABS_MM, each raising with
+    the same message; a track too short to difference raises last.
+    """
+    path = str(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        rate = read_rate_comment(fh, path)
+        header = read_header(fh, path)
+        try:
+            stream = ActivenessStream(header[1:], region_map)
+        except InconsistentMarkerSetError as exc:
+            raise InconsistentMarkerSetError(f"{path}: {exc}") from None
+        blank_lines: list[int] = []
+        line_of = line_map(3, blank_lines)  # names every row parsed so far
+        times, beyond = GrowingRows(), None  # beyond: raised once the times are checked
+        for rows in row_chunks(fh, path, 3, len(header), blank_lines):
+            if not times.n:
+                times.reserve(n_rows := rows_estimate(fh, rows))
+                stream.out.reserve(n_rows)
+            first = times.n
+            beyond = beyond or _beyond_bound(
+                path, header, rows[:, 1:], lambda row: line_of(first + row)
+            )
+            times.append(rows[:, 0])
+            stream.feed(rows[:, 1:])
+    grid = grid_of(times.take(), rate, path, line_of)
+    if beyond:
+        raise beyond
+    return stream.finish(grid)

@@ -3,6 +3,11 @@
 Input marker trajectories are assumed head-stabilized; no rigid-motion
 compensation happens here. Head markers are kept as their own region so head
 movement is quantified like any other region.
+
+The kinematics work in ROW_BLOCK-row blocks, so their temporaries do not
+grow with the track. `align` does not hold a track's positions at all: an
+:class:`ActivenessStream` takes them a chunk of parsed rows at a time and
+keeps only the activeness.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ from .errors import (
     ValidationError,
 )
 from .frames import (
-    FeatureTrack, FrameGrid, flag, iter_records, number, read_json_object, row_blocks,
-    write_json, write_records,
+    FeatureTrack, FrameGrid, GrowingRows, flag, iter_records, number, read_json_object,
+    row_blocks, write_json, write_records,
 )
 
 if TYPE_CHECKING:
@@ -200,6 +205,27 @@ def displacement_magnitudes(markers: FeatureTrack) -> FeatureTrack:
     return FeatureTrack(markers.grid, names, values)
 
 
+def _region_columns(columns, region_map) -> dict[str, list[int]]:
+    """Each region's indices among a displacement track's `columns`, in
+    region order; a region that lists a marker twice or names one the track
+    lacks raises."""
+    if isinstance(region_map, RegionMap):
+        items = {r: region_map[r] for r in region_map.names()}
+    else:
+        items = {r: tuple(ms) for r, ms in region_map.items()}
+        if repeat := _repeat_in(items):
+            raise ValidationError(repeat)
+    columns = tuple(columns)
+    for region, markers in items.items():
+        unknown = [m for m in markers if m not in columns]
+        if unknown:
+            raise UnknownMarkerInMapError(
+                f"region {region!r} references markers absent from the "
+                f"displacement track: {unknown}"
+            )
+    return {r: [columns.index(m) for m in markers] for r, markers in items.items()}
+
+
 def region_activeness(
     displacements: FeatureTrack, region_map: "RegionMap | dict[str, tuple[str, ...]]"
 ) -> FeatureTrack:
@@ -211,31 +237,84 @@ def region_activeness(
     gathered markers are a (ROW_BLOCK, markers) temporary however long the
     track is, and each value is computed as a whole-track pass computes it.
     """
-    if isinstance(region_map, RegionMap):
-        items = {r: region_map[r] for r in region_map.names()}
-    else:
-        items = {r: tuple(ms) for r, ms in region_map.items()}
-        if repeat := _repeat_in(items):
-            raise ValidationError(repeat)
-    available = set(displacements.columns)
-    for region, markers in items.items():
-        unknown = [m for m in markers if m not in available]
-        if unknown:
-            raise UnknownMarkerInMapError(
-                f"region {region!r} references markers absent from the "
-                f"displacement track: {unknown}"
-            )
-    names = tuple(items)
-    indices = [[displacements.column_index(m) for m in items[r]] for r in names]
-    out = np.empty((displacements.n_frames, len(names)))
+    regions = _region_columns(displacements.columns, region_map)
+    out = np.empty((displacements.n_frames, len(regions)))
     for lo, hi in row_blocks(0, displacements.n_frames, ROW_BLOCK):
         rows = displacements.values[lo:hi]
-        for j, idx in enumerate(indices):
+        for j, idx in enumerate(regions.values()):
             block = rows[:, idx]
             counts = np.isfinite(block).sum(axis=1)
             sums = np.nansum(block, axis=1)
             out[lo:hi, j] = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    return FeatureTrack(displacements.grid, names, out)
+    return FeatureTrack(displacements.grid, tuple(regions), out)
+
+
+class ActivenessStream:
+    """Region activeness of marker positions that arrive a chunk of rows at
+    a time, equal bit for bit to
+    ``region_activeness(displacement_magnitudes(track), region_map)`` of the
+    whole track.
+
+    `columns` are the positions' ``<marker>_x,_y,_z`` columns, and the
+    regions are checked against their markers before any row arrives. Rows
+    are gathered into batches of ROW_BLOCK new rows plus the one before them,
+    and each batch goes through :func:`displacement_magnitudes` and
+    :func:`region_activeness` as a track of its own, whose row blocks then
+    have ROW_BLOCK rows each, as a whole-track pass's have (frames.row_blocks
+    explains why only the row count matters). The first batch starts at
+    frame 0, so its frame-0 displacement is the track's. The last batch
+    takes the ROW_BLOCK rows that end the track, reaching back into the
+    batch before it; a track of ROW_BLOCK + 1 rows or fewer is one batch,
+    the whole track. So at most 2 * ROW_BLOCK + 1 rows of positions are held
+    however long the track is. The activeness rows gather in `out`, which a
+    caller that can guess the row count may reserve (frames.GrowingRows).
+    """
+
+    def __init__(self, columns, region_map):
+        self.columns = tuple(columns)
+        self.markers = marker_names(self.columns)
+        self.regions = tuple(_region_columns(self.markers, region_map))
+        self.region_map = region_map
+        self.block = ROW_BLOCK
+        self.positions = np.empty((2 * self.block + 1, len(self.columns)))
+        self.filled = 0  # rows held in `positions`
+        self.end = self.block + 1  # the row count at which a batch is run
+        self.out = GrowingRows((len(self.regions),))
+
+    def _run(self, hi: int, keep: int) -> None:
+        """Append the activeness of the last `keep` of positions rows ..hi-1,
+        from the batch of the ROW_BLOCK + 1 rows (or fewer, from row 0) that
+        end there."""
+        lo = max(0, hi - self.block - 1)
+        batch = FeatureTrack(FrameGrid(1.0, 0.0, hi - lo), self.columns, self.positions[lo:hi])
+        displacements = displacement_magnitudes(batch)
+        if self.out.n:  # the first row is the last batch's, not this one's
+            displacements = FeatureTrack(
+                FrameGrid(1.0, 0.0, hi - lo - 1), self.markers, displacements.values[1:]
+            )
+        activeness = region_activeness(displacements, self.region_map).values
+        self.out.append(activeness[len(activeness) - keep:])
+
+    def feed(self, rows: np.ndarray) -> None:
+        """Take the next rows of positions, running each batch they complete."""
+        while len(rows):
+            take = min(len(rows), self.end - self.filled)
+            self.positions[self.filled:self.filled + take] = rows[:take]
+            self.filled += take
+            rows = rows[take:]
+            if self.filled == self.end:
+                self._run(self.end, self.block + (not self.out.n))
+                # the batch just run is kept for the last batch to reach back into
+                self.positions[:self.block + 1] = self.positions[self.end - self.block - 1:self.end]
+                self.filled, self.end = self.block + 1, 2 * self.block + 1
+
+    def finish(self, grid: FrameGrid) -> FeatureTrack:
+        """The activeness track on `grid`, once every row has been fed."""
+        if not self.out.n:  # the whole track is one batch
+            self._run(self.filled, self.filled)
+        elif self.filled > self.block + 1:
+            self._run(self.filled, self.filled - self.block - 1)
+        return FeatureTrack(grid, self.regions, self.out.take())
 
 
 def sem_of(values: np.ndarray) -> float:

@@ -10,13 +10,16 @@ DCT-II, and coefficient 0 dropped. These are module constants, the same for
 every clip and session.
 
 `f0_contour`, `rms_energy` and `mfcc` work through the frames in blocks of
-CHUNK_FRAMES rows and keep only their per-frame outputs, so their working
-memory is set by the window length, not by the clip: each block is
+CHUNK_FRAMES (256) rows and keep only their per-frame outputs, so their
+working memory is set by the window length, not by the clip: each block is
 converted to float64 from the clip's stored width (see
 ingest.unit_samples), and its FFT and autocorrelation (of which pitch keeps
-only the searched lags) are freed before the next. What still grows with
-the clip is the clip itself, at its stored width (2 bytes per sample for
-16-bit PCM), and the output tracks (8 bytes per frame and column).
+only the searched lags) are freed before the next. At 16 kHz pitch's
+largest temporary, the complex spectrum of a block's windows zero-padded to
+1024 samples, is 2 MiB. What still grows with the clip is the clip itself,
+at its stored width (2 bytes per sample for 16-bit PCM), and the output
+tracks (8 bytes per frame and column), which `temporal_derivatives` builds
+in one array.
 Blocking leaves every value bit-for-bit as a single whole-clip pass
 computes it (see frames.row_blocks for the one condition this needs).
 """
@@ -48,7 +51,7 @@ VOICING_THRESHOLD = 0.45  # least normalized autocorrelation peak of a voiced fr
 N_MEL_FILTERS = 26
 LOG_FLOOR = 1e-10  # floor of the mel energies before the log
 # Analysis frames are processed in blocks of this many rows (see _frame_blocks).
-CHUNK_FRAMES = 1024
+CHUNK_FRAMES = 256
 
 MFCC_COLUMNS = tuple(f"mfcc_{i}" for i in range(1, 13))
 PC_COLUMNS = tuple(f"pc_{i}" for i in range(1, 13))
@@ -234,13 +237,15 @@ def temporal_derivatives(track: FeatureTrack) -> FeatureTrack:
         raise TrackTooShortError(
             f"need >= 5 frames for derivatives, got {track.n_frames}"
         )
-    derived = np.empty((track.n_frames, 2 * len(track.columns)))
-    for j in range(len(track.columns)):
+    c = len(track.columns)
+    values = np.empty((track.n_frames, 3 * c))  # filled in place: no hstack copy
+    values[:, :c] = track.values
+    for j in range(c):
         d1 = _ls_slope(track.values[:, j])
-        derived[:, 2 * j] = d1
-        derived[:, 2 * j + 1] = _ls_slope(d1)
+        values[:, c + 2 * j] = d1
+        values[:, c + 2 * j + 1] = _ls_slope(d1)
     names = track.columns + derivative_columns(track.columns)
-    return FeatureTrack(track.grid, names, np.hstack([track.values, derived]))
+    return FeatureTrack(track.grid, names, values)
 
 
 def prosody_features(clip: AudioClip, **f0_kwargs) -> FeatureTrack:

@@ -116,6 +116,10 @@ class SynthSpec:
             )
         if not self.regions:
             raise InconsistentSpecError("at least one region is required")
+        # a region names marker and activeness columns, which no table can split back out
+        for name in self.regions:
+            if any(c in name for c in ",\r\n"):
+                raise InconsistentSpecError(f"region {name!r} holds a comma or a line break")
         if len(self.feature_names) != self.feature_dim:
             raise InconsistentSpecError(
                 f"{len(self.feature_names)} feature names for feature_dim="

@@ -1,8 +1,9 @@
 """The front ends, the resampler and the table writer work in fixed blocks.
 
 The speech extractors take analysis frames, the marker kinematics frames of
-markers, resample_linear frames of its target grid and write_table rows a
-block at a time. Blocking must change neither the values (every row keeps
+markers, resample_linear frames of its target grid, write_table rows and
+load_wav frames a block at a time, and `align` streams a marker CSV into
+its activeness. Blocking must change neither the values (every row keeps
 its arithmetic) nor let memory grow with the clip beyond the per-frame
 outputs and the clip at its stored width.
 """
@@ -12,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from speechmotion import frames, ingest, motion, timeline
+from speechmotion import cli, frames, ingest, motion, timeline
 from speechmotion import speech_features as sf
 from speechmotion.frames import FeatureTrack, FrameGrid
 from speechmotion.ingest import AudioClip
@@ -42,11 +43,12 @@ EXTRACTORS = {"f0": sf.f0_contour, "rms": sf.rms_energy, "mfcc": sf.mfcc}
         # and CPU), which is why every block _frame_blocks yields has
         # CHUNK_FRAMES rows.
         (7, ("f0", "rms")),
+        (384, ("f0", "rms", "mfcc")),
     ],
 )
 def test_small_chunks_give_bitwise_equal_tracks(monkeypatch, chunk, names):
-    # 2060 frames: 12 past a multiple of the default chunk and 20 past one of
-    # 255, so a short tail block would show
+    # 2060 frames: 12 past a multiple of the default chunk (256), 20 past
+    # one of 255 and 140 past one of 384, so a short tail block would show
     clip = fm_clip(17.1875, 8000)
     n = sf.feature_grid(clip).n_frames
     assert n > sf.CHUNK_FRAMES and n % sf.CHUNK_FRAMES and n % chunk
@@ -117,6 +119,34 @@ def test_marker_kinematics_peak_memory_does_not_grow_with_track_length():
     assert growth <= extra_rows * per_frame + allowance, (growth, extra_rows)
 
 
+def test_align_marker_path_peak_memory_does_not_grow_with_track_length(tmp_path):
+    # `align`'s marker step on a CSV of 24 markers: its positions may not be
+    # held, only the time column and the activeness
+    names = [f"M{i}" for i in range(24)]
+    regions = motion.RegionMap({
+        "head": names[0:2], "eyebrows": names[2:4], "upper_face": names[2:6],
+        "mouth": names[6:8], "lower_face": names[6:10], "middle_face": names[10:14],
+        "total_face": names[2:14], "hands": names[14:20],
+    })
+    regions.to_json(tmp_path / "regions.json")
+    config = cli.Config({}, tmp_path)
+
+    def peak(duration_s):
+        path = tmp_path / f"markers{duration_s:g}.csv"
+        frames.write_feature_csv(marker_track(duration_s), path)
+        session = {"id": "s", "markers": path.name, "region_map": "regions.json"}
+        return traced_peak_bytes(lambda s: cli._native_activeness(config, s), session)
+
+    extra_rows = int(120.0 * 120) - int(30.0 * 120)
+    # per extra frame: the time column and the 8 activeness columns
+    per_frame = (1 + len(regions.names())) * 8
+    # the longer track's batches may hold more rows than the shorter's one:
+    # at most one block of marker positions
+    allowance = motion.ROW_BLOCK * 3 * len(names) * 8
+    growth = peak(120.0) - peak(30.0)
+    assert growth <= extra_rows * per_frame + allowance, (growth, extra_rows)
+
+
 def test_load_wav_keeps_one_channel_at_its_stored_width(tmp_path):
     n = 16000 * 20
     frames = np.random.default_rng(2).integers(-32768, 32768, (n, 2)).astype("<i2")
@@ -131,7 +161,9 @@ def test_load_wav_keeps_one_channel_at_its_stored_width(tmp_path):
     finally:
         tracemalloc.stop()
     assert clip.n_samples == n
-    assert peak <= file_bytes + 2 * n + (64 << 10), (peak, file_bytes)
+    # the kept channel, one block of the file, and 16 KiB for the open file's
+    # own buffer and the header's small objects
+    assert peak <= 2 * n + ingest.WAV_BLOCK_BYTES + (16 << 10), (peak, file_bytes)
 
 
 def dropout_track(n_frames: int, n_columns: int = 5, seed: int = 0) -> FeatureTrack:

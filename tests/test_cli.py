@@ -1029,6 +1029,22 @@ class TestSynthCommand:
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["a,b", "a\nb", "a\r"])
+    def test_a_region_name_no_table_can_hold_exits_2_and_writes_nothing(
+        self, tmp_path, capsys, name
+    ):
+        region = {"weights": [1.0, 2.0], "offset": 0.0}
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps({"seed": 5, "duration_s": 5.0, "feature_dim": 2,
+                                 "feature_names": ["x0", "x1"], "regions": {name: region}}))
+        out = tmp_path / "session"
+        rc = cli.main([f"--out-dir={out}", "synth", str(p)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{p}: bad synthesis spec: region {name!r} holds a comma or a line break" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_markers_past_the_plausibility_bound_exit_2_and_write_nothing(self, tmp_path, capsys):
         # random-walk markers at 20x the default step reach ~14 m in a minute
         p = tmp_path / "spec.json"
@@ -1327,13 +1343,16 @@ class TestTableErrors:
 
     def test_markers_parsed_once_per_session(self, cli_workspace, tmp_path, monkeypatch):
         calls = []
-        load_markers = ingest.load_markers
 
-        def counting_load_markers(*args, **kwargs):
-            calls.append(args[0])
-            return load_markers(*args, **kwargs)
+        def counting(load):
+            def counted(*args, **kwargs):
+                calls.append(args[0])
+                return load(*args, **kwargs)
+            return counted
 
-        monkeypatch.setattr(ingest, "load_markers", counting_load_markers)
+        # either marker loader parses the whole CSV
+        for name in ("load_markers", "load_marker_activeness"):
+            monkeypatch.setattr(ingest, name, counting(getattr(ingest, name)))
         out = tmp_path / "o"
         for command in ("align", "activeness"):
             rc = cli.main([f"--config={cli_workspace['config']}", f"--out-dir={out}", command])

@@ -306,8 +306,8 @@ def _rows_outcome(path):
 
 
 class TestDenseReader:
-    """A rest with no empty cell and no blank line goes to numpy as the open
-    file; it must read as each line through `_filled_lines` does."""
+    """A chunk with no empty cell and no blank line goes to numpy as its
+    lines; it must read as each line through `_filled_lines` does."""
 
     @settings(max_examples=300, deadline=None)
     @given(text=table_text(), scan_chars=st.integers(1, 24))
@@ -322,23 +322,24 @@ class TestDenseReader:
             with mock.patch.object(frames, "SCAN_CHARS", scan_chars):
                 with open(p, encoding="utf-8") as fh:
                     fh.readline()
-                    start = fh.tell()
-                    assert frames._dense(fh) is expect_dense
-                    assert fh.tell() == start
+                    assert frames._dense(fh.read()) is expect_dense
                 got = _rows_outcome(p)
-            with mock.patch.object(frames, "_dense", lambda fh: False):
+            with mock.patch.object(frames, "_dense", lambda text: False):
                 expected = _rows_outcome(p)
         assert got == expected
 
     @pytest.mark.parametrize("scan_chars", [7, 8, 9])
     def test_an_empty_cell_across_a_chunk_boundary_is_found(self, tmp_path, scan_chars):
-        # the rest "1,2,3\n4,,6\n" has its `,,` at characters 7 and 8
+        # the rest "1,2,3\n4,,6\n" has its `,,` at characters 7 and 8; a read
+        # of 7, 8 or 9 characters runs on to the end of its line, so the
+        # chunk holds the whole `,,`
         p = tmp_path / "t.csv"
         p.write_text("time_s,a,b\n1,2,3\n4,,6\n")
-        with mock.patch.object(frames, "SCAN_CHARS", scan_chars), open(p) as fh:
-            fh.readline()
-            assert not frames._dense(fh)
-        data = codec_rows(p, 3)
+        with mock.patch.object(frames, "SCAN_CHARS", scan_chars):
+            with open(p) as fh:
+                fh.readline()
+                assert not frames._dense(fh.read())
+            data = codec_rows(p, 3)
         assert np.array_equal(data, [[1, 2, 3], [4, np.nan, 6]], equal_nan=True)
 
 

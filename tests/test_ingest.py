@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from speechmotion import speech_features
+from speechmotion import frames, motion, speech_features
 from speechmotion.errors import (
     ChannelOutOfRangeError,
     CorruptHeaderError,
@@ -15,9 +15,12 @@ from speechmotion.errors import (
     InvertedIntervalError,
     MalformedRowError,
     NonMonotoneTimeError,
+    OffGridTimeError,
     SameSpeakerOverlapError,
+    TooFewFramesError,
     TrimExceedsDurationError,
     UnknownCategoryError,
+    UnknownMarkerInMapError,
     UnsupportedFormatError,
     ValueOutOfRangeError,
 )
@@ -26,6 +29,7 @@ from speechmotion.ingest import (
     Interval,
     SpeechIntervals,
     load_emotion_frames,
+    load_marker_activeness,
     load_markers,
     load_transcript_intervals,
     load_wav,
@@ -348,6 +352,131 @@ class TestLoadMarkers:
         finite = np.isfinite(pos)
         assert np.array_equal(np.isfinite(back.values), finite)
         assert np.array_equal(back.values[finite], pos[finite])
+
+
+STREAM_REGIONS = {"a": ("M0", "M1"), "b": ("M2",), "all": ("M0", "M1", "M2")}
+
+
+def marker_lines(n_rows: int, dropouts=(), seed: int = 0) -> list[str]:
+    """Data lines of a 120 Hz, three-marker random walk; marker k of row i
+    is a dropout (three empty cells) for each (i, k) in `dropouts`."""
+    pos = np.cumsum(np.random.default_rng(seed).standard_normal((n_rows, 9)), axis=0)
+    lines = []
+    for i, row in enumerate(pos.tolist()):
+        cells = [repr(i / 120.0)] + [repr(v) for v in row]
+        for r, k in dropouts:
+            if r == i:
+                cells[1 + 3 * k:4 + 3 * k] = ["", "", ""]
+        lines.append(",".join(cells))
+    return lines
+
+
+def write_markers(path, lines, blank_lines: bool = False, crlf: bool = False):
+    """A marker CSV of `lines`, with a blank line after every third data
+    line and CRLF line ends if asked."""
+    body = []
+    for i, line in enumerate(lines):
+        body.append(line)
+        if blank_lines and i % 3 == 2:
+            body.append("")
+    text = "\n".join(["# rate_hz=120.0", "time_s," + ",".join(
+        f"M{k}_{axis}" for k in range(3) for axis in "xyz"
+    )] + body) + "\n"
+    path.write_bytes(text.replace("\n", "\r\n" if crlf else "\n").encode())
+    return path
+
+
+def whole_track_activeness(path):
+    return motion.region_activeness(motion.displacement_magnitudes(load_markers(path)), STREAM_REGIONS)
+
+
+class TestMarkerActiveness:
+    """The streamed marker path against the whole-track one, with row blocks
+    of 4 frames and chunks from one line to the whole file, so that both
+    kinds of edge fall inside the tables."""
+
+    # dropouts on the last row of a batch or block and on the first of the
+    # next: the stream's batches end after rows 4, 8, 12 ..., the whole-track
+    # blocks after rows 3, 7, 11 ...
+    EDGE_DROPOUTS = ((3, 0), (4, 0), (4, 1), (5, 1), (8, 2), (9, 2), (9, 0), (12, 1))
+
+    @pytest.mark.parametrize("scan_chars", [1, 200, 1 << 16])
+    @pytest.mark.parametrize("layout", ["plain", "blank_lines", "crlf", "blank_lines_crlf"])
+    @pytest.mark.parametrize("n_rows", [2, 3, 4, 5, 6, 9, 10, 13, 40])
+    def test_equals_the_whole_track_bit_for_bit(
+        self, tmp_path, monkeypatch, n_rows, layout, scan_chars
+    ):
+        monkeypatch.setattr(motion, "ROW_BLOCK", 4)
+        monkeypatch.setattr(frames, "SCAN_CHARS", scan_chars)
+        lines = marker_lines(n_rows, [d for d in self.EDGE_DROPOUTS if d[0] < n_rows])
+        p = write_markers(tmp_path / "m.csv", lines, "blank" in layout, "crlf" in layout)
+        got, want = load_marker_activeness(p, STREAM_REGIONS), whole_track_activeness(p)
+        assert got.grid == want.grid and got.columns == want.columns
+        assert got.values.tobytes() == want.values.tobytes()
+
+    def test_default_blocks_over_several_batches(self, tmp_path):
+        n = 2 * motion.ROW_BLOCK + 123
+        dropouts = [(motion.ROW_BLOCK, 0), (motion.ROW_BLOCK + 1, 1), (n - 1, 2)]
+        p = write_markers(tmp_path / "m.csv", marker_lines(n, dropouts))
+        got, want = load_marker_activeness(p, STREAM_REGIONS), whole_track_activeness(p)
+        assert got.grid == want.grid
+        assert got.values.tobytes() == want.values.tobytes()
+
+    @pytest.mark.parametrize("fault", [
+        "non_numeric", "short_row", "infinite", "off_grid", "beyond_bound",
+    ])
+    def test_a_fault_in_a_later_block_is_named_as_load_markers_names_it(
+        self, tmp_path, monkeypatch, fault
+    ):
+        lines = marker_lines(40)
+        cells = lines[30].split(",")  # file line 33
+        if fault == "non_numeric":
+            cells[4] = "abc"
+        elif fault == "short_row":
+            cells.pop()
+        elif fault == "infinite":
+            cells[5] = "-inf"
+        elif fault == "off_grid":
+            cells[0] = repr(30.6 / 120.0)
+        else:
+            cells[6] = "2500.0"
+        lines[30] = ",".join(cells)
+        p = write_markers(tmp_path / "m.csv", lines)
+        with pytest.raises(Exception) as today:
+            load_markers(p)
+        monkeypatch.setattr(motion, "ROW_BLOCK", 4)
+        monkeypatch.setattr(frames, "SCAN_CHARS", 200)
+        with pytest.raises(type(today.value)) as streamed:
+            load_marker_activeness(p, STREAM_REGIONS)
+        assert isinstance(today.value, (MalformedRowError, OffGridTimeError, ValueOutOfRangeError))
+        assert str(streamed.value) == str(today.value)
+        assert str(streamed.value).startswith(f"{p}:33: ")
+
+    def test_the_bound_is_checked_after_the_times(self, tmp_path):
+        # as load_markers orders its checks: an off-grid time on a later line wins
+        lines = marker_lines(20)
+        lines[2] = lines[2].replace(lines[2].split(",")[3], "-2500.0", 1)
+        lines[15] = repr(15.6 / 120.0) + lines[15][lines[15].index(","):]
+        p = write_markers(tmp_path / "m.csv", lines)
+        with pytest.raises(OffGridTimeError, match=rf"^{re.escape(str(p))}:18: "):
+            load_marker_activeness(p, STREAM_REGIONS)
+
+    def test_header_and_region_faults(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text("# rate_hz=120.0\ntime_s,M1_x,M1_y\n0.0,1,2\n")
+        with pytest.raises(InconsistentMarkerSetError, match=rf"^{re.escape(str(p))}: "):
+            load_marker_activeness(p, STREAM_REGIONS)
+        p = write_markers(tmp_path / "m.csv", marker_lines(5))
+        with pytest.raises(UnknownMarkerInMapError):
+            load_marker_activeness(p, {"a": ("M0", "M9")})
+
+    def test_one_row_is_too_few(self, tmp_path):
+        p = write_markers(tmp_path / "m.csv", marker_lines(1))
+        with pytest.raises(TooFewFramesError) as today:
+            whole_track_activeness(p)
+        with pytest.raises(TooFewFramesError) as streamed:
+            load_marker_activeness(p, STREAM_REGIONS)
+        assert str(streamed.value) == str(today.value)
 
 
 class TestTranscript:
