@@ -330,7 +330,8 @@ def _bad_row(lines, path: str, first_line: int, n_cells: int) -> MalformedRowErr
             )
         for cell in cells:
             try:
-                value = float(cell) if cell else 0.0
+                # numpy's parser, not `float`, which also reads `1_0` and other digits
+                value = np.loadtxt([cell], delimiter=",", comments=None).item() if cell else 0.0
             except ValueError:
                 return MalformedRowError(
                     f"{path}:{line_no}: cannot parse {cell!r} as a number"

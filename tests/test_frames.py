@@ -267,6 +267,15 @@ class TestTableCodec:
             assert lines[2 + i] == ",".join(cells)
 
 
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661"])
+    def test_a_cell_numpy_rejects_names_its_line(self, tmp_path, cell):
+        # Python's float reads both (10.0 and 1.0); numpy's parser does not
+        p = tmp_path / "t.csv"
+        p.write_text(f"# rate_hz=10.0\ntime_s,a\n0.0,1\n0.1,{cell}\n", encoding="utf-8")
+        with pytest.raises(MalformedRowError) as exc:
+            read_feature_csv(p)
+        assert str(exc.value) == f"{p}:4: cannot parse {cell!r} as a number"
+
     def test_infinite_cell_names_its_line(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("# rate_hz=10.0\ntime_s,a\n0.0,1\n\n0.1,-inf\n0.2,inf\n")
